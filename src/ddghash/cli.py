@@ -23,9 +23,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .corpus import Corpus, build_feature_file
+from .corpus import Corpus, build_feature_file, check_program_id
 from .ddg import InstructionFamilyPolicy, LabelMode
-from .errors import DdghashError
+from .errors import DdghashError, InvalidProgramId
 from .features import FeatureParams, decimal3, five_number_summary, ratio
 from .tfidf import distribution_from_vectors, idf as corpus_idf
 from .tfidf import TermFrequencyVector, load_default_dictionary
@@ -70,10 +70,17 @@ def cmd_ingest(args):
     if "-" in args.paths and not args.id:
         print("reading from stdin requires --id", file=sys.stderr)
         return 2
+    program_ids = [Path(path).stem if args.id is None else args.id
+                   for path in args.paths]
+    try:
+        for program_id in program_ids:
+            check_program_id(program_id)
+    except InvalidProgramId as exc:
+        print(exc, file=sys.stderr)
+        return 2
     failures = 0
     results = []
-    for path in args.paths:
-        program_id = args.id or Path(path).stem
+    for path, program_id in zip(args.paths, program_ids):
         try:
             if path == "-":
                 ff = build_feature_file(sys.stdin.read(), program_id, params)
@@ -304,7 +311,8 @@ def build_parser():
     p = sub.add_parser("ingest", help="extract features from listings")
     p.add_argument("paths", nargs="+", metavar="listing")
     p.add_argument("--id", help="program id (single input only; "
-                   "defaults to the file stem)")
+                   "defaults to the file stem); a letter or digit, then "
+                   "letters, digits, '.', '_' or '-'")
     p.add_argument("--mode", choices=[m.value for m in LabelMode],
                    default=LabelMode.OPERAND_CLASS.value)
     p.add_argument("--policy", choices=[p.value for p in InstructionFamilyPolicy],

@@ -5,12 +5,15 @@ index.json. Feature files are the source of truth; the index (per-program
 cardinalities and the hash -> programs inverted index) is rebuilt from
 them on demand. Files are written with sorted keys and fixed formatting
 so identical inputs produce byte-identical files, and writes go through a
-temp file so a failed ingest never leaves partial output.
+uniquely named temp file so a failed ingest never leaves partial output
+and concurrent writers never share one. Reads rely on that fixed
+formatting to decode only the members a caller uses.
 """
 
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,17 +22,26 @@ from . import __version__
 from .blocks import build_cfg, segment
 from .ddg import InstructionFamilyPolicy, LabelMode
 from .disasm import parse_listing_with_report
-from .errors import DdghashError, UnknownProgram
-from .features import (FeatureParams, ProgramFeatureSet, compare,
+from .errors import DdghashError, InvalidProgramId, UnknownProgram
+from .features import (FeatureParams, LazyFields, ProgramFeatureSet, compare,
                        extract_feature_set)
 from .tfidf import load_default_dictionary, tf_vector
 from .wlhash import WLParams
 
 FORMAT_VERSION = 1
 
+_PROGRAM_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+
+# top-level keys of a feature file, in the order sort_keys writes them
+_MEMBERS = ("block_map", "diagnostics", "format_version", "hashes",
+           "order_edges", "params", "program_id", "source_digest",
+           "term_counts", "term_stems", "toolkit_version")
+
+_DECODER = json.JSONDecoder()
+
 
 @dataclass
-class FeatureFile:
+class FeatureFile(LazyFields):
     feature_set: ProgramFeatureSet
     term_counts: dict  # block id -> tuple of per-stem counts (all blocks)
     term_stems: tuple
@@ -55,32 +67,119 @@ def encode_feature_file(ff: FeatureFile) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def decode_feature_file(text: str) -> FeatureFile:
-    doc = json.loads(text)
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise DdghashError(f"unsupported feature file format version {version!r}")
-    p = doc["params"]
-    params = FeatureParams(
+class _Members:
+    """The top-level members of one feature file, located by its canonical
+    layout and decoded one at a time.
+
+    encode_feature_file writes json.dumps(sort_keys=True, indent=2), which
+    starts every top-level key on a line of its own at indent 2 and never
+    puts a raw newline inside a string; nested lines are indented further.
+    So each member starts at a '\n  "<key>": ' mark and ends at the ','
+    before the next mark, and the keys are exactly _MEMBERS, in that order.
+    The marks are found forward from the start up to term_counts and
+    backward from the end after it, so term_counts, most of the file, is
+    not scanned until it is decoded.
+    """
+
+    def __init__(self, text, source):
+        self.text = text
+        self.source = source
+        if not (text.startswith('{\n  "') and text.endswith("\n}\n")):
+            raise self.error("not a canonical feature file")
+        split = _MEMBERS.index("term_counts") + 1
+        marks = []
+        line = 0
+        for _ in _MEMBERS[:split]:
+            line = text.find('\n  "', line + 1)
+            marks.append(line)
+        line = len(text)
+        for _ in _MEMBERS[split:]:
+            line = text.rfind('\n  "', 0, line)
+            marks.insert(split, line)
+        starts = []
+        for key, mark in zip(_MEMBERS, marks):
+            head = f'\n  "{key}": '
+            if mark == -1 or not text.startswith(head, mark):
+                raise self.error(f"member {key!r} missing or out of order")
+            starts.append(mark + len(head))
+        ends = [mark - 1 for mark in marks[1:]]
+        for key, end in zip(_MEMBERS, ends):
+            if text[end] != ",":
+                raise self.error(f"no ',' after member {key!r}")
+        ends.append(len(text) - 3)
+        self.spans = dict(zip(_MEMBERS, zip(starts, ends)))
+
+    def error(self, message):
+        return DdghashError(f"{self.source}: {message}")
+
+    def read(self, key, build=None):
+        """Decode one member exactly as json.loads would, then build it."""
+        start, end = self.spans[key]
+        try:
+            value, stop = _DECODER.raw_decode(self.text, start)
+            if stop != end:
+                raise ValueError(f"unexpected text at offset {stop}")
+            return value if build is None else build(value)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise self.error(f"member {key!r}: {exc}") from None
+
+    def later(self, key, build=None):
+        return lambda: self.read(key, build)
+
+
+def _params(p):
+    return FeatureParams(
         label_mode=LabelMode(p["label_mode"]),
         policy=InstructionFamilyPolicy(p["policy"]),
         wl=WLParams(iterations=p["wl_iterations"], digest_bits=p["digest_bits"]),
     )
-    block_map = {int(i): h for i, h in doc["block_map"].items()}
-    block_map = dict(sorted(block_map.items()))
-    fs = ProgramFeatureSet(
-        program_id=doc["program_id"],
-        params=params,
-        block_map=block_map,
-        order_edges=frozenset((a, b) for a, b in doc["order_edges"]),
-        diagnostics=doc["diagnostics"],
+
+
+def _hashes(hashes):
+    if not (isinstance(hashes, list) and all(isinstance(h, str) for h in hashes)):
+        raise TypeError("expected a list of strings")
+    return frozenset(hashes)
+
+
+def _diagnostics(diag):
+    if not isinstance(diag.get("blocks"), int):
+        raise TypeError("expected an integer 'blocks' count")
+    return diag
+
+
+def decode_feature_file(text: str, source="feature file") -> FeatureFile:
+    """Decode a canonical feature file; DdghashError names `source`.
+
+    format_version, params, program_id and hashes, which every query
+    reads, are decoded here. The other members stay text until a caller
+    first reads them, so a query never parses term_counts.
+    """
+    members = _Members(text, source)
+    version = members.read("format_version")
+    if version != FORMAT_VERSION:
+        raise members.error(f"unsupported feature file format version {version!r}")
+    later = members.later
+    fs = ProgramFeatureSet.deferred(
+        {
+            "block_map": later("block_map", lambda m: dict(
+                sorted((int(i), h) for i, h in m.items()))),
+            "order_edges": later("order_edges", lambda edges: frozenset(
+                (a, b) for a, b in edges)),
+            "diagnostics": later("diagnostics", _diagnostics),
+        },
+        program_id=members.read("program_id"),
+        params=members.read("params", _params),
+        hashes=members.read("hashes", _hashes),
     )
-    return FeatureFile(
+    return FeatureFile.deferred(
+        {
+            "term_counts": later("term_counts", lambda counts: {
+                int(i): tuple(c) for i, c in counts.items()}),
+            "term_stems": later("term_stems", tuple),
+            "source_digest": later("source_digest"),
+            "toolkit_version": later("toolkit_version"),
+        },
         feature_set=fs,
-        term_counts={int(i): tuple(c) for i, c in doc["term_counts"].items()},
-        term_stems=tuple(doc["term_stems"]),
-        source_digest=doc["source_digest"],
-        toolkit_version=doc["toolkit_version"],
     )
 
 
@@ -112,11 +211,18 @@ def build_feature_file(text: str, program_id: str, params: FeatureParams,
     )
 
 
+def check_program_id(program_id):
+    """Ids name files in the corpus directory, so they may not hold a path."""
+    if not _PROGRAM_ID.fullmatch(program_id):
+        raise InvalidProgramId(program_id)
+
+
 class Corpus:
     def __init__(self, root):
         self.root = Path(root)
 
     def _path(self, program_id) -> Path:
+        check_program_id(program_id)
         return self.root / f"{program_id}.features.json"
 
     def ids(self):
@@ -127,18 +233,16 @@ class Corpus:
         path = self._path(program_id)
         if not path.is_file():
             raise UnknownProgram(program_id)
-        return decode_feature_file(path.read_text())
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            raise DdghashError(f"{path}: {exc}") from None
+        return decode_feature_file(text, path)
 
     def save(self, ff: FeatureFile) -> Path:
-        """Atomic write; leaves the file untouched when bytes are unchanged."""
         self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(ff.feature_set.program_id)
-        payload = encode_feature_file(ff)
-        if path.is_file() and path.read_text() == payload:
-            return path
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(payload)
-        os.replace(tmp, path)
+        _write_atomic(path, encode_feature_file(ff))
         return path
 
     def ingest(self, disasm_path, program_id, params: FeatureParams,
@@ -160,7 +264,7 @@ class Corpus:
             for b in ids[i + 1:]:
                 rep = compare(sets[a], sets[b])
                 out[(a, b)] = rep
-                out[(b, a)] = compare(sets[b], sets[a])
+                out[(b, a)] = rep.swapped()
         return out
 
     def nearest(self, query_id, k):
@@ -201,12 +305,12 @@ class Corpus:
         programs = {}
         inverted = {}
         for pid in self.ids():
-            ff = self.load(pid)
-            fs = ff.feature_set
+            fs = self.load(pid).feature_set
             programs[pid] = {
                 "file": f"{pid}.features.json",
                 "hashes": len(fs.hashes),
-                "blocks": len(ff.term_counts),
+                # the writer counts every block, as term_counts has a row per block
+                "blocks": fs.diagnostics["blocks"],
             }
             for h in fs.hashes:
                 inverted.setdefault(h, []).append(pid)
@@ -215,10 +319,21 @@ class Corpus:
             "programs": programs,
             "inverted": {h: sorted(ps) for h, ps in inverted.items()},
         }
-        path = self.root / "index.json"
-        payload = json.dumps(index, sort_keys=True, indent=2) + "\n"
-        if not (path.is_file() and path.read_text() == payload):
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(payload)
-            os.replace(tmp, path)
+        _write_atomic(self.root / "index.json",
+                      json.dumps(index, sort_keys=True, indent=2) + "\n")
         return index
+
+
+def _write_atomic(path: Path, payload: str):
+    """Replace path with payload through a temp file named for this writer
+    alone; leaves the file untouched when its bytes are unchanged."""
+    if path.is_file() and path.read_text() == payload:
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -46,3 +46,15 @@ class UnknownProgram(DdghashError):
     def __init__(self, program_id):
         self.program_id = program_id
         super().__init__(f"no program {program_id!r} in corpus")
+
+
+class InvalidProgramId(DdghashError):
+    """A program id outside the safe charset, which could name a path
+    outside the corpus."""
+
+    def __init__(self, program_id):
+        self.program_id = program_id
+        super().__init__(
+            f"invalid program id {program_id!r}: use a letter or digit, "
+            "then letters, digits, '.', '_' or '-'"
+        )

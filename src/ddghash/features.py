@@ -32,17 +32,40 @@ class FeatureParams:
         }
 
 
+class LazyFields:
+    """Dataclass mixin for instances decoded from a file. One made by
+    `deferred` builds each field named in `pending` (name -> zero-argument
+    builder) on its first read and keeps it; equality and repr read
+    every field, so they build them all."""
+
+    @classmethod
+    def deferred(cls, pending, **fields):
+        obj = cls.__new__(cls)
+        obj.__dict__.update(fields, _pending=pending)
+        return obj
+
+    def __getattr__(self, name):  # reached only for fields not yet built
+        pending = self.__dict__.get("_pending", {})
+        if name not in pending:
+            raise AttributeError(name)
+        value = pending[name]()
+        del pending[name]
+        setattr(self, name, value)
+        return value
+
+
 @dataclass
-class ProgramFeatureSet:
+class ProgramFeatureSet(LazyFields):
     program_id: str
     params: FeatureParams
     block_map: dict  # block index -> 32-hex hash, insertion-ordered
     order_edges: frozenset  # (block index, block index)
     diagnostics: dict = field(default_factory=dict)
+    hashes: frozenset = None  # distinct block_map values, computed once
 
-    @property
-    def hashes(self) -> frozenset:
-        return frozenset(self.block_map.values())
+    def __post_init__(self):
+        if self.hashes is None:
+            self.hashes = frozenset(self.block_map.values())
 
 
 @dataclass(frozen=True)
@@ -76,6 +99,22 @@ class SimilarityReport:
             "containment_b_in_a": decimal3(self.containment_b_in_a),
             "containment_b_in_a_exact": ratio(self.containment_b_in_a),
         }
+
+    def swapped(self) -> "SimilarityReport":
+        """The report compare(b, a) would give, by swapping fields."""
+        return SimilarityReport(
+            a_id=self.b_id,
+            b_id=self.a_id,
+            size_a=self.size_b,
+            size_b=self.size_a,
+            intersection=self.intersection,
+            union=self.union,
+            diff_a_minus_b=self.diff_b_minus_a,
+            diff_b_minus_a=self.diff_a_minus_b,
+            jaccard=self.jaccard,
+            containment_a_in_b=self.containment_b_in_a,
+            containment_b_in_a=self.containment_a_in_b,
+        )
 
 
 def decimal3(value) -> str:

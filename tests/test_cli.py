@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from ddghash.cli import main
 
 from fixtures import CMOV_BLOCK_INTEL, star_program
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -286,3 +289,98 @@ def test_tfstats_unknown_program(tmp_path, capsys):
     code, _, err = run(capsys, "-C", corpus, "tfstats", "ghost")
     assert code == 1
     assert "ghost" in err
+
+
+# -- program ids stay inside the corpus -------------------------------------
+
+@pytest.mark.parametrize("bad_id", ["../escaped", "a/b", ".hidden", "-x", ""])
+def test_ingest_rejects_unsafe_id(tmp_path, capsys, bad_id):
+    src = tmp_path / "p.objdump"
+    src.write_text(star_program(range(1, 5)))
+    corpus = tmp_path / "work" / "corpus"
+    code, _, err = run(capsys, "-C", str(corpus), "ingest", str(src),
+                       f"--id={bad_id}")
+    assert code == 2
+    assert "invalid program id" in err
+    assert not list((tmp_path / "work").rglob("*.features.*"))
+
+
+def test_ingest_rejects_unsafe_file_stem(tmp_path, capsys):
+    good = tmp_path / "good.objdump"
+    good.write_text(star_program(range(1, 5)))
+    bad = tmp_path / "bad name.objdump"
+    bad.write_text(star_program(range(1, 5)))
+    corpus = tmp_path / "corpus"
+    code, _, err = run(capsys, "-C", str(corpus), "ingest", str(good), str(bad))
+    assert code == 2
+    assert "'bad name'" in err
+    assert not corpus.exists()  # checked before any input is ingested
+
+
+def test_query_rejects_unsafe_id(tmp_path, capsys):
+    corpus = _seed_corpus(tmp_path, {"inside": range(1, 5)})
+    # a valid feature file one level up must not be reachable by id
+    outside = tmp_path / "outside.features.json"
+    outside.write_text((tmp_path / "corpus" / "inside.features.json").read_text())
+    for argv in (["compare", "../outside", "inside"],
+                 ["nearest", "../outside"],
+                 ["tfstats", "../outside"],
+                 ["matrix", "inside", "../outside"]):
+        code, out, err = run(capsys, "-C", corpus, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: invalid program id '../outside'")
+
+
+# -- feature files that are not whole canonical documents --------------------
+
+def _corrupt_corpus(tmp_path, mutate):
+    corpus = tmp_path / "corpus"
+    for pid in ("true_att", "true_intel"):
+        assert main(["-C", str(corpus), "ingest", str(DATA / f"{pid}.objdump")]) == 0
+    path = corpus / "true_att.features.json"
+    damaged = mutate(path.read_text())
+    path.write_bytes(damaged if isinstance(damaged, bytes) else damaged.encode())
+    return str(corpus), path
+
+
+def _drop_member(text, key):
+    lines = text.split("\n")
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(f'  "{key}": '))
+    end = start + 1
+    while not lines[end].startswith('  "'):
+        end += 1
+    return "\n".join(lines[:start] + lines[end:])
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda text: text[:1000],
+    lambda text: _drop_member(text, "order_edges"),
+    lambda text: json.dumps(json.loads(text)),
+    lambda text: b"\xff" + text.encode(),
+], ids=["truncated", "missing_member", "compact", "not_utf8"])
+def test_corrupt_feature_file_fails_cleanly(tmp_path, capsys, mutate):
+    corpus, path = _corrupt_corpus(tmp_path, mutate)
+    for argv in (["compare", "true_att", "true_intel"],
+                 ["tfstats", "true_att"],
+                 ["nearest", "true_intel"],
+                 ["matrix", "--all"],
+                 ["contain"]):
+        code, out, err = run(capsys, "-C", corpus, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"error: {path}: "), err
+        assert "Traceback" not in err
+
+
+def test_queries_leave_term_counts_undecoded(tmp_path, capsys):
+    # a damaged term_counts member breaks tfstats only: set queries never read it
+    corpus, path = _corrupt_corpus(
+        tmp_path, lambda text: text.replace('"term_counts": {', '"term_counts": {]', 1))
+    code, out, _ = run(capsys, "-C", corpus, "compare", "true_att", "true_intel")
+    assert code == 0
+    assert "jaccard:             1/1 = 1.000" in out
+    code, _, err = run(capsys, "-C", corpus, "tfstats", "true_att")
+    assert code == 1
+    assert err.startswith(f"error: {path}: member 'term_counts': ")

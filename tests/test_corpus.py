@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ import pytest
 
 from ddghash.corpus import (Corpus, FeatureFile, decode_feature_file,
                             encode_feature_file)
-from ddghash.errors import (MalformedListing, NoInstructionsFound,
-                            UnknownProgram)
-from ddghash.features import FeatureParams, ProgramFeatureSet
+from ddghash.errors import (DdghashError, MalformedListing,
+                            NoInstructionsFound, UnknownProgram)
+from ddghash.features import FeatureParams, ProgramFeatureSet, compare
 
 from fixtures import star_program
 
@@ -64,6 +65,19 @@ def test_format_version_checked():
     doc["format_version"] = 99
     with pytest.raises(Exception):
         decode_feature_file(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda t: t.replace('"hashes": ', '"hashez": ', 1),
+    lambda t: t.replace('\n  "order_edges": ', '\n  "extra": 1,\n  "order_edges": ', 1),
+    lambda t: t.replace('\n}\n', ',\n  "zzz": 1\n}\n'),
+    lambda t: t.replace(',\n  "params": ', '\n  "params": ', 1),
+    lambda t: t.replace('"program_id": "', '"program_id": 1 + "', 1),
+], ids=["renamed", "extra_inside", "extra_last", "no_comma", "bad_value"])
+def test_non_canonical_text_names_source(mutate):
+    text = encode_feature_file(_random_feature_file(random.Random(3)))
+    with pytest.raises(DdghashError, match="^corp/p.features.json: "):
+        decode_feature_file(mutate(text), "corp/p.features.json")
 
 
 def test_ingest_dedup_counts(tmp_path):
@@ -204,6 +218,9 @@ def test_pairwise_matrix(tmp_path):
     assert reports[("a", "c")].jaccard == 0
     assert reports[("b", "c")].jaccard == 0
     assert reports[("b", "a")].jaccard == reports[("a", "b")].jaccard
+    sets = {pid: corpus.load(pid).feature_set for pid in "abc"}
+    for (a, b), rep in reports.items():
+        assert rep == compare(sets[a], sets[b])
 
 
 def test_index_consistency(tmp_path):
@@ -222,3 +239,33 @@ def test_index_consistency(tmp_path):
     for h, pids in index["inverted"].items():
         for pid in pids:
             assert h in corpus.load(pid).feature_set.hashes
+
+
+def test_decoded_hashes_are_stored_once(tmp_path):
+    corpus = _build_corpus(tmp_path, {"a": range(1, 21)})
+    fs = corpus.load("a").feature_set
+    assert fs.hashes is fs.hashes
+    assert fs.hashes == frozenset(fs.block_map.values())
+
+
+def test_concurrent_writers_use_separate_temp_files(tmp_path, monkeypatch):
+    corpus = Corpus(tmp_path / "corpus")
+    first, second = (_random_feature_file(random.Random(seed)) for seed in (1, 2))
+    second.feature_set.program_id = pid = first.feature_set.program_id
+    real_replace = os.replace
+    temps = []
+
+    def replace(src, dst):
+        temps.append(src)
+        if len(temps) == 1:
+            # a second writer of the same id runs start to finish while the
+            # first has written its temp file but not yet moved it into place
+            corpus.save(second)
+            assert src.read_text() == encode_feature_file(first)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    path = corpus.save(first)
+    assert len(temps) == 2 and temps[0] != temps[1]
+    assert path.read_text() == encode_feature_file(first)
+    assert [p.name for p in corpus.root.iterdir()] == [f"{pid}.features.json"]
