@@ -107,6 +107,8 @@ def cmd_ingest(args):
             "hashed_blocks": len(fs.block_map),
             "distinct_hashes": len(fs.hashes),
             "duplicate_hashes": diag.get("duplicate_hashes"),
+            "distinct_asm_texts": ff.distinct_asm_texts,
+            "distinct_graphs": fs.distinct_graphs,
         })
     if results:
         corpus.rebuild_index()

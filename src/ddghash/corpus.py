@@ -14,8 +14,9 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
@@ -47,24 +48,70 @@ class FeatureFile(LazyFields):
     term_stems: tuple
     source_digest: str
     toolkit_version: str = __version__
+    # asm texts parsed by build_feature_file; in memory only, never in a file
+    distinct_asm_texts: int = field(default=None, compare=False)
 
 
 def encode_feature_file(ff: FeatureFile) -> str:
+    """The canonical text of a feature file: json.dumps(doc,
+    sort_keys=True, indent=2) + "\n", where doc maps each member of
+    _MEMBERS to its JSON value (block ids as string keys, `hashes` and
+    `order_edges` sorted).
+
+    The bulk members (block_map, hashes, order_edges, term_counts) are
+    rendered here in that exact layout rather than through the
+    pure-Python indenting encoder, and each distinct term_counts row is
+    rendered once; the small members go through json.dumps.
+    """
     fs = ff.feature_set
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "program_id": fs.program_id,
-        "params": fs.params.as_dict(),
-        "block_map": {str(i): h for i, h in fs.block_map.items()},
-        "hashes": sorted(fs.hashes),
-        "order_edges": sorted([a, b] for a, b in fs.order_edges),
-        "diagnostics": fs.diagnostics,
-        "term_stems": list(ff.term_stems),
-        "term_counts": {str(i): list(c) for i, c in ff.term_counts.items()},
-        "source_digest": ff.source_digest,
-        "toolkit_version": ff.toolkit_version,
+    rows = {}  # count row -> its text; most rows repeat
+
+    def row(counts):
+        counts = tuple(counts)
+        text = rows.get(counts)
+        if text is None:
+            text = rows[counts] = _container("[]", [str(c) for c in counts], 2)
+        return text
+
+    block_map = sorted((str(i), h) for i, h in fs.block_map.items())
+    term_counts = sorted((str(i), c) for i, c in ff.term_counts.items())
+    members = {
+        "block_map": _container(
+            "{}", [f'"{i}": {_quote(h)}' for i, h in block_map], 1),
+        "diagnostics": _small(fs.diagnostics),
+        "format_version": _small(FORMAT_VERSION),
+        "hashes": _container("[]", [_quote(h) for h in sorted(fs.hashes)], 1),
+        "order_edges": _container(
+            "[]", [_container("[]", [str(a), str(b)], 2)
+                   for a, b in sorted(fs.order_edges)], 1),
+        "params": _small(fs.params.as_dict()),
+        "program_id": _small(fs.program_id),
+        "source_digest": _small(ff.source_digest),
+        "term_counts": _container(
+            "{}", [f'"{i}": {row(c)}' for i, c in term_counts], 1),
+        "term_stems": _small(list(ff.term_stems)),
+        "toolkit_version": _small(ff.toolkit_version),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return ("{\n" + ",\n".join(f'  "{key}": {members[key]}' for key in _MEMBERS)
+            + "\n}\n")
+
+
+def _container(brackets, items, depth):
+    """A JSON array or object of rendered items (object items already
+    "key": value), laid out as json.dumps(indent=2) lays it out when
+    nested `depth` levels deep."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return (brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + "  " * depth + brackets[1])
+
+
+def _small(value):
+    """A top-level member's value through json.dumps, indented one level
+    (json.dumps escapes newlines inside strings, so every raw newline
+    starts a line of the layout)."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
 class _Members:
@@ -208,6 +255,7 @@ def build_feature_file(text: str, program_id: str, params: FeatureParams,
         term_counts=term_counts,
         term_stems=dictionary.stems,
         source_digest="sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        distinct_asm_texts=report.distinct_asm_texts,
     )
 
 

@@ -64,6 +64,7 @@ class ParseReport:
     skipped_lines: int = 0
     instruction_shaped: int = 0
     malformed: list = field(default_factory=list)  # (line_no, reason, line)
+    distinct_asm_texts: int = 0  # parsed once each; not part of as_dict()
 
     def as_dict(self):
         return {
@@ -98,6 +99,8 @@ def _parse_int(token):
 
 def _split_operands(text):
     """Split on commas at depth zero (AT&T parens, Intel brackets)."""
+    if not any(ch in text for ch in "()[]"):
+        return [p for p in (part.strip() for part in text.split(",")) if p]
     parts = []
     depth = 0
     cur = []
@@ -400,6 +403,9 @@ def _parse_instruction(address, asm, syntax):
 def parse_listing_with_report(text, syntax=None, max_malformed_ratio=0.10):
     """Parse a full listing; returns (functions, report).
 
+    Each distinct asm text is parsed once: a repeat builds its Instruction
+    from the first parse's fields and its own address. Failures are not
+    remembered, so every malformed line is reported at its own number.
     Raises NoInstructionsFound for inputs with no instruction lines and
     MalformedListing when more than max_malformed_ratio of the
     instruction-shaped lines fail to parse.
@@ -407,6 +413,7 @@ def parse_listing_with_report(text, syntax=None, max_malformed_ratio=0.10):
     if syntax is None:
         syntax = detect_syntax(text)
     report = ParseReport(syntax=syntax)
+    parsed = {}  # asm text -> (mnemonic, operands, prefixes)
 
     functions = []
     current_name = None
@@ -443,11 +450,16 @@ def parse_listing_with_report(text, syntax=None, max_malformed_ratio=0.10):
             continue
         report.instruction_shaped += 1
         address = int(m.group(1), 16)
-        try:
-            instr = _parse_instruction(address, asm, syntax)
-        except (UnparsableOperand, ValueError) as exc:
-            report.malformed.append((line_no, str(exc), raw.rstrip()))
-            continue
+        fields = parsed.get(asm)
+        if fields is None:
+            try:
+                instr = _parse_instruction(address, asm, syntax)
+            except (UnparsableOperand, ValueError) as exc:
+                report.malformed.append((line_no, str(exc), raw.rstrip()))
+                continue
+            parsed[asm] = (instr.mnemonic, instr.operands, instr.prefixes)
+        else:
+            instr = Instruction(address, fields[0], fields[1], asm, fields[2])
         if last_address is not None and address <= last_address:
             report.malformed.append((line_no, "non-increasing address", raw.rstrip()))
             continue
@@ -457,6 +469,7 @@ def parse_listing_with_report(text, syntax=None, max_malformed_ratio=0.10):
         current_instructions.append(instr)
         report.instructions += 1
     flush()
+    report.distinct_asm_texts = len(parsed)
 
     if report.instruction_shaped == 0:
         raise NoInstructionsFound("no instruction lines in input")

@@ -62,6 +62,8 @@ class ProgramFeatureSet(LazyFields):
     order_edges: frozenset  # (block index, block index)
     diagnostics: dict = field(default_factory=dict)
     hashes: frozenset = None  # distinct block_map values, computed once
+    # graphs hashed by make_feature_set; in memory only, never in a file
+    distinct_graphs: int = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.hashes is None:
@@ -131,16 +133,23 @@ def make_feature_set(program_id, blocks, ddgs, cfg_edge_pairs, params,
 
     blocks and ddgs must be aligned. Blocks whose DDG is empty are left
     out of the block map (and counted); order edges touching such blocks
-    are dropped so every recorded edge endpoint maps to a hash.
+    are dropped so every recorded edge endpoint maps to a hash. A digest
+    is a pure function of the node labels by id and the edges, so each
+    distinct (labels, edges) key is hashed once.
     """
     diag = dict(diagnostics or {})
     block_map = {}
+    digests = {}  # (((node id, label), ...), edges) -> digest
     empty = 0
     for block, graph in zip(blocks, ddgs):
         if len(graph) == 0:
             empty += 1
             continue
-        block_map[block.id] = wl_hash(graph, params.wl)
+        key = (tuple((node.id, node.label) for node in graph.nodes), graph.edges)
+        digest = digests.get(key)
+        if digest is None:
+            digest = digests[key] = wl_hash(graph, params.wl)
+        block_map[block.id] = digest
     kept_edges = frozenset(
         (a, b) for a, b in cfg_edge_pairs if a in block_map and b in block_map
     )
@@ -154,6 +163,7 @@ def make_feature_set(program_id, blocks, ddgs, cfg_edge_pairs, params,
         block_map=block_map,
         order_edges=kept_edges,
         diagnostics=diag,
+        distinct_graphs=len(digests),
     )
 
 

@@ -109,19 +109,30 @@ SHIFT_ROTATE = {"shl", "shr", "sal", "sar", "rol", "ror", "rcl", "rcr"}
 
 _SIZE_SUFFIXES = "bwlq"
 
+# AT&T names of the sign-extension instructions, which Intel syntax
+# spells differently. The string moves (AT&T movsq/movsl, Intel movs) and
+# cvtsi2sdl are not folded: Intel's movsd names both a string move and an
+# SSE move, so telling them apart needs the operands.
+ATT_ALIASES = {"cbtw": "cbw", "cwtl": "cwde", "cltq": "cdqe",
+               "cwtd": "cwd", "cltd": "cdq", "cqto": "cqo"}
+
 
 def normalize_mnemonic(mnemonic, att):
     """Lowercase and, for AT&T input, fold operand-size suffixes away.
 
     movzbl/movzbq/... -> movzx, movsbl/movslq/... -> movsx, movsxd -> movsx,
-    movl -> mov, pushq -> push, and so on. Intel-mode input is only
-    lowercased (movsxd is still folded so both syntaxes agree).
+    movl -> mov, pushq -> push, and so on; the AT&T sign-extension names
+    become their Intel ones (cltq -> cdqe, see ATT_ALIASES). Intel-mode
+    input is only lowercased (movsxd is still folded so both syntaxes
+    agree).
     """
     m = mnemonic.lower()
     if m == "movsxd":
         return "movsx"
     if not att:
         return m
+    if m in ATT_ALIASES:
+        return ATT_ALIASES[m]
     if len(m) == 6 and m.startswith(("movz", "movs")) and \
             m[4] in _SIZE_SUFFIXES and m[5] in _SIZE_SUFFIXES:
         return "movzx" if m[3] == "z" else "movsx"

@@ -26,6 +26,7 @@ class TermDictionary:
         assert len(self.stems) == len(set(self.stems))
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.stems)})
         object.__setattr__(self, "_max_len", max(map(len, self.rules)))
+        object.__setattr__(self, "_slots", {})  # mnemonic -> stem index
 
     def stem(self, mnemonic: str) -> str:
         for length in range(min(len(mnemonic), self._max_len), 0, -1):
@@ -36,6 +37,14 @@ class TermDictionary:
 
     def index(self, stem: str) -> int:
         return self._index[stem]
+
+    def slot(self, mnemonic: str) -> int:
+        """index(stem(mnemonic)), worked out once per distinct mnemonic:
+        the rules never change, so the answer is kept on first use."""
+        slot = self._slots.get(mnemonic)
+        if slot is None:
+            slot = self._slots[mnemonic] = self._index[self.stem(mnemonic)]
+        return slot
 
 
 def parse_rules(text) -> TermDictionary:
@@ -77,7 +86,7 @@ class TermFrequencyVector:
 def tf_vector(block, dictionary: TermDictionary) -> TermFrequencyVector:
     counts = [0] * len(dictionary.stems)
     for ins in block.instructions:
-        counts[dictionary.index(dictionary.stem(ins.mnemonic))] += 1
+        counts[dictionary.slot(ins.mnemonic)] += 1
     return TermFrequencyVector(
         block_id=block.id, counts=tuple(counts), total=len(block.instructions)
     )

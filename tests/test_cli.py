@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -95,6 +96,21 @@ def test_ingest_reports_counts(tmp_path, capsys):
     assert "3 blocks" in out
     assert "2 distinct hashes" in out
     assert (tmp_path / "corpus" / "prog.features.json").is_file()
+
+
+def test_ingest_json_reports_work_done_outside_the_file(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    code, out, _ = run(capsys, "-C", str(corpus), "--format", "json", "ingest",
+                       str(DATA / "true_att.objdump"))
+    assert code == 0
+    result, = json.loads(out)["results"]
+    assert result["distinct_asm_texts"] == 1181  # of 2534 instructions
+    assert result["distinct_graphs"] == 107  # for 369 hashed blocks, 97 hashes
+    text = (corpus / "true_att.features.json").read_text()
+    assert "distinct_" not in text
+    # the file's exact bytes: how the pipeline saves work must not move them
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "a3719e416622c8cb63746855faf98e2a7fa31ed1f4fd7ef02713414429beb0a2"
 
 
 def test_compare_reference_cardinalities(tmp_path, capsys):

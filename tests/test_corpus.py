@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddghash.corpus import (Corpus, FeatureFile, decode_feature_file,
                             encode_feature_file)
+from ddghash.ddg import InstructionFamilyPolicy, LabelMode
 from ddghash.errors import (DdghashError, MalformedListing,
                             NoInstructionsFound, UnknownProgram)
 from ddghash.features import FeatureParams, ProgramFeatureSet, compare
+from ddghash.wlhash import WLParams
 
 from fixtures import star_program
 
@@ -269,3 +273,93 @@ def test_concurrent_writers_use_separate_temp_files(tmp_path, monkeypatch):
     assert len(temps) == 2 and temps[0] != temps[1]
     assert path.read_text() == encode_feature_file(first)
     assert [p.name for p in corpus.root.iterdir()] == [f"{pid}.features.json"]
+
+
+def _reference_encoding(ff):
+    """The canonical text as json.dumps writes it: the writer's spec."""
+    fs = ff.feature_set
+    doc = {
+        "format_version": 1,
+        "program_id": fs.program_id,
+        "params": fs.params.as_dict(),
+        "block_map": {str(i): h for i, h in fs.block_map.items()},
+        "hashes": sorted(fs.hashes),
+        "order_edges": sorted([a, b] for a, b in fs.order_edges),
+        "diagnostics": fs.diagnostics,
+        "term_stems": list(ff.term_stems),
+        "term_counts": {str(i): list(c) for i, c in ff.term_counts.items()},
+        "source_digest": ff.source_digest,
+        "toolkit_version": ff.toolkit_version,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_TEXT = st.text(max_size=10)
+
+
+@st.composite
+def _feature_files(draw):
+    block_ids = st.integers(0, 150)
+    digests = st.text("0123456789abcdef", min_size=32, max_size=32)
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 12)] * draw(st.integers(0, 4))),
+                         min_size=1, max_size=3))  # few rows, so rows repeat
+    fs = ProgramFeatureSet(
+        program_id=draw(_TEXT),
+        params=FeatureParams(
+            label_mode=draw(st.sampled_from(LabelMode)),
+            policy=draw(st.sampled_from(InstructionFamilyPolicy)),
+            wl=WLParams(iterations=draw(st.integers(1, 5)))),
+        block_map=draw(st.dictionaries(block_ids, digests | _TEXT, max_size=30)),
+        order_edges=draw(st.frozensets(st.tuples(block_ids, block_ids), max_size=12)),
+        diagnostics=draw(st.dictionaries(
+            _TEXT, st.integers() | _TEXT | st.booleans() | st.none(), max_size=5)),
+    )
+    return FeatureFile(
+        feature_set=fs,
+        term_counts=draw(st.dictionaries(block_ids, st.sampled_from(rows), max_size=30)),
+        term_stems=tuple(draw(st.lists(_TEXT, max_size=4))),
+        source_digest=draw(_TEXT),
+        toolkit_version=draw(_TEXT),
+    )
+
+
+@settings(deadline=None)
+@given(_feature_files())
+def test_writer_matches_json_dumps(ff):
+    assert encode_feature_file(ff) == _reference_encoding(ff)
+
+
+def _writer_case(block_map=(), edges=(), term_counts=(), program_id="p",
+                 diagnostics=None):
+    fs = ProgramFeatureSet(program_id=program_id, params=PARAMS,
+                           block_map=dict(block_map), order_edges=frozenset(edges),
+                           diagnostics=diagnostics or {"blocks": len(term_counts)})
+    return FeatureFile(feature_set=fs, term_counts=dict(term_counts),
+                       term_stems=("mov", "other"), source_digest="sha256:00")
+
+
+# each case: a file and fragments that its text holds in this order
+@pytest.mark.parametrize("ff, fragments", [
+    (_writer_case(), ['"block_map": {}', '"hashes": []', '"order_edges": []',
+                      '"term_counts": {}']),
+    (_writer_case(block_map={i: f"{i:032x}" for i in (2, 10, 100, 3)},
+                  edges={(10, 2), (2, 10), (100, 3)},
+                  term_counts={i: (i, 0) for i in (2, 10, 100, 3)}),
+     ['"10": "', '"100": "', '"2": "', '"3": "',
+      '"order_edges": [\n    [\n      2,\n      10\n    ],\n    [\n      10,'
+      '\n      2\n    ],\n    [\n      100,\n      3\n    ]\n  ]',
+      '"10": [\n      10,\n      0\n    ],\n    "100": [']),
+    (_writer_case(term_counts={i: ((1, 0), (0, 2), ())[i % 3] for i in range(12)}),
+     ['"10": [\n      0,\n      2\n    ],\n    "11": [],\n    "2": []']),
+    (_writer_case(program_id='dis"asm\\ \u00fc\n\u2028',
+                  diagnostics={"note": 'tab\t"q"', "blocks": 3, "\u00e9": None}),
+     ['"diagnostics": {\n    "blocks": 3,\n    "note": "tab\\t\\"q\\"",\n'
+      '    "\\u00e9": null\n  }',
+      '"program_id": "dis\\"asm\\\\ \\u00fc\\n\\u2028"']),
+], ids=["empty", "ids_as_strings", "repeated_rows", "escaping"])
+def test_writer_edge_cases(ff, fragments):
+    text = encode_feature_file(ff)
+    assert text == _reference_encoding(ff)
+    positions = [text.index(fragment) for fragment in fragments]
+    assert positions == sorted(positions)
+    assert decode_feature_file(text) == ff

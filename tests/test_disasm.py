@@ -1,12 +1,14 @@
+import dataclasses
 import random
 
 import pytest
 
 from ddghash.disasm import (IMMEDIATE, MEMORY, REGISTER, Operand,
-                            detect_syntax, parse_listing,
+                            _parse_instruction, detect_syntax, parse_listing,
                             parse_listing_with_report, parse_operand)
 from ddghash.errors import (MalformedListing, NoInstructionsFound,
                             UnparsableOperand)
+from ddghash.tfidf import stem
 
 from fixtures import CMOV_BLOCK_ATT, CMOV_BLOCK_INTEL, gen_instructions, \
     make_listing, render_listing
@@ -216,3 +218,59 @@ def test_generated_corpus_parses_identically_in_both_syntaxes():
     for a, b in zip(intel, att):
         assert (a.address, a.mnemonic, a.operands, a.prefixes) == \
             (b.address, b.mnemonic, b.operands, b.prefixes)
+
+
+@pytest.mark.parametrize("att_name, intel_name", [
+    ("cbtw", "cbw"), ("cwtl", "cwde"), ("cltq", "cdqe"),
+    ("cwtd", "cwd"), ("cltd", "cdq"), ("cqto", "cqo"),
+])
+def test_att_sign_extension_aliases_give_intel_records(att_name, intel_name):
+    def records(name, syntax):
+        fns = parse_listing(make_listing([("f", [name])]), syntax=syntax)
+        return [(i.address, i.mnemonic, i.operands, i.prefixes)
+                for i in fns[0].instructions]
+
+    assert records(att_name, "att") == records(intel_name, "intel") == \
+        [(0x1000, intel_name, (), ())]
+    # both spellings fall on one stem, so folding leaves feature files as they were
+    assert stem(att_name) == stem(intel_name) == "other"
+
+
+def test_string_moves_keep_their_att_names():
+    fns = parse_listing(make_listing([("f", ["rep movsq %ds:(%rsi),%es:(%rdi)",
+                                             "cvtsi2sdl %eax,%xmm0"])]))
+    assert [i.mnemonic for i in fns[0].instructions] == ["movsq", "cvtsi2sdl"]
+
+
+def test_repeated_malformed_text_reported_at_each_line():
+    bad = "mov [}junk{], eax"
+    lines = [f"mov    eax, {i}" for i in range(20)]
+    text = make_listing([("f", lines[:10] + [bad] + lines[10:] + [bad])])
+    fns, report = parse_listing_with_report(text)
+    numbered = [n for n, line in enumerate(text.splitlines(), 1) if bad in line]
+    assert [m[0] for m in report.malformed] == numbered
+    assert len(numbered) == 2
+    assert report.instructions == 20
+
+
+def test_repeated_text_gets_its_own_address():
+    text = make_listing([("f", ["mov    eax, DWORD PTR [rbp-0x2c]", "nop",
+                                "mov    eax, DWORD PTR [rbp-0x2c]"])])
+    first, _, third = parse_listing(text)[0].instructions
+    assert (first.address, third.address) == (0x1000, 0x1008)
+    assert first == dataclasses.replace(third, address=first.address)
+    assert first.operands[1].text == "[rbp-44]"
+
+
+def test_same_text_parses_per_syntax():
+    # a bare number is a memory reference in AT&T and an immediate in Intel
+    text = make_listing([("f", ["push   10", "push   10"])])
+    att = parse_listing(text, syntax="att")[0].instructions
+    intel = parse_listing(text, syntax="intel")[0].instructions
+    again = parse_listing(text, syntax="att")[0].instructions
+    assert att == again
+    for a, b in zip(att, intel):
+        assert a.operands == (parse_operand("[10]"),)
+        assert b.operands == (parse_operand("imm:10"),)
+        assert a == _parse_instruction(a.address, a.raw_text, "att")
+        assert b == _parse_instruction(b.address, b.raw_text, "intel")

@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ddghash.ddg import LabelMode
+from ddghash import features
+from ddghash.blocks import segment
+from ddghash.ddg import InstructionFamilyPolicy, LabelMode, build_ddg
+from ddghash.disasm import parse_listing
 from ddghash.errors import IncompatibleCorpora
 from ddghash.features import (FeatureParams, ProgramFeatureSet, compare,
                               export_poset, five_number_summary,
                               make_feature_set, set_difference)
-from ddghash.wlhash import WLParams
+from ddghash.wlhash import WLParams, wl_hash
 
+DATA = Path(__file__).parent / "data"
 PARAMS = FeatureParams()
 
 
@@ -128,6 +133,30 @@ def test_make_feature_set_dedup_and_empty_blocks():
     assert len(fs.hashes) == 1
     assert fs.diagnostics["empty_ddgs"] == 1
     assert fs.diagnostics["duplicate_hashes"] == 1
+
+
+@pytest.mark.parametrize("policy", list(InstructionFamilyPolicy))
+@pytest.mark.parametrize("mode", list(LabelMode))
+def test_block_map_holds_each_graphs_own_hash(mode, policy, monkeypatch):
+    params = FeatureParams(label_mode=mode, policy=policy)
+    calls = []
+
+    def counted(graph, wl):
+        calls.append(graph)
+        return wl_hash(graph, wl)
+
+    monkeypatch.setattr(features, "wl_hash", counted)
+    for name in ("true_att", "true_intel"):
+        blocks = []
+        for fn in parse_listing((DATA / f"{name}.objdump").read_text()):
+            blocks.extend(segment(fn, first_id=len(blocks)))
+        ddgs = [build_ddg(b, policy, mode) for b in blocks]
+        calls.clear()
+        fs = make_feature_set(name, blocks, ddgs, set(), params)
+        assert fs.block_map == {b.id: wl_hash(g, params.wl)
+                                for b, g in zip(blocks, ddgs) if len(g)}
+        # one hash per distinct (labels, edges) key, not one per block
+        assert len(calls) == fs.distinct_graphs < len(fs.block_map)
 
 
 def test_zero_nonempty_ddgs_is_valid():

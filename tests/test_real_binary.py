@@ -10,7 +10,8 @@ implicit shift-by-one form.
 from pathlib import Path
 
 from ddghash.corpus import build_feature_file
-from ddghash.disasm import detect_syntax, parse_listing_with_report
+from ddghash.disasm import (_parse_instruction, detect_syntax,
+                            parse_listing_with_report)
 from ddghash.features import FeatureParams, compare
 from ddghash.tfidf import load_default_dictionary
 
@@ -41,6 +42,19 @@ def test_syntaxes_normalize_to_identical_records():
         for a, b in zip(fa.instructions, fb.instructions):
             assert (a.address, a.mnemonic, a.operands, a.prefixes) == \
                 (b.address, b.mnemonic, b.operands, b.prefixes)
+
+
+def test_each_instruction_equals_a_fresh_parse():
+    # the listing parser parses each distinct text once and reuses it
+    for text, syntax in ((ATT, "att"), (INTEL, "intel")):
+        fns, report = parse_listing_with_report(text)
+        instructions = [i for f in fns for i in f.instructions]
+        assert len(instructions) == report.instructions
+        for ins in instructions:
+            assert ins == _parse_instruction(ins.address, ins.raw_text, syntax)
+        assert report.distinct_asm_texts == \
+            len({i.raw_text for i in instructions}) < len(instructions)
+        assert "distinct_asm_texts" not in report.as_dict()
 
 
 def test_feature_sets_agree_across_syntaxes():

@@ -7,9 +7,9 @@ import pytest
 from ddghash.blocks import segment
 from ddghash.disasm import parse_listing
 from ddghash.errors import EmptyCorpus, ZeroVector
-from ddghash.tfidf import (TermFrequencyVector, cosine_similarity, idf,
-                           load_default_dictionary, term_distribution,
-                           tf_vector)
+from ddghash.tfidf import (TermDictionary, TermFrequencyVector,
+                           cosine_similarity, idf, load_default_dictionary,
+                           term_distribution, tf_vector)
 
 from fixtures import CMOV_BLOCK_INTEL, make_listing
 
@@ -64,6 +64,17 @@ def test_common_mnemonic_table_is_total_and_closed():
     stems = {DICT.stem(m) for m in mnemonics}
     assert stems <= set(DICT.stems)
     assert len(set(DICT.stems)) == 32
+
+
+def test_slot_is_the_stem_index_worked_out_once(monkeypatch):
+    dictionary = load_default_dictionary()
+    stem, calls = TermDictionary.stem, []
+    monkeypatch.setattr(TermDictionary, "stem",
+                        lambda self, m: calls.append(m) or stem(self, m))
+    mnemonics = ["mov", "cmovne", "mov", "endbr64", "cmovne", "sete"]
+    assert [dictionary.slot(m) for m in mnemonics] == \
+        [dictionary.index(stem(dictionary, m)) for m in mnemonics]
+    assert calls == ["mov", "cmovne", "endbr64", "sete"]
 
 
 def test_tf_vector_sample_block():
