@@ -17,13 +17,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .corpus import Corpus, build_feature_file, check_program_id
+from .corpus import Corpus, check_program_id
 from .ddg import InstructionFamilyPolicy, LabelMode
 from .errors import DdghashError, InvalidProgramId
 from .features import FeatureParams, decimal3, five_number_summary, ratio
@@ -36,12 +37,38 @@ def _corpus_dir(args):
     return args.corpus or os.environ.get("DDGHASH_CORPUS") or "corpus"
 
 
-def _params(args):
-    return FeatureParams(
-        label_mode=LabelMode(args.mode),
-        policy=InstructionFamilyPolicy(args.policy),
-        wl=WLParams(iterations=args.iters),
-    )
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def threshold(text):
+    """An exact fraction in (0, 1]; nan and inf are out of range."""
+    value = float(text)
+    if math.isfinite(value):
+        value = Fraction(value).limit_denominator(10**9)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError("--threshold must be in (0, 1]")
+    return value
+
+
+def _read_listing(path):
+    """The text of one listing file, or of stdin for "-": strict UTF-8
+    whatever the locale, with newlines translated as text mode does
+    (source_digest hashes that text)."""
+    try:
+        if path != "-":
+            with open(path, encoding="utf-8") as fh:
+                return fh.read()
+        if sys.stdin is None:  # started with stdin closed
+            raise DdghashError("stdin is closed")
+        if isinstance(sys.stdin, io.TextIOWrapper):  # over bytes; io.StringIO is text
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline=None)
+        return sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise DdghashError(f"not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 SCHEMA_VERSION = 1
@@ -63,7 +90,9 @@ def _emit_json(doc):
 
 def cmd_ingest(args):
     corpus = Corpus(_corpus_dir(args))
-    params = _params(args)
+    params = FeatureParams(label_mode=LabelMode(args.mode),
+                           policy=InstructionFamilyPolicy(args.policy),
+                           wl=WLParams(iterations=args.iters))
     if args.id and len(args.paths) > 1:
         print("--id requires a single input file", file=sys.stderr)
         return 2
@@ -82,11 +111,7 @@ def cmd_ingest(args):
     results = []
     for path, program_id in zip(args.paths, program_ids):
         try:
-            if path == "-":
-                ff = build_feature_file(sys.stdin.read(), program_id, params)
-                corpus.save(ff)
-            else:
-                ff = corpus.ingest(path, program_id, params)
+            ff = corpus.ingest(_read_listing(path), program_id, params)
         except (OSError, DdghashError) as exc:
             failures += 1
             print(f"{path}: {exc}", file=sys.stderr)
@@ -161,40 +186,29 @@ def cmd_matrix(args):
         print("matrix needs at least two programs", file=sys.stderr)
         return 1
     reports = corpus.pairwise_matrix(ids)
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
 
     def jac(a, b):
         return Fraction(1) if a == b else reports[(a, b)].jaccard
 
     if args.stats:
-        values = [reports[(a, b)].jaccard
-                  for i, a in enumerate(ids) for b in ids[i + 1:]]
-        summary = five_number_summary(values)
-        pair_rows = [
-            [a, b, decimal3(reports[(a, b)].jaccard)]
-            for i, a in enumerate(ids) for b in ids[i + 1:]
-        ]
+        summary = five_number_summary([reports[pair].jaccard for pair in pairs])
+        shown = {k: v if k == "count" else decimal3(v) for k, v in summary.items()}
+        pair_rows = [[a, b, decimal3(reports[(a, b)].jaccard)] for a, b in pairs]
         if args.pairs_out:
             with open(args.pairs_out, "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["id_a", "id_b", "jaccard"])
                 writer.writerows(pair_rows)
         if args.format == "json":
-            doc = {k: (decimal3(v) if k != "count" else v)
-                   for k, v in summary.items()}
-            doc["pairs"] = [
-                {"id_a": a, "id_b": b, "jaccard": j} for a, b, j in pair_rows
-            ]
-            _emit_json(doc)
+            _emit_json(dict(shown, pairs=[
+                {"id_a": a, "id_b": b, "jaccard": j} for a, b, j in pair_rows]))
         elif args.format == "csv":
-            _emit_csv(
-                [[k, summary[k] if k == "count" else decimal3(summary[k])]
-                 for k in ("count", "min", "q1", "median", "q3", "max")],
-                ["statistic", "value"],
-            )
+            _emit_csv(shown.items(), ["statistic", "value"])
         else:
-            print(f"pairs:  {summary['count']}")
+            print(f"pairs:  {shown['count']}")
             for k in ("min", "q1", "median", "q3", "max"):
-                print(f"{k}:".ljust(8) + decimal3(summary[k]))
+                print(f"{k}:".ljust(8) + shown[k])
             if not args.pairs_out:
                 for a, b, j in pair_rows:
                     print(f"{a},{b},{j}")
@@ -204,8 +218,7 @@ def cmd_matrix(args):
         doc = {
             "ids": ids,
             "jaccard_matrix": [[decimal3(jac(a, b)) for b in ids] for a in ids],
-            "reports": [reports[(a, b)].as_dict()
-                        for i, a in enumerate(ids) for b in ids[i + 1:]],
+            "reports": [reports[pair].as_dict() for pair in pairs],
         }
         _emit_json(doc)
     elif args.format == "csv":
@@ -240,11 +253,7 @@ def cmd_nearest(args):
 
 def cmd_contain(args):
     corpus = Corpus(_corpus_dir(args))
-    threshold = Fraction(args.threshold).limit_denominator(10**9)
-    if not 0 < threshold <= 1:
-        print("--threshold must be in (0, 1]", file=sys.stderr)
-        return 2
-    rows = corpus.find_containments(threshold)
+    rows = corpus.find_containments(args.threshold)
     if args.format == "json":
         _emit_json([{"inner": i, "outer": o, "containment": decimal3(c)}
                     for i, o, c in rows])
@@ -319,7 +328,7 @@ def build_parser():
                    default=LabelMode.OPERAND_CLASS.value)
     p.add_argument("--policy", choices=[p.value for p in InstructionFamilyPolicy],
                    default=InstructionFamilyPolicy.MOV_ONLY.value)
-    p.add_argument("--iters", type=int, default=3)
+    p.add_argument("--iters", type=positive_int, default=3)
     p.add_argument("--keep-going", action="store_true",
                    help="continue past per-file failures")
     p.set_defaults(func=cmd_ingest)
@@ -340,11 +349,11 @@ def build_parser():
 
     p = sub.add_parser("nearest", help="closest programs by jaccard")
     p.add_argument("id")
-    p.add_argument("-k", type=int, default=5)
+    p.add_argument("-k", type=positive_int, default=5)
     p.set_defaults(func=cmd_nearest)
 
     p = sub.add_parser("contain", help="subset discovery across the corpus")
-    p.add_argument("--threshold", type=float, default=1.0)
+    p.add_argument("--threshold", type=threshold, default=Fraction(1))
     p.set_defaults(func=cmd_contain)
 
     p = sub.add_parser("tfstats", help="stemmed-opcode term statistics")
@@ -360,10 +369,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DdghashError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DdghashError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,19 +15,16 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
 from .blocks import build_cfg, segment
-from .ddg import InstructionFamilyPolicy, LabelMode
 from .disasm import parse_listing_with_report
 from .errors import DdghashError, InvalidProgramId, UnknownProgram
 from .features import (FeatureParams, LazyFields, ProgramFeatureSet, compare,
                        extract_feature_set)
 from .tfidf import load_default_dictionary, tf_vector
-from .wlhash import WLParams
 
 FORMAT_VERSION = 1
 
@@ -174,14 +171,6 @@ class _Members:
         return lambda: self.read(key, build)
 
 
-def _params(p):
-    return FeatureParams(
-        label_mode=LabelMode(p["label_mode"]),
-        policy=InstructionFamilyPolicy(p["policy"]),
-        wl=WLParams(iterations=p["wl_iterations"], digest_bits=p["digest_bits"]),
-    )
-
-
 def _hashes(hashes):
     if not (isinstance(hashes, list) and all(isinstance(h, str) for h in hashes)):
         raise TypeError("expected a list of strings")
@@ -215,7 +204,7 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
             "diagnostics": later("diagnostics", _diagnostics),
         },
         program_id=members.read("program_id"),
-        params=members.read("params", _params),
+        params=members.read("params", FeatureParams.from_dict),
         hashes=members.read("hashes", _hashes),
     )
     return FeatureFile.deferred(
@@ -230,8 +219,8 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
     )
 
 
-def build_feature_file(text: str, program_id: str, params: FeatureParams,
-                       call_terminates=True) -> FeatureFile:
+def build_feature_file(text: str, program_id: str,
+                       params: FeatureParams) -> FeatureFile:
     """Run the full pipeline on listing text: parse, segment, DDG, hash."""
     functions, report = parse_listing_with_report(text)
     dictionary = load_default_dictionary()
@@ -239,9 +228,9 @@ def build_feature_file(text: str, program_id: str, params: FeatureParams,
     term_counts = {}
     next_id = 0
     for fn in functions:
-        blocks = segment(fn, call_terminates=call_terminates, first_id=next_id)
+        blocks = segment(fn, first_id=next_id)
         next_id += len(blocks)
-        cfg = build_cfg(blocks, call_terminates=call_terminates)
+        cfg = build_cfg(blocks)
         pairs.append((blocks, cfg))
         for b in blocks:
             term_counts[b.id] = tf_vector(b, dictionary).counts
@@ -293,11 +282,9 @@ class Corpus:
         _write_atomic(path, encode_feature_file(ff))
         return path
 
-    def ingest(self, disasm_path, program_id, params: FeatureParams,
-               call_terminates=True) -> FeatureFile:
-        text = Path(disasm_path).read_text()
-        ff = build_feature_file(text, program_id, params,
-                                call_terminates=call_terminates)
+    def ingest(self, text, program_id, params: FeatureParams) -> FeatureFile:
+        """Build the feature file of one listing's text and save it."""
+        ff = build_feature_file(text, program_id, params)
         self.save(ff)
         return ff
 
@@ -330,20 +317,11 @@ class Corpus:
 
     def find_containments(self, threshold):
         """Ordered pairs (inner, outer, containment) with
-        |inner ∩ outer| / |inner| >= threshold, sorted descending."""
-        ids = self.ids()
-        sets = {pid: self.load(pid).feature_set.hashes for pid in ids}
-        rows = []
-        for inner in ids:
-            si = sets[inner]
-            if not si:
-                continue
-            for outer in ids:
-                if inner == outer:
-                    continue
-                containment = Fraction(len(si & sets[outer]), len(si))
-                if containment >= threshold:
-                    rows.append((inner, outer, containment))
+        |inner ∩ outer| / |inner| >= threshold > 0, sorted descending.
+        Read off pairwise_matrix, so mixed settings raise IncompatibleCorpora."""
+        rows = [(inner, outer, rep.containment_a_in_b)
+                for (inner, outer), rep in self.pairwise_matrix(self.ids()).items()
+                if rep.containment_a_in_b >= threshold]
         rows.sort(key=lambda r: (-r[2], r[0], r[1]))
         return rows
 

@@ -29,6 +29,8 @@ REGISTER = "register"
 MEMORY = "memory"
 IMMEDIATE = "immediate"
 
+MAX_MALFORMED_RATIO = 0.10  # malformed share above which a listing is refused
+
 
 @dataclass(frozen=True)
 class Operand:
@@ -400,14 +402,14 @@ def _parse_instruction(address, asm, syntax):
     )
 
 
-def parse_listing_with_report(text, syntax=None, max_malformed_ratio=0.10):
+def parse_listing_with_report(text, syntax=None):
     """Parse a full listing; returns (functions, report).
 
     Each distinct asm text is parsed once: a repeat builds its Instruction
     from the first parse's fields and its own address. Failures are not
     remembered, so every malformed line is reported at its own number.
     Raises NoInstructionsFound for inputs with no instruction lines and
-    MalformedListing when more than max_malformed_ratio of the
+    MalformedListing when more than MAX_MALFORMED_RATIO of the
     instruction-shaped lines fail to parse.
     """
     if syntax is None:
@@ -473,7 +475,7 @@ def parse_listing_with_report(text, syntax=None, max_malformed_ratio=0.10):
 
     if report.instruction_shaped == 0:
         raise NoInstructionsFound("no instruction lines in input")
-    if len(report.malformed) > max_malformed_ratio * report.instruction_shaped:
+    if len(report.malformed) > MAX_MALFORMED_RATIO * report.instruction_shaped:
         raise MalformedListing(report)
     return functions, report
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .ddg import InstructionFamilyPolicy, LabelMode, build_ddg
 from .errors import IncompatibleCorpora
-from .wlhash import WLParams, wl_hash
+from .wlhash import DIGEST_BITS, WLParams, wl_hash
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,19 @@ class FeatureParams:
             "label_mode": self.label_mode.value,
             "policy": self.policy.value,
             "wl_iterations": self.wl.iterations,
-            "digest_bits": self.wl.digest_bits,
+            "digest_bits": DIGEST_BITS,
         }
+
+    @classmethod
+    def from_dict(cls, p):
+        """The inverse of as_dict, for a feature file's params member."""
+        if p["digest_bits"] != DIGEST_BITS:
+            raise ValueError(f"unsupported digest_bits {p['digest_bits']!r}")
+        return cls(
+            label_mode=LabelMode(p["label_mode"]),
+            policy=InstructionFamilyPolicy(p["policy"]),
+            wl=WLParams(iterations=p["wl_iterations"]),
+        )
 
 
 class LazyFields:

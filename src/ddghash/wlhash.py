@@ -16,23 +16,20 @@ from hashlib import blake2b
 
 from .errors import EmptyGraph
 
-_DIGEST_BYTES = 16  # 128-bit digests, 32 hex characters
+DIGEST_BITS = 128  # the only width: 32 hex characters
 
 
 @dataclass(frozen=True)
 class WLParams:
     iterations: int = 3
-    digest_bits: int = 128
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.digest_bits != 128:
-            raise ValueError("only 128-bit digests are supported")
 
 
 def _digest(data: bytes) -> str:
-    return blake2b(data, digest_size=_DIGEST_BYTES).hexdigest()
+    return blake2b(data, digest_size=DIGEST_BITS // 8).hexdigest()
 
 
 def _label_list(labels) -> str:

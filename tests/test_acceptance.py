@@ -252,14 +252,13 @@ def criterion_8_persistence(tmp_path):
         )
         assert decode_feature_file(encode_feature_file(ff)) == ff
 
-    src = tmp_path / "p.objdump"
-    src.write_text(star_program(range(1, 40)))
+    text = star_program(range(1, 40))
     corpus = Corpus(tmp_path / "corpus")
-    corpus.ingest(src, "p", PARAMS)
+    corpus.ingest(text, "p", PARAMS)
     stored = corpus._path("p")
     before_bytes = stored.read_bytes()
     before_stat = stored.stat().st_mtime_ns
-    corpus.ingest(src, "p", PARAMS)
+    corpus.ingest(text, "p", PARAMS)
     assert stored.read_bytes() == before_bytes
     assert stored.stat().st_mtime_ns == before_stat
 

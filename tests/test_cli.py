@@ -30,12 +30,17 @@ def _seed_corpus(tmp_path, programs):
 
 
 def test_usage_error_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["ingest"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    for argv in ([], ["ingest"],
+                 ["ingest", "x.objdump", "--iters", "0"],
+                 ["contain", "--threshold", "nan"],
+                 ["contain", "--threshold", "inf"],
+                 ["contain", "--threshold", "0"],
+                 ["nearest", "x", "-k", "0"],
+                 ["nearest", "x", "-k", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert "--threshold must be in (0, 1]" in capsys.readouterr().err
 
 
 def test_ingest_id_with_multiple_paths_is_usage_error(tmp_path, capsys):
@@ -65,10 +70,54 @@ def test_corpus_dir_from_environment(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envcorpus" / "p.features.json").is_file()
 
 
-def test_unreadable_path_exit_1(tmp_path, capsys):
-    code, _, err = run(capsys, "-C", str(tmp_path), "ingest", "/no/such/file")
+NOT_UTF8 = b"\xff" + star_program([1, 2, 3]).encode()
+
+
+@pytest.mark.parametrize("content", [None, NOT_UTF8],
+                         ids=["missing_file", "non_utf8_file"])
+def test_unreadable_path_exit_1(tmp_path, capsys, content):
+    path = tmp_path / "listing.objdump"
+    if content is not None:
+        path.write_bytes(content)
+    code, _, err = run(capsys, "-C", str(tmp_path / "corpus"), "ingest", str(path))
     assert code == 1
-    assert "no/such/file" in err
+    assert str(path) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "corpus").exists()
+
+
+def _stdin_bytes(monkeypatch, data):
+    # how stdin decodes under the POSIX locale: non-UTF-8 bytes would
+    # become surrogates, and newlines stay untranslated
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n"))
+
+
+@pytest.mark.parametrize("data, message", [(NOT_UTF8, "not UTF-8 text"),
+                                           (None, "stdin is closed")],
+                         ids=["non_utf8", "closed"])
+def test_unreadable_stdin_exit_1(tmp_path, capsys, monkeypatch, data, message):
+    if data is None:
+        monkeypatch.setattr("sys.stdin", None)
+    else:
+        _stdin_bytes(monkeypatch, data)
+    code, _, err = run(capsys, "-C", str(tmp_path / "corpus"), "--format", "json",
+                       "ingest", "-", "--id", "piped")
+    assert code == 1
+    assert err.startswith(f"-: {message}")
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_stdin_and_file_ingest_alike(tmp_path, capsys, monkeypatch):
+    data = star_program([1, 2, 3]).replace("\n", "\r\n").encode()
+    src = tmp_path / "p.objdump"
+    src.write_bytes(data)
+    assert main(["-C", str(tmp_path / "from_file"), "ingest", str(src)]) == 0
+    _stdin_bytes(monkeypatch, data)
+    assert main(["-C", str(tmp_path / "from_stdin"), "ingest", "-", "--id", "p"]) == 0
+    for name in ("p.features.json", "index.json"):
+        assert ((tmp_path / "from_file" / name).read_bytes()
+                == (tmp_path / "from_stdin" / name).read_bytes())
 
 
 def test_keep_going_continues(tmp_path, capsys):
@@ -273,6 +322,18 @@ def test_contain_threshold(tmp_path, capsys):
     code, out, _ = run(capsys, "-C", corpus, "contain", "--threshold", "1.0")
     assert code == 0
     assert out.strip() == "inner contained in outer: 1.000"
+
+
+def test_queries_refuse_mixed_settings(tmp_path, capsys):
+    corpus = _seed_corpus(tmp_path, {"a": range(1, 5)})
+    src = tmp_path / "b.objdump"
+    src.write_text(star_program(range(1, 9)))
+    assert main(["-C", corpus, "ingest", str(src), "--mode", "literal"]) == 0
+    for query in (["contain"], ["matrix", "--all"], ["nearest", "a"]):
+        code, out, err = run(capsys, "-C", corpus, *query)
+        assert code == 1, query
+        assert out == ""
+        assert err.startswith("error: ") and "literal" in err
 
 
 def test_tfstats_modal_stem(tmp_path, capsys):

@@ -20,13 +20,6 @@ from fixtures import star_program
 PARAMS = FeatureParams()
 
 
-def _write(tmp_path, name, text):
-    path = tmp_path / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    return path
-
-
 def _random_feature_file(rng):
     n_blocks = rng.randint(0, 30)
     block_map = {}
@@ -77,7 +70,9 @@ def test_format_version_checked():
     lambda t: t.replace('\n}\n', ',\n  "zzz": 1\n}\n'),
     lambda t: t.replace(',\n  "params": ', '\n  "params": ', 1),
     lambda t: t.replace('"program_id": "', '"program_id": 1 + "', 1),
-], ids=["renamed", "extra_inside", "extra_last", "no_comma", "bad_value"])
+    lambda t: t.replace('"digest_bits": 128', '"digest_bits": 64', 1),
+], ids=["renamed", "extra_inside", "extra_last", "no_comma", "bad_value",
+        "digest_bits_64"])
 def test_non_canonical_text_names_source(mutate):
     text = encode_feature_file(_random_feature_file(random.Random(3)))
     with pytest.raises(DdghashError, match="^corp/p.features.json: "):
@@ -87,9 +82,8 @@ def test_non_canonical_text_names_source(mutate):
 def test_ingest_dedup_counts(tmp_path):
     # 300 blocks over 234 distinct DDG classes
     class_ids = list(range(1, 235)) + list(range(1, 67))
-    path = _write(tmp_path, "prog.objdump", star_program(class_ids))
     corpus = Corpus(tmp_path / "corpus")
-    ff = corpus.ingest(path, "prog", PARAMS)
+    ff = corpus.ingest(star_program(class_ids), "prog", PARAMS)
     fs = ff.feature_set
     assert len(fs.block_map) == 300
     assert len(fs.hashes) == 234
@@ -97,28 +91,26 @@ def test_ingest_dedup_counts(tmp_path):
 
 
 def test_ingest_idempotent(tmp_path):
-    path = _write(tmp_path, "p.objdump", star_program(range(1, 20)))
+    text = star_program(range(1, 20))
     corpus = Corpus(tmp_path / "corpus")
-    corpus.ingest(path, "p", PARAMS)
+    corpus.ingest(text, "p", PARAMS)
     stored = corpus._path("p")
     first = stored.read_bytes()
     first_mtime = stored.stat().st_mtime_ns
-    corpus.ingest(path, "p", PARAMS)
+    corpus.ingest(text, "p", PARAMS)
     assert stored.read_bytes() == first
     assert stored.stat().st_mtime_ns == first_mtime
 
 
 def test_ingest_failure_writes_nothing(tmp_path):
-    path = _write(tmp_path, "bad.objdump", "this is not a listing\n")
     corpus = Corpus(tmp_path / "corpus")
     with pytest.raises(NoInstructionsFound):
-        corpus.ingest(path, "bad", PARAMS)
+        corpus.ingest("this is not a listing\n", "bad", PARAMS)
     truncated = "0000000000001000 <f>:\n" + "\n".join(
         f"    {0x1000 + i:x}:\t90\tmov [}}x{{], eax" for i in range(20)
     )
-    path2 = _write(tmp_path, "trunc.objdump", truncated)
     with pytest.raises(MalformedListing):
-        corpus.ingest(path2, "trunc", PARAMS)
+        corpus.ingest(truncated, "trunc", PARAMS)
     assert not (tmp_path / "corpus" / "bad.features.json").exists()
     assert not (tmp_path / "corpus" / "trunc.features.json").exists()
 
@@ -132,8 +124,7 @@ def test_unknown_program(tmp_path):
 def _build_corpus(tmp_path, programs):
     corpus = Corpus(tmp_path / "corpus")
     for pid, class_ids in programs.items():
-        path = _write(tmp_path, f"{pid}.objdump", star_program(class_ids))
-        corpus.ingest(path, pid, PARAMS)
+        corpus.ingest(star_program(class_ids), pid, PARAMS)
     return corpus
 
 

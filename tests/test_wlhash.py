@@ -106,8 +106,6 @@ def test_iteration_count_changes_hash():
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         WLParams(iterations=0)
-    with pytest.raises(ValueError):
-        WLParams(digest_bits=64)
 
 
 def test_hash_agrees_with_refinement_oracle_on_random_pairs():
