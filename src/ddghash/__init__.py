@@ -8,7 +8,7 @@ algebra, with a 32-stem opcode tf-idf baseline alongside.
 
 __version__ = "0.1.0"
 
-from .blocks import BasicBlock, ControlFlowGraph, build_cfg, segment
+from .blocks import BasicBlock, segment
 from .ddg import (DataDependencyGraph, InstructionFamilyPolicy, LabelMode,
                   build_ddg, node_label)
 from .disasm import (FunctionListing, Instruction, Operand, detect_syntax,
@@ -18,17 +18,17 @@ from .errors import (DdghashError, EmptyCorpus, EmptyGraph,
                      NoInstructionsFound, UnknownProgram, UnparsableOperand,
                      ZeroVector)
 from .features import (FeatureParams, ProgramFeatureSet, SimilarityReport,
-                       compare, export_poset, extract_feature_set,
-                       five_number_summary, make_feature_set, set_difference)
-from .tfidf import (CorpusIdf, TermDictionary, TermFrequencyVector,
-                    cosine_similarity, idf, load_default_dictionary, stem,
-                    term_distribution, tf_vector)
+                       compare, export_poset, five_number_summary,
+                       make_feature_set, set_difference)
+from .tfidf import (CorpusIdf, TermDictionary, cosine_similarity, idf,
+                    load_default_dictionary, stem, term_distribution,
+                    tf_vector)
 from .wlhash import WLParams, wl_hash, wl_refine
 from .corpus import Corpus, FeatureFile, build_feature_file
 
 __all__ = [
     "__version__",
-    "BasicBlock", "ControlFlowGraph", "build_cfg", "segment",
+    "BasicBlock", "segment",
     "DataDependencyGraph", "InstructionFamilyPolicy", "LabelMode",
     "build_ddg", "node_label",
     "FunctionListing", "Instruction", "Operand", "detect_syntax",
@@ -37,11 +37,10 @@ __all__ = [
     "MalformedListing", "NoInstructionsFound", "UnknownProgram",
     "UnparsableOperand", "ZeroVector",
     "FeatureParams", "ProgramFeatureSet", "SimilarityReport", "compare",
-    "export_poset", "extract_feature_set", "five_number_summary",
-    "make_feature_set", "set_difference",
-    "CorpusIdf", "TermDictionary", "TermFrequencyVector",
-    "cosine_similarity", "idf", "load_default_dictionary", "stem",
-    "term_distribution", "tf_vector",
+    "export_poset", "five_number_summary", "make_feature_set",
+    "set_difference",
+    "CorpusIdf", "TermDictionary", "cosine_similarity", "idf",
+    "load_default_dictionary", "stem", "term_distribution", "tf_vector",
     "WLParams", "wl_hash", "wl_refine",
     "Corpus", "FeatureFile", "build_feature_file",
 ]

@@ -1,4 +1,4 @@
-"""Basic-block segmentation and control flow graph recovery.
+"""Basic-block segmentation with each block's control flow exits.
 
 Leaders are the first instruction of a function, every target of a direct
 intra-function jump, and every instruction following a control transfer.
@@ -11,9 +11,10 @@ from dataclasses import dataclass
 from . import isa
 from .disasm import IMMEDIATE, FunctionListing
 
-JUMP = "jump"
-FALLTHROUGH = "fallthrough"
-CALL_RETURN = "call_return"
+# a block's unresolved exit: a jump that reaches no block of its function
+INDIRECT = "indirect"  # no direct target
+EXTERNAL = "external"  # a target outside the function
+DANGLING = "dangling"  # a target inside the function, mid-instruction
 
 
 @dataclass(frozen=True)
@@ -22,18 +23,8 @@ class BasicBlock:
     function: str
     start_address: int
     instructions: tuple
-
-
-@dataclass
-class ControlFlowGraph:
-    nodes: list[int]
-    edges: set  # (src id, dst id, kind)
-    external_targets: list  # (block id, target address) outside the function
-    dangling_targets: list  # (block id, target address) inside, mid-instruction
-    indirect_transfers: int = 0
-
-    def edge_pairs(self):
-        return {(a, b) for a, b, _ in self.edges}
+    successors: frozenset  # ids of the blocks control passes to next
+    exit: str | None  # INDIRECT, EXTERNAL, DANGLING or None
 
 
 def _direct_target(instr):
@@ -43,97 +34,55 @@ def _direct_target(instr):
     return None
 
 
-def segment(listing: FunctionListing, call_terminates=True, first_id=0):
-    """Split a function into basic blocks.
+def segment(listing: FunctionListing, first_id=0):
+    """Split a function into basic blocks numbered from first_id.
 
-    call_terminates controls whether call ends a block (the default); with
-    it off, calls are treated as straight-line instructions.
+    A block passes control to the block after it (fall-through, the
+    return of a call, the resumption after a trap) unless it ends in an
+    unconditional jump, a return or a halt, and to the block a direct
+    jump or conditional jump targets. A call's target gets no successor.
+    A jump that resolves to no block is recorded as the block's exit.
     """
     instrs = listing.instructions
     addr_to_index = {ins.address: i for i, ins in enumerate(instrs)}
+    lo, hi = instrs[0].address, instrs[-1].address
 
     leaders = {0}
+    transfers = {}  # index -> (falls through, target index or None, exit)
     for i, ins in enumerate(instrs):
         kind = isa.control_kind(ins.mnemonic)
-        if kind is None or (kind == "call" and not call_terminates):
+        if kind is None:
             continue
         if i + 1 < len(instrs):
             leaders.add(i + 1)
+        target = exit = None
         if kind in ("jump", "cond"):
-            target = _direct_target(ins)
-            if target is not None and target in addr_to_index:
-                leaders.add(addr_to_index[target])
+            address = _direct_target(ins)
+            if address is None:
+                exit = INDIRECT
+            elif address in addr_to_index:
+                target = addr_to_index[address]
+                leaders.add(target)
+            else:
+                exit = DANGLING if lo <= address <= hi else EXTERNAL
+        transfers[i] = (kind not in ("jump", "ret", "halt"), target, exit)
 
+    starts = sorted(leaders)
+    ids = {start: first_id + n for n, start in enumerate(starts)}
     blocks = []
-    ordered = sorted(leaders)
-    for bid, start in enumerate(ordered):
-        end = ordered[bid + 1] if bid + 1 < len(ordered) else len(instrs)
+    for start, end in zip(starts, starts[1:] + [len(instrs)]):
+        falls, target, exit = transfers.get(end - 1, (True, None, None))
+        successors = {ids[target]} if target is not None else set()
+        if falls and end in ids:
+            successors.add(ids[end])
         blocks.append(
             BasicBlock(
-                id=first_id + bid,
+                id=ids[start],
                 function=listing.name,
                 start_address=instrs[start].address,
                 instructions=tuple(instrs[start:end]),
+                successors=frozenset(successors),
+                exit=exit,
             )
         )
     return blocks
-
-
-def build_cfg(blocks, call_terminates=True):
-    """Recover the intra-function CFG from one function's blocks.
-
-    Direct jump targets resolve to the block starting at that address.
-    Targets beyond the function are recorded as external, targets inside
-    the function that hit no block boundary as dangling. Indirect
-    transfers produce no edge and are only counted.
-    """
-    cfg = ControlFlowGraph(
-        nodes=[b.id for b in blocks],
-        edges=set(),
-        external_targets=[],
-        dangling_targets=[],
-    )
-    if not blocks:
-        return cfg
-    start_to_id = {b.start_address: b.id for b in blocks}
-    lo = blocks[0].instructions[0].address
-    hi = blocks[-1].instructions[-1].address
-
-    def resolve_jump(src_id, instr):
-        target = _direct_target(instr)
-        if target is None:
-            cfg.indirect_transfers += 1
-            return
-        if target in start_to_id:
-            cfg.edges.add((src_id, start_to_id[target], JUMP))
-        elif lo <= target <= hi:
-            cfg.dangling_targets.append((src_id, target))
-        else:
-            cfg.external_targets.append((src_id, target))
-
-    for pos, block in enumerate(blocks):
-        nxt = blocks[pos + 1].id if pos + 1 < len(blocks) else None
-        last = block.instructions[-1]
-        kind = isa.control_kind(last.mnemonic)
-        if kind == "call" and not call_terminates:
-            kind = None
-        if kind == "jump":
-            resolve_jump(block.id, last)
-        elif kind == "cond":
-            resolve_jump(block.id, last)
-            if nxt is not None:
-                cfg.edges.add((block.id, nxt, FALLTHROUGH))
-        elif kind == "call":
-            if nxt is not None:
-                cfg.edges.add((block.id, nxt, CALL_RETURN))
-        elif kind in ("int", "syscall"):
-            # execution resumes after the trap
-            if nxt is not None:
-                cfg.edges.add((block.id, nxt, FALLTHROUGH))
-        elif kind in ("ret", "halt"):
-            pass
-        else:
-            # block ended because the next instruction is a jump target
-            if nxt is not None:
-                cfg.edges.add((block.id, nxt, FALLTHROUGH))
-    return cfg

@@ -29,7 +29,7 @@ from .ddg import InstructionFamilyPolicy, LabelMode
 from .errors import DdghashError, InvalidProgramId
 from .features import FeatureParams, decimal3, five_number_summary, ratio
 from .tfidf import distribution_from_vectors, idf as corpus_idf
-from .tfidf import TermFrequencyVector, load_default_dictionary
+from .tfidf import load_default_dictionary
 from .wlhash import WLParams
 
 
@@ -94,19 +94,16 @@ def cmd_ingest(args):
                            policy=InstructionFamilyPolicy(args.policy),
                            wl=WLParams(iterations=args.iters))
     if args.id and len(args.paths) > 1:
-        print("--id requires a single input file", file=sys.stderr)
-        return 2
+        args.usage_error("--id requires a single input file")
     if "-" in args.paths and not args.id:
-        print("reading from stdin requires --id", file=sys.stderr)
-        return 2
+        args.usage_error("reading from stdin requires --id")
     program_ids = [Path(path).stem if args.id is None else args.id
                    for path in args.paths]
-    try:
-        for program_id in program_ids:
+    for program_id in program_ids:
+        try:
             check_program_id(program_id)
-    except InvalidProgramId as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        except InvalidProgramId as exc:
+            args.usage_error(str(exc))
     failures = 0
     results = []
     for path, program_id in zip(args.paths, program_ids):
@@ -272,15 +269,12 @@ def cmd_tfstats(args):
     corpus = Corpus(_corpus_dir(args))
     ff = corpus.load(args.id)
     dictionary = load_default_dictionary()
-    vectors = [
-        TermFrequencyVector(block_id=i, counts=tuple(c), total=sum(c))
-        for i, c in sorted(ff.term_counts.items())
-    ]
-    dist = distribution_from_vectors(vectors, dictionary)
+    counts = [c for _, c in sorted(ff.term_counts.items())]
+    dist = distribution_from_vectors(counts, dictionary)
     if args.vectors:
-        weights = corpus_idf(vectors).idf
-        rows = [[f"{c * w:.6g}" for c, w in zip(v.counts, weights)]
-                for v in vectors]
+        weights = corpus_idf(counts).idf
+        rows = [[f"{c * w:.6g}" for c, w in zip(row, weights)]
+                for row in counts]
         if args.format == "json":
             _emit_json({"stems": list(dictionary.stems), "vectors": rows})
         else:
@@ -331,7 +325,8 @@ def build_parser():
     p.add_argument("--iters", type=positive_int, default=3)
     p.add_argument("--keep-going", action="store_true",
                    help="continue past per-file failures")
-    p.set_defaults(func=cmd_ingest)
+    # checks across arguments exit through the same usage error as argparse's
+    p.set_defaults(func=cmd_ingest, usage_error=p.error)
 
     p = sub.add_parser("compare", help="similarity report for two programs")
     p.add_argument("id_a")

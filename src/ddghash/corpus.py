@@ -19,11 +19,11 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
-from .blocks import build_cfg, segment
+from .blocks import segment
 from .disasm import parse_listing_with_report
 from .errors import DdghashError, InvalidProgramId, UnknownProgram
 from .features import (FeatureParams, LazyFields, ProgramFeatureSet, compare,
-                       extract_feature_set)
+                       make_feature_set)
 from .tfidf import load_default_dictionary, tf_vector
 
 FORMAT_VERSION = 1
@@ -224,24 +224,13 @@ def build_feature_file(text: str, program_id: str,
     """Run the full pipeline on listing text: parse, segment, DDG, hash."""
     functions, report = parse_listing_with_report(text)
     dictionary = load_default_dictionary()
-    pairs = []
-    term_counts = {}
-    next_id = 0
+    blocks = []
     for fn in functions:
-        blocks = segment(fn, first_id=next_id)
-        next_id += len(blocks)
-        cfg = build_cfg(blocks)
-        pairs.append((blocks, cfg))
-        for b in blocks:
-            term_counts[b.id] = tf_vector(b, dictionary).counts
-    diagnostics = report.as_dict()
-    diagnostics["indirect_transfers"] = sum(c.indirect_transfers for _, c in pairs)
-    diagnostics["external_targets"] = sum(len(c.external_targets) for _, c in pairs)
-    diagnostics["dangling_targets"] = sum(len(c.dangling_targets) for _, c in pairs)
-    fs = extract_feature_set(program_id, pairs, params, diagnostics)
+        blocks.extend(segment(fn, first_id=len(blocks)))
     return FeatureFile(
-        feature_set=fs,
-        term_counts=term_counts,
+        feature_set=make_feature_set(program_id, blocks, params,
+                                     report.as_dict()),
+        term_counts={b.id: tf_vector(b, dictionary) for b in blocks},
         term_stems=dictionary.stems,
         source_digest="sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest(),
         distinct_asm_texts=report.distinct_asm_texts,

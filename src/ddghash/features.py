@@ -10,9 +10,14 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .blocks import DANGLING, EXTERNAL, INDIRECT
 from .ddg import InstructionFamilyPolicy, LabelMode, build_ddg
 from .errors import IncompatibleCorpora
 from .wlhash import DIGEST_BITS, WLParams, wl_hash
+
+# the diagnostics member that counts each kind of block exit
+_EXIT_COUNTS = {INDIRECT: "indirect_transfers", EXTERNAL: "external_targets",
+                DANGLING: "dangling_targets"}
 
 
 @dataclass(frozen=True)
@@ -138,36 +143,40 @@ def ratio(frac: Fraction) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def make_feature_set(program_id, blocks, ddgs, cfg_edge_pairs, params,
-                     diagnostics=None) -> ProgramFeatureSet:
-    """Hash each non-empty DDG and assemble the feature set.
+def make_feature_set(program_id, blocks, params,
+                     diagnostics) -> ProgramFeatureSet:
+    """Hash each block's DDG and assemble the feature set.
 
-    blocks and ddgs must be aligned. Blocks whose DDG is empty are left
-    out of the block map (and counted); order edges touching such blocks
-    are dropped so every recorded edge endpoint maps to a hash. A digest
-    is a pure function of the node labels by id and the edges, so each
-    distinct (labels, edges) key is hashed once.
+    Each DDG is built, hashed and dropped. Blocks whose DDG is empty are
+    left out of the block map (and counted); the order edges are the
+    blocks' successor links whose ends both map to a hash. A digest is a
+    pure function of the node labels by id and the edges, so each
+    distinct (labels, edges) key is hashed once. The diagnostics gain the
+    block, hash, edge and exit counts.
     """
-    diag = dict(diagnostics or {})
+    diag = dict(diagnostics)
+    diag.update(dict.fromkeys(_EXIT_COUNTS.values(), 0))
     block_map = {}
     digests = {}  # (((node id, label), ...), edges) -> digest
-    empty = 0
-    for block, graph in zip(blocks, ddgs):
+    for block in blocks:
+        if block.exit is not None:
+            diag[_EXIT_COUNTS[block.exit]] += 1
+        graph = build_ddg(block, params.policy, params.label_mode)
         if len(graph) == 0:
-            empty += 1
             continue
         key = (tuple((node.id, node.label) for node in graph.nodes), graph.edges)
         digest = digests.get(key)
         if digest is None:
             digest = digests[key] = wl_hash(graph, params.wl)
         block_map[block.id] = digest
+    edges = [(block.id, succ) for block in blocks for succ in block.successors]
     kept_edges = frozenset(
-        (a, b) for a, b in cfg_edge_pairs if a in block_map and b in block_map
+        (a, b) for a, b in edges if a in block_map and b in block_map
     )
     diag["blocks"] = len(blocks)
-    diag["empty_ddgs"] = empty
+    diag["empty_ddgs"] = len(blocks) - len(block_map)
     diag["duplicate_hashes"] = len(block_map) - len(set(block_map.values()))
-    diag["dropped_order_edges"] = len(set(cfg_edge_pairs)) - len(kept_edges)
+    diag["dropped_order_edges"] = len(edges) - len(kept_edges)
     return ProgramFeatureSet(
         program_id=program_id,
         params=params,
@@ -176,19 +185,6 @@ def make_feature_set(program_id, blocks, ddgs, cfg_edge_pairs, params,
         diagnostics=diag,
         distinct_graphs=len(digests),
     )
-
-
-def extract_feature_set(program_id, function_blocks_cfgs, params,
-                        diagnostics=None) -> ProgramFeatureSet:
-    """Assemble one feature set from per-function (blocks, cfg) pairs."""
-    all_blocks = []
-    all_edges = set()
-    for blocks, cfg in function_blocks_cfgs:
-        all_blocks.extend(blocks)
-        all_edges.update(cfg.edge_pairs())
-    ddgs = [build_ddg(b, params.policy, params.label_mode) for b in all_blocks]
-    return make_feature_set(program_id, all_blocks, ddgs, all_edges, params,
-                            diagnostics)
 
 
 def _require_compatible(a: ProgramFeatureSet, b: ProgramFeatureSet):

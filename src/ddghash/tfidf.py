@@ -76,20 +76,12 @@ def stem(mnemonic: str, dictionary: TermDictionary | None = None) -> str:
     return dictionary.stem(mnemonic)
 
 
-@dataclass(frozen=True)
-class TermFrequencyVector:
-    block_id: int
-    counts: tuple  # one count per dictionary stem
-    total: int
-
-
-def tf_vector(block, dictionary: TermDictionary) -> TermFrequencyVector:
+def tf_vector(block, dictionary: TermDictionary) -> tuple:
+    """The block's count row: one count per dictionary stem."""
     counts = [0] * len(dictionary.stems)
     for ins in block.instructions:
         counts[dictionary.slot(ins.mnemonic)] += 1
-    return TermFrequencyVector(
-        block_id=block.id, counts=tuple(counts), total=len(block.instructions)
-    )
+    return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -99,16 +91,16 @@ class CorpusIdf:
     idf: tuple
 
 
-def idf(vectors) -> CorpusIdf:
-    """Smoothed inverse document frequency: ln((1+N)/(1+df)) + 1."""
-    vectors = list(vectors)
-    if not vectors:
+def idf(rows) -> CorpusIdf:
+    """Smoothed inverse document frequency over count rows:
+    ln((1+N)/(1+df)) + 1."""
+    rows = list(rows)
+    if not rows:
         raise EmptyCorpus("idf needs at least one block")
-    n = len(vectors)
-    dims = len(vectors[0].counts)
-    df = [0] * dims
-    for vec in vectors:
-        for i, c in enumerate(vec.counts):
+    n = len(rows)
+    df = [0] * len(rows[0])
+    for row in rows:
+        for i, c in enumerate(row):
             if c > 0:
                 df[i] += 1
     weights = tuple(math.log((1 + n) / (1 + d)) + 1.0 for d in df)
@@ -123,13 +115,14 @@ class TermDistribution:
     modal_share: Fraction
 
 
-def distribution_from_vectors(vectors, dictionary) -> TermDistribution:
-    vectors = list(vectors)
-    if not vectors:
+def distribution_from_vectors(rows, dictionary) -> TermDistribution:
+    """Per-stem totals over count rows."""
+    rows = list(rows)
+    if not rows:
         raise EmptyCorpus("no blocks to aggregate")
     agg = [0] * len(dictionary.stems)
-    for vec in vectors:
-        for i, c in enumerate(vec.counts):
+    for row in rows:
+        for i, c in enumerate(row):
             agg[i] += c
     pairs = sorted(zip(dictionary.stems, agg), key=lambda kv: (-kv[1], kv[0]))
     total = sum(agg)
@@ -150,13 +143,13 @@ def term_distribution(blocks, dictionary: TermDictionary | None = None) -> TermD
     )
 
 
-def cosine_similarity(u: TermFrequencyVector, v: TermFrequencyVector,
-                      weights=None) -> float:
-    """Cosine over the 32 dimensions, optionally idf-weighted."""
+def cosine_similarity(u, v, weights=None) -> float:
+    """Cosine of two count rows over the 32 dimensions, optionally
+    idf-weighted."""
     if weights is None:
-        weights = [1.0] * len(u.counts)
-    wu = [c * w for c, w in zip(u.counts, weights)]
-    wv = [c * w for c, w in zip(v.counts, weights)]
+        weights = [1.0] * len(u)
+    wu = [c * w for c, w in zip(u, weights)]
+    wv = [c * w for c, w in zip(v, weights)]
     nu = math.sqrt(sum(x * x for x in wu))
     nv = math.sqrt(sum(x * x for x in wv))
     if nu == 0.0 or nv == 0.0:

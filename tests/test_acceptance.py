@@ -140,10 +140,10 @@ def criterion_4_sample_block_end_to_end(tmp_path):
 
     dictionary = load_default_dictionary()
     v = tf_vector(blocks[0], dictionary)
-    nonzero = {s: c for s, c in zip(dictionary.stems, v.counts) if c}
+    nonzero = {s: c for s, c in zip(dictionary.stems, v) if c}
     assert nonzero == {"mov": 4, "cmov": 1, "and": 1, "or": 2, "cmp": 1,
                        "jmp": 1}
-    assert v.total == 10
+    assert sum(v) == 10
 
     src = tmp_path / "sample.objdump"
     src.write_text(CMOV_BLOCK_INTEL)

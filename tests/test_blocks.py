@@ -1,16 +1,20 @@
 import random
 
-from ddghash.blocks import CALL_RETURN, FALLTHROUGH, JUMP, build_cfg, segment
+from ddghash.blocks import DANGLING, EXTERNAL, INDIRECT, segment
 from ddghash.disasm import parse_listing
 from ddghash.isa import control_kind
 
 from fixtures import CMOV_BLOCK_INTEL, make_listing
 
 
-def _blocks_for(text, **kw):
+def _blocks_for(text):
     fns = parse_listing(text)
     assert len(fns) == 1
-    return segment(fns[0], **kw)
+    return segment(fns[0])
+
+
+def _edges(blocks):
+    return {(b.id, s) for b in blocks for s in b.successors}
 
 
 def test_sample_block_is_single_block():
@@ -48,23 +52,26 @@ def test_leader_rules_edges():
         "mov    edx, esi",
         "ret",
     ])])
-    cfg = build_cfg(_blocks_for(text))
-    assert cfg.edges == {(0, 2, JUMP), (0, 1, FALLTHROUGH), (1, 2, FALLTHROUGH)}
+    blocks = _blocks_for(text)
+    # the jump to 2 and the fall-through to 1, then 1 falls through to 2
+    assert _edges(blocks) == {(0, 2), (0, 1), (1, 2)}
+    assert [b.exit for b in blocks] == [None, None, None]
 
 
 def test_single_block_has_no_edges():
-    cfg = build_cfg(_blocks_for(make_listing([("f", ["mov eax, ebx", "ret"])])))
-    assert cfg.edges == set()
+    blocks = _blocks_for(make_listing([("f", ["mov eax, ebx", "ret"])]))
+    assert _edges(blocks) == set()
+    assert blocks[0].exit is None
 
 
 def test_external_jump_recorded():
     blocks = _blocks_for(CMOV_BLOCK_INTEL)
-    cfg = build_cfg(blocks)
-    assert cfg.edges == set()
-    assert cfg.external_targets == [(0, 0x100000000)]
+    assert _edges(blocks) == set()
+    assert blocks[0].exit == EXTERNAL
+    assert blocks[0].instructions[-1].operands[0].value == 0x100000000
 
 
-def test_call_terminates_block_and_adds_return_edge():
+def test_call_ends_block_and_adds_return_edge():
     text = make_listing([("f", [
         "mov    eax, ebx",
         "call   9000",
@@ -73,23 +80,9 @@ def test_call_terminates_block_and_adds_return_edge():
     ])])
     blocks = _blocks_for(text)
     assert [len(b.instructions) for b in blocks] == [2, 2]
-    cfg = build_cfg(blocks)
-    assert cfg.edges == {(0, 1, CALL_RETURN)}
+    assert _edges(blocks) == {(0, 1)}
     # calls resolve no interprocedural edge even though the target is known
-    assert cfg.external_targets == []
-
-
-def test_call_terminates_is_configurable():
-    text = make_listing([("f", [
-        "mov    eax, ebx",
-        "call   9000",
-        "mov    ecx, edx",
-        "ret",
-    ])])
-    blocks = _blocks_for(text, call_terminates=False)
-    assert len(blocks) == 1
-    cfg = build_cfg(blocks, call_terminates=False)
-    assert cfg.edges == set()
+    assert [b.exit for b in blocks] == [None, None]
 
 
 def test_indirect_jump_counts_only():
@@ -101,9 +94,8 @@ def test_indirect_jump_counts_only():
     ])])
     blocks = _blocks_for(text)
     assert len(blocks) == 2
-    cfg = build_cfg(blocks)
-    assert cfg.edges == set()
-    assert cfg.indirect_transfers == 1
+    assert _edges(blocks) == set()
+    assert [b.exit for b in blocks] == [INDIRECT, None]
 
 
 def test_dangling_target_recorded_not_fatal():
@@ -115,8 +107,10 @@ def test_dangling_target_recorded_not_fatal():
         "ret",
     ])], step=4)
     blocks = _blocks_for(text)
-    cfg = build_cfg(blocks)
-    assert cfg.dangling_targets == [(0, 0x1009)]
+    assert blocks[0].exit == DANGLING
+    assert blocks[0].instructions[-1].operands[0].value == 0x1009
+    # the conditional jump still falls through
+    assert _edges(blocks) == {(0, 1)}
 
 
 def test_conditional_jump_out_degree_at_most_two():
@@ -128,10 +122,10 @@ def test_conditional_jump_out_degree_at_most_two():
         "jne    1000",
         "ret",
     ])])
-    cfg = build_cfg(_blocks_for(text))
-    for node in cfg.nodes:
-        out = [e for e in cfg.edges if e[0] == node]
-        assert len(out) <= 2
+    blocks = _blocks_for(text)
+    assert _edges(blocks) == {(0, 1), (0, 2), (1, 2), (2, 0), (2, 3)}
+    for b in blocks:
+        assert len(b.successors) <= 2
 
 
 def _random_function_text(rng, n):
@@ -172,11 +166,17 @@ def test_leader_soundness_random_functions():
     rng = random.Random(1234)
     for _ in range(30):
         text = _random_function_text(rng, rng.randint(2, 60))
-        blocks = segment(parse_listing(text)[0])
-        start = {b.id: b.start_address for b in blocks}
-        cfg = build_cfg(blocks)
-        by_id = {b.id: b for b in blocks}
-        for src, dst, kind in cfg.edges:
-            if kind == JUMP:
-                last = by_id[src].instructions[-1]
-                assert last.operands[0].value == start[dst]
+        blocks = segment(parse_listing(text)[0], first_id=7)
+        assert [b.id for b in blocks] == list(range(7, 7 + len(blocks)))
+        block_at = {b.start_address: b.id for b in blocks}
+        for pos, b in enumerate(blocks):
+            last = b.instructions[-1]
+            kind = control_kind(last.mnemonic)
+            expected = set()
+            if kind in ("jump", "cond"):
+                # a resolved direct jump's successor starts at its target
+                expected.add(block_at[last.operands[0].value])
+            if kind not in ("jump", "ret") and pos + 1 < len(blocks):
+                expected.add(blocks[pos + 1].id)
+            assert b.successors == expected
+            assert b.exit is None

@@ -15,7 +15,10 @@ DATA = Path(__file__).parent / "data"
 
 def run(capsys, *argv):
     capsys.readouterr()  # drain output from corpus-seeding commands
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error, reported by argparse
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -29,18 +32,32 @@ def _seed_corpus(tmp_path, programs):
     return corpus
 
 
-def test_usage_error_exit_2(capsys):
+def test_usage_error_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("a", "b", "bad name"):
+        (tmp_path / f"{name}.objdump").write_text(star_program([1]))
     for argv in ([], ["ingest"],
                  ["ingest", "x.objdump", "--iters", "0"],
+                 ["ingest", "-"],
+                 ["ingest", "a.objdump", "--id", "../escaped"],
+                 ["ingest", "a.objdump", "bad name.objdump"],
                  ["contain", "--threshold", "nan"],
                  ["contain", "--threshold", "inf"],
                  ["contain", "--threshold", "0"],
                  ["nearest", "x", "-k", "0"],
                  ["nearest", "x", "-k", "-1"]):
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-    assert "--threshold must be in (0, 1]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ddghash"), argv
+        if argv[:1] == ["ingest"] and len(argv) > 1:
+            assert "ddghash ingest: error: " in err, argv
+        if "threshold" in argv:
+            assert "--threshold must be in (0, 1]" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.objdump", "b.objdump", "bad name.objdump"]  # nothing written
 
 
 def test_ingest_id_with_multiple_paths_is_usage_error(tmp_path, capsys):
@@ -48,9 +65,13 @@ def test_ingest_id_with_multiple_paths_is_usage_error(tmp_path, capsys):
     a.write_text(star_program([1]))
     b = tmp_path / "b.objdump"
     b.write_text(star_program([2]))
-    code, _, err = run(capsys, "-C", str(tmp_path / "c"), "ingest",
-                       str(a), str(b), "--id", "x")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["-C", str(tmp_path / "c"), "ingest", str(a), str(b), "--id", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ddghash")
+    assert "ddghash ingest: error: " in err
+    assert not (tmp_path / "c").exists()
 
 
 def test_ingest_from_stdin(tmp_path, capsys, monkeypatch):
@@ -155,11 +176,40 @@ def test_ingest_json_reports_work_done_outside_the_file(tmp_path, capsys):
     result, = json.loads(out)["results"]
     assert result["distinct_asm_texts"] == 1181  # of 2534 instructions
     assert result["distinct_graphs"] == 107  # for 369 hashed blocks, 97 hashes
-    text = (corpus / "true_att.features.json").read_text()
-    assert "distinct_" not in text
-    # the file's exact bytes: how the pipeline saves work must not move them
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "a3719e416622c8cb63746855faf98e2a7fa31ed1f4fd7ef02713414429beb0a2"
+    assert "distinct_" not in (corpus / "true_att.features.json").read_text()
+
+
+# sha256 of <id>.features.json for each tests/data listing under each setting
+PINNED_FILES = {
+    (): {
+        "true_att": "a3719e416622c8cb63746855faf98e2a7fa31ed1f4fd7ef02713414429beb0a2",
+        "true_intel": "24e445c008084801d317d0c654be894d35b77200d8751b30b805a1e8b6b62858",
+        "false_intel": "44d00b6b9d92e2e0e96a97991bd8269913de835efbc9de6dd16c4e92212975d3",
+    },
+    ("--mode", "literal", "--policy", "all_data_operands"): {
+        "true_att": "953c7243993673473b1db2ceba23fade26d5c69332e6a987fee95f84a59d72a6",
+        "true_intel": "18cc5666e010077dfad6c032843b00b4c37d4d0ed161c4d7efdfb568d8a381ff",
+        "false_intel": "c786ec636817a309a22ebc8fbf892ddb8d9e91a490dd7cd8445fe9e00ded3c66",
+    },
+    ("--mode", "unlabeled", "--iters", "2"): {
+        "true_att": "318ec38535afeed121cc01159e0903088fea979f97488ddad1fdc34ba57c61ce",
+        "true_intel": "0d965e3554f0d6aaaa411aebb9c72a6c001a89a46a0141bc087387a7d2eaabfb",
+        "false_intel": "2e138ed32e2446e6809389e5f9cbdfafbf211bd8e62057ce4a95529d60f5a7b1",
+    },
+}
+
+
+@pytest.mark.parametrize("listing", ["true_att", "true_intel", "false_intel"])
+@pytest.mark.parametrize("setting", list(PINNED_FILES),
+                         ids=["default", "literal", "unlabeled"])
+def test_feature_file_bytes_are_pinned(tmp_path, capsys, setting, listing):
+    """The files' exact bytes: how the pipeline saves work must not move them."""
+    corpus = tmp_path / "corpus"
+    code, _, err = run(capsys, "-C", str(corpus), "ingest",
+                       str(DATA / f"{listing}.objdump"), *setting)
+    assert code == 0, err
+    data = (corpus / f"{listing}.features.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_FILES[setting][listing]
 
 
 def test_compare_reference_cardinalities(tmp_path, capsys):

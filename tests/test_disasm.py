@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from ddghash.tfidf import stem
 
 from fixtures import CMOV_BLOCK_ATT, CMOV_BLOCK_INTEL, gen_instructions, \
     make_listing, render_listing
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_detect_syntax_intel_forms():
@@ -124,11 +127,14 @@ def test_parse_operand_unparsable():
 def test_operand_canonical_text_reparses_equal():
     rng = random.Random(11)
     specs = gen_instructions(rng, 300)
-    text = render_listing(specs, att=False, seed=3)
-    for fn in parse_listing(text):
-        for ins in fn.instructions:
-            for op in ins.operands:
-                assert parse_operand(op.text, "intel") == op
+    texts = [render_listing(specs, att=att, seed=3) for att in (False, True)]
+    texts += [path.read_text() for path in sorted(DATA.glob("*.objdump"))]
+    assert len(texts) == 5
+    for text in texts:
+        for fn in parse_listing(text):
+            for ins in fn.instructions:
+                for op in ins.operands:
+                    assert parse_operand(op.text, "intel") == op
 
 
 def test_round_trip_determinism():

@@ -14,6 +14,8 @@ from ddghash.features import (FeatureParams, ProgramFeatureSet, compare,
                               make_feature_set, set_difference)
 from ddghash.wlhash import WLParams, wl_hash
 
+from fixtures import make_listing
+
 DATA = Path(__file__).parent / "data"
 PARAMS = FeatureParams()
 
@@ -112,27 +114,51 @@ def test_identities_on_random_pairs():
         assert compare(a, a).jaccard == 1
 
 
-def test_make_feature_set_dedup_and_empty_blocks():
-    from ddghash.blocks import segment
-    from ddghash.disasm import parse_listing
-    from fixtures import make_listing
+def _segment_all(text):
+    blocks = []
+    for fn in parse_listing(text):
+        blocks.extend(segment(fn, first_id=len(blocks)))
+    return blocks
 
+
+def test_make_feature_set_dedup_and_empty_blocks():
     text = make_listing([
         ("f1", ["mov eax, ebx", "ret"]),
         ("f2", ["mov eax, ebx", "ret"]),
         ("f3", ["add eax, 1", "ret"]),  # empty DDG
     ])
-    fns = parse_listing(text)
-    blocks = []
-    for i, fn in enumerate(fns):
-        blocks.extend(segment(fn, first_id=len(blocks)))
-    from ddghash.ddg import build_ddg
-    ddgs = [build_ddg(b, PARAMS.policy, PARAMS.label_mode) for b in blocks]
-    fs = make_feature_set("p", blocks, ddgs, set(), PARAMS)
+    fs = make_feature_set("p", _segment_all(text), PARAMS, {"functions": 3})
     assert len(fs.block_map) == 2
     assert len(fs.hashes) == 1
+    assert fs.diagnostics["functions"] == 3
     assert fs.diagnostics["empty_ddgs"] == 1
     assert fs.diagnostics["duplicate_hashes"] == 1
+
+
+def test_make_feature_set_order_edges_and_exits():
+    text = make_listing([("f", [
+        "mov    eax, ebx",   # block 0: je to the very next block
+        "je     1008",
+        "mov    ecx, edx",   # block 1: indirect jump
+        "jmp    rax",
+        "add    eax, 1",     # block 2: empty DDG, external jump
+        "jmp    9000",
+        "mov    edx, esi",   # block 3: dangling conditional jump
+        "jne    1001",
+        "mov    esi, edi",   # block 4
+        "ret",
+    ])])
+    blocks = _segment_all(text)
+    assert blocks[0].successors == frozenset({1})
+    fs = make_feature_set("p", blocks, PARAMS, {})
+    assert sorted(fs.block_map) == [0, 1, 3, 4]
+    assert fs.order_edges == {(0, 1), (3, 4)}
+    diag = fs.diagnostics
+    # the jump and the fall-through of block 0 are one pair; nothing is dropped
+    assert diag["dropped_order_edges"] == 0
+    assert (diag["indirect_transfers"], diag["external_targets"],
+            diag["dangling_targets"]) == (1, 1, 1)
+    assert diag["blocks"] == 5 and diag["empty_ddgs"] == 1
 
 
 @pytest.mark.parametrize("policy", list(InstructionFamilyPolicy))
@@ -147,14 +173,12 @@ def test_block_map_holds_each_graphs_own_hash(mode, policy, monkeypatch):
 
     monkeypatch.setattr(features, "wl_hash", counted)
     for name in ("true_att", "true_intel"):
-        blocks = []
-        for fn in parse_listing((DATA / f"{name}.objdump").read_text()):
-            blocks.extend(segment(fn, first_id=len(blocks)))
-        ddgs = [build_ddg(b, policy, mode) for b in blocks]
+        blocks = _segment_all((DATA / f"{name}.objdump").read_text())
         calls.clear()
-        fs = make_feature_set(name, blocks, ddgs, set(), params)
+        fs = make_feature_set(name, blocks, params, {})
+        graphs = [(b, build_ddg(b, policy, mode)) for b in blocks]
         assert fs.block_map == {b.id: wl_hash(g, params.wl)
-                                for b, g in zip(blocks, ddgs) if len(g)}
+                                for b, g in graphs if len(g)}
         # one hash per distinct (labels, edges) key, not one per block
         assert len(calls) == fs.distinct_graphs < len(fs.block_map)
 

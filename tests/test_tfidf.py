@@ -7,19 +7,17 @@ import pytest
 from ddghash.blocks import segment
 from ddghash.disasm import parse_listing
 from ddghash.errors import EmptyCorpus, ZeroVector
-from ddghash.tfidf import (TermDictionary, TermFrequencyVector,
-                           cosine_similarity, idf, load_default_dictionary,
-                           term_distribution, tf_vector)
+from ddghash.tfidf import (TermDictionary, cosine_similarity, idf,
+                           load_default_dictionary, term_distribution,
+                           tf_vector)
 
 from fixtures import CMOV_BLOCK_INTEL, make_listing
 
 DICT = load_default_dictionary()
 
 
-def _vec(counts, block_id=0):
-    padded = tuple(counts) + (0,) * (len(DICT.stems) - len(counts))
-    return TermFrequencyVector(block_id=block_id, counts=padded,
-                               total=sum(padded))
+def _vec(counts):
+    return tuple(counts) + (0,) * (len(DICT.stems) - len(counts))
 
 
 def _block(text):
@@ -79,25 +77,25 @@ def test_slot_is_the_stem_index_worked_out_once(monkeypatch):
 
 def test_tf_vector_sample_block():
     v = tf_vector(_block(CMOV_BLOCK_INTEL), DICT)
-    by_stem = dict(zip(DICT.stems, v.counts))
+    by_stem = dict(zip(DICT.stems, v))
     nonzero = {s: c for s, c in by_stem.items() if c}
     assert nonzero == {"mov": 4, "cmov": 1, "and": 1, "or": 2, "cmp": 1,
                        "jmp": 1}
-    assert v.total == 10
+    assert sum(v) == 10
 
 
 def test_tf_unknown_mnemonics_fall_back_to_other():
     text = make_listing([("f", ["vaddps xmm0, xmm1", "fxsave [rsp]",
                                 "endbr64"])])
     v = tf_vector(_block(text), DICT)
-    assert dict(zip(DICT.stems, v.counts))["other"] == 3
-    assert v.total == 3
+    assert dict(zip(DICT.stems, v))["other"] == 3
+    assert sum(v) == 3
 
 
 def test_tf_single_instruction():
     v = tf_vector(_block(make_listing([("f", ["mov eax, ebx"])])), DICT)
-    assert v.total == 1
-    assert dict(zip(DICT.stems, v.counts))["mov"] == 1
+    assert sum(v) == 1
+    assert dict(zip(DICT.stems, v))["mov"] == 1
 
 
 def test_tf_conservation_random_blocks():
@@ -108,7 +106,8 @@ def test_tf_conservation_random_blocks():
         lines = [rng.choice(pool) for _ in range(rng.randint(1, 30))] + ["ret"]
         block = _block(make_listing([("f", lines)]))
         v = tf_vector(block, DICT)
-        assert v.total == sum(v.counts) == len(block.instructions)
+        assert len(v) == len(DICT.stems)
+        assert sum(v) == len(block.instructions)
 
 
 def test_idf_values():
