@@ -18,12 +18,10 @@ from .errors import (DdghashError, EmptyCorpus, EmptyGraph,
                      NoInstructionsFound, UnknownProgram, UnparsableOperand,
                      ZeroVector)
 from .features import (FeatureParams, ProgramFeatureSet, SimilarityReport,
-                       compare, export_poset, five_number_summary,
-                       make_feature_set, set_difference)
-from .tfidf import (CorpusIdf, TermDictionary, cosine_similarity, idf,
-                    load_default_dictionary, stem, term_distribution,
-                    tf_vector)
-from .wlhash import WLParams, wl_hash, wl_refine
+                       compare, five_number_summary, make_feature_set)
+from .tfidf import (TermDictionary, cosine_similarity, idf,
+                    load_default_dictionary, tf_vector)
+from .wlhash import wl_hash, wl_refine
 from .corpus import Corpus, FeatureFile, build_feature_file
 
 __all__ = [
@@ -37,10 +35,9 @@ __all__ = [
     "MalformedListing", "NoInstructionsFound", "UnknownProgram",
     "UnparsableOperand", "ZeroVector",
     "FeatureParams", "ProgramFeatureSet", "SimilarityReport", "compare",
-    "export_poset", "five_number_summary", "make_feature_set",
-    "set_difference",
-    "CorpusIdf", "TermDictionary", "cosine_similarity", "idf",
-    "load_default_dictionary", "stem", "term_distribution", "tf_vector",
-    "WLParams", "wl_hash", "wl_refine",
+    "five_number_summary", "make_feature_set",
+    "TermDictionary", "cosine_similarity", "idf",
+    "load_default_dictionary", "tf_vector",
+    "wl_hash", "wl_refine",
     "Corpus", "FeatureFile", "build_feature_file",
 ]

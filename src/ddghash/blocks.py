@@ -20,7 +20,6 @@ DANGLING = "dangling"  # a target inside the function, mid-instruction
 @dataclass(frozen=True)
 class BasicBlock:
     id: int
-    function: str
     start_address: int
     instructions: tuple
     successors: frozenset  # ids of the blocks control passes to next
@@ -78,7 +77,6 @@ def segment(listing: FunctionListing, first_id=0):
         blocks.append(
             BasicBlock(
                 id=ids[start],
-                function=listing.name,
                 start_address=instrs[start].address,
                 instructions=tuple(instrs[start:end]),
                 successors=frozenset(successors),

@@ -29,8 +29,6 @@ from .ddg import InstructionFamilyPolicy, LabelMode
 from .errors import DdghashError, InvalidProgramId
 from .features import FeatureParams, decimal3, five_number_summary, ratio
 from .tfidf import distribution_from_vectors, idf as corpus_idf
-from .tfidf import load_default_dictionary
-from .wlhash import WLParams
 
 
 def _corpus_dir(args):
@@ -92,7 +90,7 @@ def cmd_ingest(args):
     corpus = Corpus(_corpus_dir(args))
     params = FeatureParams(label_mode=LabelMode(args.mode),
                            policy=InstructionFamilyPolicy(args.policy),
-                           wl=WLParams(iterations=args.iters))
+                           wl_iterations=args.iters)
     if args.id and len(args.paths) > 1:
         args.usage_error("--id requires a single input file")
     if "-" in args.paths and not args.id:
@@ -179,6 +177,8 @@ def cmd_compare(args):
 def cmd_matrix(args):
     corpus = Corpus(_corpus_dir(args))
     ids = corpus.ids() if args.all else args.ids
+    if len(set(ids)) < len(ids):
+        args.usage_error("an id may appear only once")
     if len(ids) < 2:
         print("matrix needs at least two programs", file=sys.stderr)
         return 1
@@ -268,17 +268,16 @@ def cmd_contain(args):
 def cmd_tfstats(args):
     corpus = Corpus(_corpus_dir(args))
     ff = corpus.load(args.id)
-    dictionary = load_default_dictionary()
     counts = [c for _, c in sorted(ff.term_counts.items())]
-    dist = distribution_from_vectors(counts, dictionary)
+    dist = distribution_from_vectors(counts, ff.term_stems)
     if args.vectors:
-        weights = corpus_idf(counts).idf
+        weights = corpus_idf(counts)
         rows = [[f"{c * w:.6g}" for c, w in zip(row, weights)]
                 for row in counts]
         if args.format == "json":
-            _emit_json({"stems": list(dictionary.stems), "vectors": rows})
+            _emit_json({"stems": list(ff.term_stems), "vectors": rows})
         else:
-            _emit_csv(rows, list(dictionary.stems))
+            _emit_csv(rows, list(ff.term_stems))
         return 0
     if args.format == "json":
         _emit_json({
@@ -340,7 +339,7 @@ def build_parser():
                    help="summary statistics over the selected pairs")
     p.add_argument("--pairs-out", metavar="FILE",
                    help="write per-pair jaccard CSV here (for box plots)")
-    p.set_defaults(func=cmd_matrix)
+    p.set_defaults(func=cmd_matrix, usage_error=p.error)
 
     p = sub.add_parser("nearest", help="closest programs by jaccard")
     p.add_argument("id")

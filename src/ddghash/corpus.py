@@ -171,10 +171,26 @@ class _Members:
         return lambda: self.read(key, build)
 
 
-def _hashes(hashes):
-    if not (isinstance(hashes, list) and all(isinstance(h, str) for h in hashes)):
+def _strings(value):
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
         raise TypeError("expected a list of strings")
-    return frozenset(hashes)
+    return value
+
+
+def _term_stems(stems):
+    if not _strings(stems):
+        raise ValueError("no stems")
+    return tuple(stems)
+
+
+def _term_counts(counts, stems):
+    """Rows keyed by block id; each must hold one count per stem."""
+    rows = {int(i): tuple(c) for i, c in counts.items()}
+    for i, row in rows.items():
+        if len(row) != len(stems):
+            raise ValueError(f"block {i} has {len(row)} counts "
+                             f"for {len(stems)} term_stems")
+    return rows
 
 
 def _diagnostics(diag):
@@ -205,13 +221,13 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
         },
         program_id=members.read("program_id"),
         params=members.read("params", FeatureParams.from_dict),
-        hashes=members.read("hashes", _hashes),
+        hashes=members.read("hashes", lambda h: frozenset(_strings(h))),
     )
     return FeatureFile.deferred(
         {
-            "term_counts": later("term_counts", lambda counts: {
-                int(i): tuple(c) for i, c in counts.items()}),
-            "term_stems": later("term_stems", tuple),
+            "term_counts": later("term_counts", lambda counts: _term_counts(
+                counts, members.read("term_stems", _term_stems))),
+            "term_stems": later("term_stems", _term_stems),
             "source_digest": later("source_digest"),
             "toolkit_version": later("toolkit_version"),
         },
@@ -263,7 +279,11 @@ class Corpus:
             text = path.read_text()
         except UnicodeDecodeError as exc:
             raise DdghashError(f"{path}: {exc}") from None
-        return decode_feature_file(text, path)
+        ff = decode_feature_file(text, path)
+        if ff.feature_set.program_id != program_id:
+            raise DdghashError(f"{path}: program_id {ff.feature_set.program_id!r} "
+                               f"does not match the file name")
+        return ff
 
     def save(self, ff: FeatureFile) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)

@@ -48,7 +48,6 @@ class DdgNode:
 @dataclass(frozen=True)
 class DataDependencyGraph:
     block_id: int
-    mode: LabelMode
     nodes: tuple[DdgNode, ...]
     edges: frozenset  # (src node id, dst node id)
 
@@ -84,7 +83,6 @@ class _Builder:
     def finish(self):
         return DataDependencyGraph(
             block_id=self.block_id,
-            mode=self.mode,
             nodes=tuple(self.nodes),
             edges=frozenset(self.edges),
         )

@@ -90,6 +90,7 @@ _SIZE_QUALIFIER_RE = re.compile(
     re.IGNORECASE,
 )
 _SEGMENT_RE = re.compile(r"^%?(cs|ds|es|fs|gs|ss):")
+_OPERAND_PUNCT_RE = re.compile(r"[,()\[\]]")
 
 
 def _parse_int(token):
@@ -101,24 +102,18 @@ def _parse_int(token):
 
 def _split_operands(text):
     """Split on commas at depth zero (AT&T parens, Intel brackets)."""
-    if not any(ch in text for ch in "()[]"):
-        return [p for p in (part.strip() for part in text.split(",")) if p]
     parts = []
-    depth = 0
-    cur = []
-    for ch in text:
+    depth = start = 0
+    for m in _OPERAND_PUNCT_RE.finditer(text):
+        ch = m.group()
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-            continue
-        cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
+        elif depth == 0:
+            parts.append(text[start:m.start()].strip())
+            start = m.end()
+    parts.append(text[start:].strip())
     return [p for p in parts if p]
 
 
@@ -369,16 +364,10 @@ def _parse_instruction(address, asm, syntax):
     while tokens and tokens[0].lower() in isa.PREFIXES and len(tokens) > 1:
         prefixes.append(tokens[0].lower())
         tokens = tokens[1].split(None, 1)
-    mnemonic = isa.normalize_mnemonic(tokens[0], att)
     operand_text = tokens[1].strip() if len(tokens) > 1 else ""
-
+    # size suffixes are not stripped for AT&T SIMD forms (movq %rax,%xmm0)
     simd = "%xmm" in operand_text or "%ymm" in operand_text or "%mm" in operand_text
-    if att and simd:
-        # size suffixes are not stripped for SIMD forms (movq %rax,%xmm0)
-        mnemonic = tokens[0].lower()
-        if mnemonic == "movsxd":
-            mnemonic = "movsx"
-
+    mnemonic = isa.normalize_mnemonic(tokens[0], att and not simd)
     if not _MNEMONIC_OK_RE.match(mnemonic):
         raise UnparsableOperand(mnemonic)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .blocks import DANGLING, EXTERNAL, INDIRECT
 from .ddg import InstructionFamilyPolicy, LabelMode, build_ddg
 from .errors import IncompatibleCorpora
-from .wlhash import DIGEST_BITS, WLParams, wl_hash
+from .wlhash import DIGEST_BITS, wl_hash
 
 # the diagnostics member that counts each kind of block exit
 _EXIT_COUNTS = {INDIRECT: "indirect_transfers", EXTERNAL: "external_targets",
@@ -26,13 +26,18 @@ class FeatureParams:
 
     label_mode: LabelMode = LabelMode.OPERAND_CLASS
     policy: InstructionFamilyPolicy = InstructionFamilyPolicy.MOV_ONLY
-    wl: WLParams = WLParams()
+    wl_iterations: int = 3
+
+    def __post_init__(self):
+        if self.wl_iterations < 1:
+            raise ValueError(
+                f"wl_iterations must be >= 1, not {self.wl_iterations!r}")
 
     def as_dict(self):
         return {
             "label_mode": self.label_mode.value,
             "policy": self.policy.value,
-            "wl_iterations": self.wl.iterations,
+            "wl_iterations": self.wl_iterations,
             "digest_bits": DIGEST_BITS,
         }
 
@@ -44,7 +49,7 @@ class FeatureParams:
         return cls(
             label_mode=LabelMode(p["label_mode"]),
             policy=InstructionFamilyPolicy(p["policy"]),
-            wl=WLParams(iterations=p["wl_iterations"]),
+            wl_iterations=p["wl_iterations"],
         )
 
 
@@ -88,17 +93,39 @@ class ProgramFeatureSet(LazyFields):
 
 @dataclass(frozen=True)
 class SimilarityReport:
+    """The measured sizes of two hash sets and of their intersection;
+    every other figure is derived from them."""
+
     a_id: str
     b_id: str
     size_a: int
     size_b: int
     intersection: int
-    union: int
-    diff_a_minus_b: int
-    diff_b_minus_a: int
-    jaccard: Fraction
-    containment_a_in_b: Fraction  # share of a's hashes found in b; 1 iff a ⊆ b
-    containment_b_in_a: Fraction
+
+    @property
+    def union(self) -> int:
+        return self.size_a + self.size_b - self.intersection
+
+    @property
+    def diff_a_minus_b(self) -> int:
+        return self.size_a - self.intersection
+
+    @property
+    def diff_b_minus_a(self) -> int:
+        return self.size_b - self.intersection
+
+    @property
+    def jaccard(self) -> Fraction:
+        return _safe_fraction(self.intersection, self.union)
+
+    @property
+    def containment_a_in_b(self) -> Fraction:
+        """Share of a's hashes found in b; 1 iff a ⊆ b."""
+        return _safe_fraction(self.intersection, self.size_a)
+
+    @property
+    def containment_b_in_a(self) -> Fraction:
+        return _safe_fraction(self.intersection, self.size_b)
 
     def as_dict(self):
         return {
@@ -120,19 +147,8 @@ class SimilarityReport:
 
     def swapped(self) -> "SimilarityReport":
         """The report compare(b, a) would give, by swapping fields."""
-        return SimilarityReport(
-            a_id=self.b_id,
-            b_id=self.a_id,
-            size_a=self.size_b,
-            size_b=self.size_a,
-            intersection=self.intersection,
-            union=self.union,
-            diff_a_minus_b=self.diff_b_minus_a,
-            diff_b_minus_a=self.diff_a_minus_b,
-            jaccard=self.jaccard,
-            containment_a_in_b=self.containment_b_in_a,
-            containment_b_in_a=self.containment_a_in_b,
-        )
+        return SimilarityReport(self.b_id, self.a_id, self.size_b, self.size_a,
+                                self.intersection)
 
 
 def decimal3(value) -> str:
@@ -167,7 +183,7 @@ def make_feature_set(program_id, blocks, params,
         key = (tuple((node.id, node.label) for node in graph.nodes), graph.edges)
         digest = digests.get(key)
         if digest is None:
-            digest = digests[key] = wl_hash(graph, params.wl)
+            digest = digests[key] = wl_hash(graph, params.wl_iterations)
         block_map[block.id] = digest
     edges = [(block.id, succ) for block in blocks for succ in block.successors]
     kept_edges = frozenset(
@@ -202,40 +218,8 @@ def _safe_fraction(num, den) -> Fraction:
 def compare(a: ProgramFeatureSet, b: ProgramFeatureSet) -> SimilarityReport:
     """Exact set comparison; raises IncompatibleCorpora on metadata mismatch."""
     _require_compatible(a, b)
-    sa, sb = a.hashes, b.hashes
-    inter = len(sa & sb)
-    union = len(sa) + len(sb) - inter
-    return SimilarityReport(
-        a_id=a.program_id,
-        b_id=b.program_id,
-        size_a=len(sa),
-        size_b=len(sb),
-        intersection=inter,
-        union=union,
-        diff_a_minus_b=len(sa) - inter,
-        diff_b_minus_a=len(sb) - inter,
-        jaccard=_safe_fraction(inter, union),
-        containment_a_in_b=_safe_fraction(inter, len(sa)),
-        containment_b_in_a=_safe_fraction(inter, len(sb)),
-    )
-
-
-def set_difference(a: ProgramFeatureSet, b: ProgramFeatureSet) -> frozenset:
-    _require_compatible(a, b)
-    return a.hashes - b.hashes
-
-
-def export_poset(fs: ProgramFeatureSet):
-    """CFG edges lifted to hash pairs, deduplicated, in sorted order.
-
-    An edge between two blocks that deduplicated to the same hash is kept
-    as a self-pair.
-    """
-    pairs = {
-        (fs.block_map[i], fs.block_map[j])
-        for i, j in fs.order_edges
-    }
-    return sorted(pairs)
+    return SimilarityReport(a.program_id, b.program_id, len(a.hashes),
+                            len(b.hashes), len(a.hashes & b.hashes))
 
 
 def five_number_summary(values):

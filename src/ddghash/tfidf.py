@@ -35,12 +35,10 @@ class TermDictionary:
                 return hit
         return OTHER
 
-    def index(self, stem: str) -> int:
-        return self._index[stem]
-
     def slot(self, mnemonic: str) -> int:
-        """index(stem(mnemonic)), worked out once per distinct mnemonic:
-        the rules never change, so the answer is kept on first use."""
+        """The position of stem(mnemonic) in stems, worked out once per
+        distinct mnemonic: the rules never change, so the answer is kept
+        on first use."""
         slot = self._slots.get(mnemonic)
         if slot is None:
             slot = self._slots[mnemonic] = self._index[self.stem(mnemonic)]
@@ -70,12 +68,6 @@ def load_default_dictionary() -> TermDictionary:
     return parse_rules(text)
 
 
-def stem(mnemonic: str, dictionary: TermDictionary | None = None) -> str:
-    if dictionary is None:
-        dictionary = load_default_dictionary()
-    return dictionary.stem(mnemonic)
-
-
 def tf_vector(block, dictionary: TermDictionary) -> tuple:
     """The block's count row: one count per dictionary stem."""
     counts = [0] * len(dictionary.stems)
@@ -84,16 +76,9 @@ def tf_vector(block, dictionary: TermDictionary) -> tuple:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class CorpusIdf:
-    doc_count: int
-    df: tuple
-    idf: tuple
-
-
-def idf(rows) -> CorpusIdf:
-    """Smoothed inverse document frequency over count rows:
-    ln((1+N)/(1+df)) + 1."""
+def idf(rows) -> tuple:
+    """Per-stem weights, the smoothed inverse document frequency over
+    count rows: ln((1+N)/(1+df)) + 1."""
     rows = list(rows)
     if not rows:
         raise EmptyCorpus("idf needs at least one block")
@@ -103,8 +88,7 @@ def idf(rows) -> CorpusIdf:
         for i, c in enumerate(row):
             if c > 0:
                 df[i] += 1
-    weights = tuple(math.log((1 + n) / (1 + d)) + 1.0 for d in df)
-    return CorpusIdf(doc_count=n, df=tuple(df), idf=weights)
+    return tuple(math.log((1 + n) / (1 + d)) + 1.0 for d in df)
 
 
 @dataclass(frozen=True)
@@ -115,16 +99,16 @@ class TermDistribution:
     modal_share: Fraction
 
 
-def distribution_from_vectors(rows, dictionary) -> TermDistribution:
-    """Per-stem totals over count rows."""
+def distribution_from_vectors(rows, stems) -> TermDistribution:
+    """Per-stem totals over count rows that hold one count per stem."""
     rows = list(rows)
     if not rows:
         raise EmptyCorpus("no blocks to aggregate")
-    agg = [0] * len(dictionary.stems)
+    agg = [0] * len(stems)
     for row in rows:
         for i, c in enumerate(row):
             agg[i] += c
-    pairs = sorted(zip(dictionary.stems, agg), key=lambda kv: (-kv[1], kv[0]))
+    pairs = sorted(zip(stems, agg), key=lambda kv: (-kv[1], kv[0]))
     total = sum(agg)
     modal_stem, modal_count = pairs[0]
     return TermDistribution(
@@ -132,14 +116,6 @@ def distribution_from_vectors(rows, dictionary) -> TermDistribution:
         instruction_count=total,
         modal_stem=modal_stem,
         modal_share=Fraction(modal_count, total) if total else Fraction(0),
-    )
-
-
-def term_distribution(blocks, dictionary: TermDictionary | None = None) -> TermDistribution:
-    if dictionary is None:
-        dictionary = load_default_dictionary()
-    return distribution_from_vectors(
-        (tf_vector(b, dictionary) for b in blocks), dictionary
     )
 
 

@@ -11,21 +11,11 @@ length-prefixed sorted label lists, so any label alphabet is safe and an
 independent implementation can reproduce digests exactly.
 """
 
-from dataclasses import dataclass
 from hashlib import blake2b
 
 from .errors import EmptyGraph
 
 DIGEST_BITS = 128  # the only width: 32 hex characters
-
-
-@dataclass(frozen=True)
-class WLParams:
-    iterations: int = 3
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
 
 
 def _digest(data: bytes) -> str:
@@ -61,7 +51,7 @@ def wl_refine(graph, labels):
     return new_labels
 
 
-def wl_hash(graph, params: WLParams = WLParams()) -> str:
+def wl_hash(graph, iterations=3) -> str:
     """Isomorphism-invariant 32-hex digest of a labeled directed graph.
 
     Node ids never enter the digest, only sorted label multisets, so any
@@ -74,9 +64,9 @@ def wl_hash(graph, params: WLParams = WLParams()) -> str:
         "ddghash-wl/1\n",
         f"nodes={len(graph.nodes)}\n",
         f"edges={len(graph.edges)}\n",
-        f"iterations={params.iterations}\n",
+        f"iterations={iterations}\n",
     ]
-    for rnd in range(params.iterations + 1):
+    for rnd in range(iterations + 1):
         if rnd > 0:
             labels = wl_refine(graph, labels)
         parts.append(f"round={rnd}\n")

@@ -1,6 +1,6 @@
 """Shared fixture builders: listing text generators and graph constructors."""
 
-from ddghash.ddg import DataDependencyGraph, DdgNode, LabelMode
+from ddghash.ddg import DataDependencyGraph, DdgNode
 
 # Ten-instruction single-block listing used across the suite, in both
 # syntaxes. The Intel form writes memory operands bracket-less ("rbp - 44")
@@ -92,12 +92,11 @@ def star_program(class_ids, start=0x1000):
 
 # --- direct graph construction -------------------------------------------
 
-def make_graph(n, edges, labels=None, block_id=0,
-               mode=LabelMode.OPERAND_CLASS):
+def make_graph(n, edges, labels=None, block_id=0):
     if labels is None:
         labels = ["*"] * n
     nodes = tuple(DdgNode(i, f"n{i}", labels[i]) for i in range(n))
-    return DataDependencyGraph(block_id=block_id, mode=mode, nodes=nodes,
+    return DataDependencyGraph(block_id=block_id, nodes=nodes,
                                edges=frozenset(edges))
 
 
@@ -109,8 +108,8 @@ def permute_graph(graph, perm):
         key=lambda nd: nd.id,
     )
     edges = frozenset((perm[u], perm[v]) for u, v in graph.edges)
-    return DataDependencyGraph(block_id=graph.block_id, mode=graph.mode,
-                               nodes=tuple(nodes), edges=edges)
+    return DataDependencyGraph(block_id=graph.block_id, nodes=tuple(nodes),
+                               edges=edges)
 
 
 def random_graph(rng, max_nodes=12, edge_prob=0.3, label_pool=("reg", "mem", "imm")):

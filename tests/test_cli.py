@@ -45,15 +45,16 @@ def test_usage_error_exit_2(tmp_path, capsys, monkeypatch):
                  ["contain", "--threshold", "inf"],
                  ["contain", "--threshold", "0"],
                  ["nearest", "x", "-k", "0"],
-                 ["nearest", "x", "-k", "-1"]):
+                 ["nearest", "x", "-k", "-1"],
+                 ["matrix", "a", "b", "a"]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("usage: ddghash"), argv
-        if argv[:1] == ["ingest"] and len(argv) > 1:
-            assert "ddghash ingest: error: " in err, argv
+        if argv[:1] in (["ingest"], ["matrix"]) and len(argv) > 1:
+            assert f"ddghash {argv[0]}: error: " in err, argv
         if "threshold" in argv:
             assert "--threshold must be in (0, 1]" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -411,6 +412,35 @@ def test_tfstats_vectors_csv(tmp_path, capsys):
     assert len(rows) == 2  # header + one block
 
 
+def test_tfstats_reads_the_files_own_stems(tmp_path, capsys):
+    src = tmp_path / "sample.objdump"
+    src.write_text(CMOV_BLOCK_INTEL)
+    corpus = str(tmp_path / "corpus")
+    assert main(["-C", corpus, "ingest", str(src), "--id", "sample"]) == 0
+    path = tmp_path / "corpus" / "sample.features.json"
+    doc = json.loads(path.read_text())
+    stems = doc["term_stems"]
+    doc["term_stems"] = stems[::-1]
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    # the file's label for the slot that counts the four movs
+    label = stems[::-1][stems.index("mov")]
+    code, out, _ = run(capsys, "-C", corpus, "tfstats", "sample")
+    assert code == 0
+    assert f"modal stem {label} (share 0.400)" in out
+    code, out, _ = run(capsys, "-C", corpus, "--format", "csv",
+                       "tfstats", "sample", "--vectors")
+    assert code == 0
+    assert next(csv.reader(io.StringIO(out))) == stems[::-1]
+    # rows that do not hold one count per stem are refused
+    doc["term_stems"] = stems[:-1]
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    for argv in (["tfstats", "sample"], ["tfstats", "sample", "--vectors"]):
+        code, out, err = run(capsys, "-C", corpus, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"error: {path}: member 'term_counts': "), err
+
+
 def test_tfstats_unknown_program(tmp_path, capsys):
     corpus = _seed_corpus(tmp_path, {"x": range(1, 5)})
     code, _, err = run(capsys, "-C", corpus, "tfstats", "ghost")
@@ -457,6 +487,19 @@ def test_query_rejects_unsafe_id(tmp_path, capsys):
         assert code == 1, argv
         assert out == ""
         assert err.startswith("error: invalid program id '../outside'")
+
+
+def test_queries_refuse_a_file_named_for_another_program(tmp_path, capsys):
+    corpus = _seed_corpus(tmp_path, {"a": range(1, 5), "b": range(3, 9)})
+    copy = tmp_path / "corpus" / "copy.features.json"
+    copy.write_text((tmp_path / "corpus" / "a.features.json").read_text())
+    for argv in (["compare", "copy", "b"],
+                 ["nearest", "b"],
+                 ["matrix", "--all"]):
+        code, out, err = run(capsys, "-C", corpus, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith(f"error: {copy}: program_id 'a' "), err
 
 
 # -- feature files that are not whole canonical documents --------------------

@@ -13,7 +13,6 @@ from ddghash.ddg import InstructionFamilyPolicy, LabelMode
 from ddghash.errors import (DdghashError, MalformedListing,
                             NoInstructionsFound, UnknownProgram)
 from ddghash.features import FeatureParams, ProgramFeatureSet, compare
-from ddghash.wlhash import WLParams
 
 from fixtures import star_program
 
@@ -71,8 +70,9 @@ def test_format_version_checked():
     lambda t: t.replace(',\n  "params": ', '\n  "params": ', 1),
     lambda t: t.replace('"program_id": "', '"program_id": 1 + "', 1),
     lambda t: t.replace('"digest_bits": 128', '"digest_bits": 64', 1),
+    lambda t: t.replace('"wl_iterations": 3', '"wl_iterations": 0', 1),
 ], ids=["renamed", "extra_inside", "extra_last", "no_comma", "bad_value",
-        "digest_bits_64"])
+        "digest_bits_64", "wl_iterations_0"])
 def test_non_canonical_text_names_source(mutate):
     text = encode_feature_file(_random_feature_file(random.Random(3)))
     with pytest.raises(DdghashError, match="^corp/p.features.json: "):
@@ -299,7 +299,7 @@ def _feature_files(draw):
         params=FeatureParams(
             label_mode=draw(st.sampled_from(LabelMode)),
             policy=draw(st.sampled_from(InstructionFamilyPolicy)),
-            wl=WLParams(iterations=draw(st.integers(1, 5)))),
+            wl_iterations=draw(st.integers(1, 5))),
         block_map=draw(st.dictionaries(block_ids, digests | _TEXT, max_size=30)),
         order_edges=draw(st.frozensets(st.tuples(block_ids, block_ids), max_size=12)),
         diagnostics=draw(st.dictionaries(
@@ -340,8 +340,9 @@ def _writer_case(block_map=(), edges=(), term_counts=(), program_id="p",
       '"order_edges": [\n    [\n      2,\n      10\n    ],\n    [\n      10,'
       '\n      2\n    ],\n    [\n      100,\n      3\n    ]\n  ]',
       '"10": [\n      10,\n      0\n    ],\n    "100": [']),
-    (_writer_case(term_counts={i: ((1, 0), (0, 2), ())[i % 3] for i in range(12)}),
-     ['"10": [\n      0,\n      2\n    ],\n    "11": [],\n    "2": []']),
+    (_writer_case(term_counts={i: ((1, 0), (0, 2), (0, 0))[i % 3] for i in range(12)}),
+     ['"10": [\n      0,\n      2\n    ],\n    "11": [\n      0,\n      0\n    ],'
+      '\n    "2": [\n      0,\n      0\n    ]']),
     (_writer_case(program_id='dis"asm\\ \u00fc\n\u2028',
                   diagnostics={"note": 'tab\t"q"', "blocks": 3, "\u00e9": None}),
      ['"diagnostics": {\n    "blocks": 3,\n    "note": "tab\\t\\"q\\"",\n'

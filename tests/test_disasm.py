@@ -5,11 +5,12 @@ from pathlib import Path
 import pytest
 
 from ddghash.disasm import (IMMEDIATE, MEMORY, REGISTER, Operand,
-                            _parse_instruction, detect_syntax, parse_listing,
-                            parse_listing_with_report, parse_operand)
+                            _parse_instruction, _split_operands, detect_syntax,
+                            parse_listing, parse_listing_with_report,
+                            parse_operand)
 from ddghash.errors import (MalformedListing, NoInstructionsFound,
                             UnparsableOperand)
-from ddghash.tfidf import stem
+from ddghash.tfidf import load_default_dictionary
 
 from fixtures import CMOV_BLOCK_ATT, CMOV_BLOCK_INTEL, gen_instructions, \
     make_listing, render_listing
@@ -112,6 +113,18 @@ def test_parse_operand_registers_and_sib():
     assert (op.base, op.index, op.scale, op.displacement) == ("rax", "rbx", 4, 8)
     att = parse_operand("0x8(%rax,%rbx,4)", "att")
     assert att == op
+    # commas inside parens or brackets, nested or not, split nothing
+    for text, parts in [
+        ("0x8(%rax,%rbx,4),%rcx", ["0x8(%rax,%rbx,4)", "%rcx"]),
+        ("%fs:0x28(,%rax,8),%rdx", ["%fs:0x28(,%rax,8)", "%rdx"]),
+        ("((%rax,%rbx)),%rcx", ["((%rax,%rbx))", "%rcx"]),
+        ("a,(b,[c],d),e", ["a", "(b,[c],d)", "e"]),
+        (" eax , [rbx+rcx*4],, 1 ", ["eax", "[rbx+rcx*4]", "1"]),
+        ("", []),
+    ]:
+        assert _split_operands(text) == parts, text
+    ins = _parse_instruction(0, "lea    0x8(%rax,%rbx,4),%rcx", "att")
+    assert ins.operands == (parse_operand("rcx"), op)
 
 
 def test_parse_operand_size_qualifier_dropped():
@@ -122,6 +135,18 @@ def test_parse_operand_size_qualifier_dropped():
 def test_parse_operand_unparsable():
     with pytest.raises(UnparsableOperand):
         parse_operand("{bogus}", "intel")
+    # unbalanced brackets: a comma splits only while the count of open
+    # brackets is zero, and an early close makes it negative
+    for text, parts in [
+        ("(%rax,%rbx", ["(%rax,%rbx"]),
+        ("%eax),(%ebx,%ecx", ["%eax),(%ebx", "%ecx"]),
+        ("%eax),%ebx,(%ecx", ["%eax),%ebx,(%ecx"]),
+        ("eax], [rbx, ecx", ["eax], [rbx", "ecx"]),
+        ("(]a,b[)", ["(]a", "b[)"]),
+    ]:
+        assert _split_operands(text) == parts, text
+    with pytest.raises(UnparsableOperand):
+        _parse_instruction(0, "mov    eax], [rbx, ecx", "intel")
 
 
 def test_operand_canonical_text_reparses_equal():
@@ -239,6 +264,7 @@ def test_att_sign_extension_aliases_give_intel_records(att_name, intel_name):
     assert records(att_name, "att") == records(intel_name, "intel") == \
         [(0x1000, intel_name, (), ())]
     # both spellings fall on one stem, so folding leaves feature files as they were
+    stem = load_default_dictionary().stem
     assert stem(att_name) == stem(intel_name) == "other"
 
 

@@ -10,9 +10,8 @@ from ddghash.ddg import InstructionFamilyPolicy, LabelMode, build_ddg
 from ddghash.disasm import parse_listing
 from ddghash.errors import IncompatibleCorpora
 from ddghash.features import (FeatureParams, ProgramFeatureSet, compare,
-                              export_poset, five_number_summary,
-                              make_feature_set, set_difference)
-from ddghash.wlhash import WLParams, wl_hash
+                              five_number_summary, make_feature_set)
+from ddghash.wlhash import wl_hash
 
 from fixtures import make_listing
 
@@ -74,29 +73,9 @@ def test_incompatible_params_rejected():
                  params=FeatureParams(label_mode=LabelMode.LITERAL))
     with pytest.raises(IncompatibleCorpora):
         compare(a, b)
-    with pytest.raises(IncompatibleCorpora):
-        set_difference(a, b)
-    c = fake_set("c", {_h(1)}, params=FeatureParams(wl=WLParams(iterations=4)))
+    c = fake_set("c", {_h(1)}, params=FeatureParams(wl_iterations=4))
     with pytest.raises(IncompatibleCorpora):
         compare(a, c)
-
-
-def test_set_difference_examples():
-    a = fake_set("ls", {_h(i) for i in range(1, 235)})
-    b = fake_set("zeus", {_h(i) for i in range(122, 744)})
-    assert len(set_difference(a, b)) == 121
-    assert set_difference(a, a) == frozenset()
-
-
-def test_set_difference_matches_membership_scan():
-    rng = random.Random(17)
-    for _ in range(25):
-        ha = {_h(rng.randrange(40)) for _ in range(20)}
-        hb = {_h(rng.randrange(40)) for _ in range(20)}
-        a, b = fake_set("a", ha), fake_set("b", hb)
-        got = set_difference(a, b)
-        expected = {h for h in ha if h not in hb}  # element-by-element scan
-        assert got == expected
 
 
 def test_identities_on_random_pairs():
@@ -167,9 +146,9 @@ def test_block_map_holds_each_graphs_own_hash(mode, policy, monkeypatch):
     params = FeatureParams(label_mode=mode, policy=policy)
     calls = []
 
-    def counted(graph, wl):
+    def counted(graph, iterations):
         calls.append(graph)
-        return wl_hash(graph, wl)
+        return wl_hash(graph, iterations)
 
     monkeypatch.setattr(features, "wl_hash", counted)
     for name in ("true_att", "true_intel"):
@@ -177,7 +156,7 @@ def test_block_map_holds_each_graphs_own_hash(mode, policy, monkeypatch):
         calls.clear()
         fs = make_feature_set(name, blocks, params, {})
         graphs = [(b, build_ddg(b, policy, mode)) for b in blocks]
-        assert fs.block_map == {b.id: wl_hash(g, params.wl)
+        assert fs.block_map == {b.id: wl_hash(g, params.wl_iterations)
                                 for b, g in graphs if len(g)}
         # one hash per distinct (labels, edges) key, not one per block
         assert len(calls) == fs.distinct_graphs < len(fs.block_map)
@@ -188,27 +167,6 @@ def test_zero_nonempty_ddgs_is_valid():
     assert fs.hashes == frozenset()
     rep = compare(fs, fake_set("other", {_h(1)}))
     assert rep.jaccard == 0
-
-
-def test_export_poset():
-    single = fake_set("s", {_h(1)}, block_map={0: _h(1)})
-    assert export_poset(single) == []
-
-    chain = fake_set("c", {_h(1), _h(2), _h(3)},
-                     block_map={0: _h(1), 1: _h(2), 2: _h(3)},
-                     edges={(0, 1), (1, 2)})
-    assert export_poset(chain) == sorted([(_h(1), _h(2)), (_h(2), _h(3))])
-
-    dup = fake_set("d", {_h(1)}, block_map={0: _h(1), 1: _h(1)},
-                   edges={(0, 1)})
-    assert export_poset(dup) == [(_h(1), _h(1))]
-
-
-def test_export_poset_collapses_duplicate_hash_pairs():
-    fs = fake_set("d", {_h(1), _h(2)},
-                  block_map={0: _h(1), 1: _h(2), 2: _h(1), 3: _h(2)},
-                  edges={(0, 1), (2, 3)})
-    assert export_poset(fs) == [(_h(1), _h(2))]
 
 
 def test_five_number_summary():

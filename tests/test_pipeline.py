@@ -2,9 +2,10 @@
 
 import random
 
+import ddghash
 from ddghash.corpus import build_feature_file
 from ddghash.disasm import IMMEDIATE, MEMORY, REGISTER, parse_listing
-from ddghash.features import FeatureParams, export_poset
+from ddghash.features import FeatureParams
 from ddghash.wlhash import wl_refine
 
 from fixtures import gen_instructions, make_graph, make_listing, render_listing
@@ -39,8 +40,6 @@ def test_block_ids_are_global_across_functions():
     assert (3, 3) in fs.order_edges
     # block 4 is a bare ret: empty DDG, so no order edge may touch it
     assert all(4 not in edge for edge in fs.order_edges)
-    poset = export_poset(fs)
-    assert len(poset) >= 2
 
 
 def test_order_edges_dropped_with_empty_ddg_endpoints():
@@ -58,6 +57,14 @@ def test_order_edges_dropped_with_empty_ddg_endpoints():
     assert fs.diagnostics["dropped_order_edges"] >= 1
     for a, b in fs.order_edges:
         assert a in fs.block_map and b in fs.block_map
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in ddghash.__all__ if not hasattr(ddghash, name)]
+    assert missing == []
+    # perfbench/checks.py re-segments and re-hashes listings through these
+    assert {"parse_listing_with_report", "segment", "InstructionFamilyPolicy",
+            "LabelMode", "build_ddg"} <= set(ddghash.__all__)
 
 
 def test_wl_refine_accepts_caller_labels():

@@ -7,9 +7,9 @@ import pytest
 from ddghash.blocks import segment
 from ddghash.disasm import parse_listing
 from ddghash.errors import EmptyCorpus, ZeroVector
-from ddghash.tfidf import (TermDictionary, cosine_similarity, idf,
-                           load_default_dictionary, term_distribution,
-                           tf_vector)
+from ddghash.tfidf import (TermDictionary, cosine_similarity,
+                           distribution_from_vectors, idf,
+                           load_default_dictionary, tf_vector)
 
 from fixtures import CMOV_BLOCK_INTEL, make_listing
 
@@ -71,7 +71,7 @@ def test_slot_is_the_stem_index_worked_out_once(monkeypatch):
                         lambda self, m: calls.append(m) or stem(self, m))
     mnemonics = ["mov", "cmovne", "mov", "endbr64", "cmovne", "sete"]
     assert [dictionary.slot(m) for m in mnemonics] == \
-        [dictionary.index(stem(dictionary, m)) for m in mnemonics]
+        [dictionary.stems.index(stem(dictionary, m)) for m in mnemonics]
     assert calls == ["mov", "cmovne", "endbr64", "sete"]
 
 
@@ -113,21 +113,22 @@ def test_tf_conservation_random_blocks():
 def test_idf_values():
     # single block: every present stem gets idf 1
     one = idf([_vec([3, 1])])
-    assert one.idf[0] == pytest.approx(1.0)
-    assert one.idf[1] == pytest.approx(1.0)
+    assert one[0] == pytest.approx(1.0)
+    assert one[1] == pytest.approx(1.0)
     # absent stem with three blocks: ln(4/1) + 1
     three = idf([_vec([1]), _vec([1]), _vec([1])])
-    assert three.idf[1] == pytest.approx(math.log(4) + 1, abs=1e-9)
-    assert three.idf[1] == pytest.approx(2.386, abs=5e-4)
+    assert three[1] == pytest.approx(math.log(4) + 1, abs=1e-9)
+    assert three[1] == pytest.approx(2.386, abs=5e-4)
     # fully common stem: idf 1 regardless of N
-    assert three.idf[0] == pytest.approx(1.0)
+    assert three[0] == pytest.approx(1.0)
 
 
 def test_idf_monotonic_in_document_frequency():
     vectors = [_vec([1, 1, 0]), _vec([1, 0, 0]), _vec([1, 1, 0])]
-    c = idf(vectors)
-    assert c.df[0] == 3 and c.df[1] == 2 and c.df[2] == 0
-    assert c.idf[2] > c.idf[1] > c.idf[0]
+    w = idf(vectors)
+    # document frequencies 3, 2 and 0 of N = 3
+    assert w[:3] == pytest.approx([math.log(4 / (1 + df)) + 1 for df in (3, 2, 0)])
+    assert w[2] > w[1] > w[0]
 
 
 def test_idf_empty_corpus():
@@ -135,8 +136,12 @@ def test_idf_empty_corpus():
         idf([])
 
 
+def _distribution(block):
+    return distribution_from_vectors([tf_vector(block, DICT)], DICT.stems)
+
+
 def test_term_distribution_sample_block():
-    d = term_distribution([_block(CMOV_BLOCK_INTEL)], DICT)
+    d = _distribution(_block(CMOV_BLOCK_INTEL))
     assert d.modal_stem == "mov"
     assert d.modal_share == Fraction(4, 10)
     assert d.totals[0] == ("mov", 4)
@@ -144,7 +149,7 @@ def test_term_distribution_sample_block():
 
 def test_term_distribution_uniform():
     text = make_listing([("f", ["mov eax, ebx", "add eax, 1", "cmp eax, 0"])])
-    d = term_distribution([_block(text)], DICT)
+    d = _distribution(_block(text))
     top = [c for _, c in d.totals[:3]]
     assert top == [1, 1, 1]
     assert d.modal_share == Fraction(1, 3)
@@ -173,6 +178,6 @@ def test_cosine_scale_invariance():
 
 def test_cosine_with_idf_weights():
     vectors = [_vec([1, 1]), _vec([1, 0]), _vec([1, 0])]
-    weights = idf(vectors).idf
+    weights = idf(vectors)
     w = cosine_similarity(vectors[0], vectors[1], weights)
     assert 0 < w < 1

@@ -4,7 +4,8 @@ import re
 import pytest
 
 from ddghash.errors import EmptyGraph
-from ddghash.wlhash import WLParams, wl_hash, wl_refine
+from ddghash.features import FeatureParams
+from ddghash.wlhash import wl_hash, wl_refine
 
 import iso_oracle
 from fixtures import make_graph, permute_graph, random_graph
@@ -100,12 +101,12 @@ def test_edge_direction_matters_for_labeled_graphs():
 
 def test_iteration_count_changes_hash():
     g = make_graph(3, {(0, 1), (1, 2)})
-    assert wl_hash(g, WLParams(iterations=3)) != wl_hash(g, WLParams(iterations=4))
+    assert wl_hash(g, 3) != wl_hash(g, 4)
 
 
 def test_invalid_params_rejected():
-    with pytest.raises(ValueError):
-        WLParams(iterations=0)
+    with pytest.raises(ValueError, match="wl_iterations"):
+        FeatureParams(wl_iterations=0)
 
 
 def test_hash_agrees_with_refinement_oracle_on_random_pairs():
