@@ -42,9 +42,9 @@ def segment(listing: FunctionListing, first_id=0):
     jump or conditional jump targets. A call's target gets no successor.
     A jump that resolves to no block is recorded as the block's exit.
     """
-    instrs = listing.instructions
-    addr_to_index = {ins.address: i for i, ins in enumerate(instrs)}
-    lo, hi = instrs[0].address, instrs[-1].address
+    instrs, addresses = listing.instructions, listing.addresses
+    addr_to_index = {address: i for i, address in enumerate(addresses)}
+    lo, hi = addresses[0], addresses[-1]
 
     leaders = {0}
     transfers = {}  # index -> (falls through, target index or None, exit)
@@ -77,7 +77,7 @@ def segment(listing: FunctionListing, first_id=0):
         blocks.append(
             BasicBlock(
                 id=ids[start],
-                start_address=instrs[start].address,
+                start_address=addresses[start],
                 instructions=tuple(instrs[start:end]),
                 successors=frozenset(successors),
                 exit=exit,

@@ -175,6 +175,10 @@ def cmd_compare(args):
 
 
 def cmd_matrix(args):
+    if args.all and args.ids:
+        args.usage_error("--all takes no ids")
+    if args.pairs_out and not args.stats:
+        args.usage_error("--pairs-out requires --stats")
     corpus = Corpus(_corpus_dir(args))
     ids = corpus.ids() if args.all else args.ids
     if len(set(ids)) < len(ids):

@@ -184,12 +184,14 @@ def _term_stems(stems):
 
 
 def _term_counts(counts, stems):
-    """Rows keyed by block id; each must hold one count per stem."""
+    """Rows keyed by block id; each must hold one non-negative integer
+    count per stem. Each distinct row is checked once."""
     rows = {int(i): tuple(c) for i, c in counts.items()}
-    for i, row in rows.items():
-        if len(row) != len(stems):
-            raise ValueError(f"block {i} has {len(row)} counts "
-                             f"for {len(stems)} term_stems")
+    for row in set(rows.values()):
+        if len(row) != len(stems) or not all(type(c) is int and c >= 0 for c in row):
+            block = next(i for i, r in rows.items() if r is row)
+            raise ValueError(f"block {block} does not hold {len(stems)} "
+                             f"non-negative integer counts, one per stem")
     return rows
 
 
@@ -360,14 +362,15 @@ class Corpus:
 
 
 def _write_atomic(path: Path, payload: str):
-    """Replace path with payload through a temp file named for this writer
-    alone; leaves the file untouched when its bytes are unchanged."""
-    if path.is_file() and path.read_text() == payload:
+    """Replace path with payload, as UTF-8, through a temp file named for
+    this writer alone; leaves the file untouched when its bytes are unchanged."""
+    data = payload.encode("utf-8")
+    if path.is_file() and path.read_bytes() == data:
         return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "x") as fh:
-            fh.write(payload)
+        with open(tmp, "xb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

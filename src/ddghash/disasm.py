@@ -45,7 +45,6 @@ class Operand:
 
 @dataclass(frozen=True)
 class Instruction:
-    address: int
     mnemonic: str
     operands: tuple[Operand, ...]
     raw_text: str
@@ -56,6 +55,7 @@ class Instruction:
 class FunctionListing:
     name: str
     instructions: tuple[Instruction, ...]
+    addresses: tuple[int, ...]  # of each line, parallel to instructions
 
 
 @dataclass
@@ -227,7 +227,7 @@ def _parse_att_operand(token, branch):
     token = _SEGMENT_RE.sub("", token).strip()
     if token.startswith("%"):
         name = token[1:].lower()
-        if not name:
+        if name not in isa.REGISTERS:
             raise UnparsableOperand(token)
         return _register_operand(name)
     if "(" in token and token.endswith(")"):
@@ -239,6 +239,8 @@ def _parse_att_operand(token, branch):
                 raise UnparsableOperand(token)
             base = fields[0].lstrip("%").lower() or None
             index = fields[1].lstrip("%").lower() or None if len(fields) >= 2 else None
+            if any(reg not in isa.REGISTERS for reg in (base, index) if reg):
+                raise UnparsableOperand(token)
             scale = None
             if len(fields) == 3 and fields[2]:
                 scale = _parse_int(fields[2])
@@ -357,7 +359,7 @@ def _extract_asm(rest):
 _DATA_DIRECTIVES = (".byte", ".word", ".long", ".quad", ".value", ".zero", ".short")
 
 
-def _parse_instruction(address, asm, syntax):
+def _parse_instruction(asm, syntax):
     att = syntax == "att"
     tokens = asm.split(None, 1)
     prefixes = []
@@ -383,7 +385,6 @@ def _parse_instruction(address, asm, syntax):
     if len(operands) == 1 and mnemonic in isa.SHIFT_ROTATE:
         operands.append(_immediate_operand(1))  # implicit shift-by-one
     return Instruction(
-        address=address,
         mnemonic=mnemonic,
         operands=tuple(operands),
         raw_text=asm,
@@ -394,9 +395,10 @@ def _parse_instruction(address, asm, syntax):
 def parse_listing_with_report(text, syntax=None):
     """Parse a full listing; returns (functions, report).
 
-    Each distinct asm text is parsed once: a repeat builds its Instruction
-    from the first parse's fields and its own address. Failures are not
-    remembered, so every malformed line is reported at its own number.
+    Each distinct asm text is parsed once, and every line that spells it
+    shares that Instruction; the lines' addresses are kept apart, in
+    FunctionListing.addresses. Failures are not remembered, so every
+    malformed line is reported at its own number.
     Raises NoInstructionsFound for inputs with no instruction lines and
     MalformedListing when more than MAX_MALFORMED_RATIO of the
     instruction-shaped lines fail to parse.
@@ -404,31 +406,15 @@ def parse_listing_with_report(text, syntax=None):
     if syntax is None:
         syntax = detect_syntax(text)
     report = ParseReport(syntax=syntax)
-    parsed = {}  # asm text -> (mnemonic, operands, prefixes)
-
-    functions = []
-    current_name = None
-    current_instructions = []
-    last_address = None
-
-    def flush():
-        nonlocal current_name, current_instructions, last_address
-        if current_name is not None and current_instructions:
-            functions.append(
-                FunctionListing(current_name, tuple(current_instructions))
-            )
-            report.functions += 1
-        current_name = None
-        current_instructions = []
-        last_address = None
+    parsed = {}  # asm text -> Instruction
+    pending = []  # (name, instructions, addresses) of each function, in order
 
     for line_no, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
         header = _FUNC_HEADER_RE.match(raw)
         if header:
-            flush()
-            current_name = header.group(2)
+            pending.append((header.group(2), [], []))
             continue
         m = _INSTR_LINE_RE.match(raw)
         if not m:
@@ -441,25 +427,25 @@ def parse_listing_with_report(text, syntax=None):
             continue
         report.instruction_shaped += 1
         address = int(m.group(1), 16)
-        fields = parsed.get(asm)
-        if fields is None:
+        instr = parsed.get(asm)
+        if instr is None:
             try:
-                instr = _parse_instruction(address, asm, syntax)
+                instr = parsed[asm] = _parse_instruction(asm, syntax)
             except (UnparsableOperand, ValueError) as exc:
                 report.malformed.append((line_no, str(exc), raw.rstrip()))
                 continue
-            parsed[asm] = (instr.mnemonic, instr.operands, instr.prefixes)
-        else:
-            instr = Instruction(address, fields[0], fields[1], asm, fields[2])
-        if last_address is not None and address <= last_address:
+        if not pending:
+            pending.append((f"unnamed_{address:x}", [], []))
+        _, instructions, addresses = pending[-1]
+        if addresses and address <= addresses[-1]:
             report.malformed.append((line_no, "non-increasing address", raw.rstrip()))
             continue
-        if current_name is None:
-            current_name = f"unnamed_{address:x}"
-        last_address = address
-        current_instructions.append(instr)
-        report.instructions += 1
-    flush()
+        instructions.append(instr)
+        addresses.append(address)
+    functions = [FunctionListing(name, tuple(instructions), tuple(addresses))
+                 for name, instructions, addresses in pending if instructions]
+    report.functions = len(functions)
+    report.instructions = sum(len(fn.instructions) for fn in functions)
     report.distinct_asm_texts = len(parsed)
 
     if report.instruction_shaped == 0:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from operator import itemgetter
 
 from .errors import EmptyCorpus, ZeroVector
 
@@ -104,10 +105,7 @@ def distribution_from_vectors(rows, stems) -> TermDistribution:
     rows = list(rows)
     if not rows:
         raise EmptyCorpus("no blocks to aggregate")
-    agg = [0] * len(stems)
-    for row in rows:
-        for i, c in enumerate(row):
-            agg[i] += c
+    agg = [sum(map(itemgetter(i), rows)) for i in range(len(stems))]
     pairs = sorted(zip(stems, agg), key=lambda kv: (-kv[1], kv[0]))
     total = sum(agg)
     modal_stem, modal_count = pairs[0]

@@ -1,5 +1,11 @@
 """Shared fixture builders: listing text generators and graph constructors."""
 
+import functools
+import re
+import shutil
+import subprocess
+from pathlib import Path
+
 from ddghash.ddg import DataDependencyGraph, DdgNode
 
 # Ten-instruction single-block listing used across the suite, in both
@@ -300,3 +306,26 @@ def large_listing(n_instructions, seed=7):
         fn += 1
         remaining -= body
     return make_listing(functions)
+
+
+def replace_first_count(text, value):
+    """A feature file's text with value written over its first term count."""
+    return re.sub(r'("term_counts": \{\n    "\d+": \[\n +)\d+',
+                  lambda m: m.group(1) + value, text, count=1)
+
+
+# --- listings objdump generates from an installed binary -------------------
+
+BASE64 = "/usr/bin/base64"  # a few thousand instructions
+
+
+@functools.lru_cache(maxsize=None)
+def objdump_listings(binary):
+    """(AT&T, Intel) objdump -d text of an installed binary, made once per
+    process; None when objdump or the binary is absent."""
+    if shutil.which("objdump") is None or not Path(binary).is_file():
+        return None
+    return tuple(
+        subprocess.run(["objdump", "-d", *flags, binary], capture_output=True,
+                       text=True, check=True).stdout
+        for flags in ([], ["-M", "intel"]))

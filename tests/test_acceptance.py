@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 import iso_oracle
-from fixtures import (CMOV_BLOCK_INTEL, gen_instructions, large_listing,
-                      make_graph, make_listing, permute_graph, random_graph,
-                      render_listing, star_program)
+from fixtures import (BASE64, CMOV_BLOCK_INTEL, gen_instructions,
+                      large_listing, make_graph, make_listing, objdump_listings,
+                      permute_graph, random_graph, render_listing, star_program)
 
 from ddghash.blocks import segment
 from ddghash.corpus import Corpus, FeatureFile, build_feature_file, \
@@ -30,6 +30,7 @@ from ddghash.tfidf import load_default_dictionary, tf_vector
 from ddghash.wlhash import wl_hash
 
 PARAMS = FeatureParams()
+DATA = Path(__file__).parent / "data"
 
 
 def _cli(corpus, *argv, cwd=None):
@@ -267,17 +268,30 @@ def criterion_8_persistence(tmp_path):
 
 def criterion_9_parser_equivalence():
     """>= 500 generated instructions rendered in AT&T and Intel syntax
-    parse to field-identical records."""
+    parse to field-identical records at the same addresses, and so do
+    /usr/bin/true's listings in tests/data and, where objdump and base64
+    are installed, base64's."""
     rng = random.Random(0xA55)
     specs = gen_instructions(rng, 500)
-    intel = [i for f in parse_listing(render_listing(specs, att=False, seed=1))
-             for i in f.instructions]
-    att = [i for f in parse_listing(render_listing(specs, att=True, seed=2))
-           for i in f.instructions]
-    assert len(intel) == len(att) == 500
-    for a, b in zip(intel, att):
-        assert (a.address, a.mnemonic, a.operands, a.prefixes) == \
-            (b.address, b.mnemonic, b.operands, b.prefixes)
+    pairs = [(render_listing(specs, att=True, seed=2),
+              render_listing(specs, att=False, seed=1)),
+             tuple((DATA / f"true_{s}.objdump").read_text()
+                   for s in ("att", "intel"))]
+    if objdump_listings(BASE64) is not None:
+        pairs.append(objdump_listings(BASE64))
+    counts = []
+    for att_text, intel_text in pairs:
+        att_fns, intel_fns = parse_listing(att_text), parse_listing(intel_text)
+        assert [f.addresses for f in att_fns] == [f.addresses for f in intel_fns]
+        att = [i for f in att_fns for i in f.instructions]
+        intel = [i for f in intel_fns for i in f.instructions]
+        assert len(intel) == len(att)
+        for a, b in zip(intel, att):
+            assert (a.mnemonic, a.operands, a.prefixes) == \
+                (b.mnemonic, b.operands, b.prefixes)
+        counts.append(len(att))
+    assert counts[0] == 500
+    return f"instructions per listing pair: {counts}"
 
 
 # 10 -----------------------------------------------------------------------

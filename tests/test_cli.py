@@ -8,7 +8,7 @@ import pytest
 
 from ddghash.cli import main
 
-from fixtures import CMOV_BLOCK_INTEL, star_program
+from fixtures import CMOV_BLOCK_INTEL, replace_first_count, star_program
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,7 +46,9 @@ def test_usage_error_exit_2(tmp_path, capsys, monkeypatch):
                  ["contain", "--threshold", "0"],
                  ["nearest", "x", "-k", "0"],
                  ["nearest", "x", "-k", "-1"],
-                 ["matrix", "a", "b", "a"]):
+                 ["matrix", "a", "b", "a"],
+                 ["matrix", "--all", "a", "b"],
+                 ["matrix", "a", "b", "--pairs-out", "pairs.csv"]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -140,6 +142,21 @@ def test_stdin_and_file_ingest_alike(tmp_path, capsys, monkeypatch):
     for name in ("p.features.json", "index.json"):
         assert ((tmp_path / "from_file" / name).read_bytes()
                 == (tmp_path / "from_stdin" / name).read_bytes())
+
+
+@pytest.mark.parametrize("name", ["p.features.json", "index.json"])
+def test_ingest_replaces_a_file_that_is_not_utf8(tmp_path, capsys, name):
+    src = tmp_path / "p.objdump"
+    src.write_text(star_program([1, 2, 3]))
+    clean = tmp_path / "clean"
+    assert main(["-C", str(clean), "ingest", str(src)]) == 0
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / name).write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "-C", str(corpus), "ingest", str(src))
+    assert (code, err) == (0, "")
+    for kept in ("p.features.json", "index.json"):
+        assert (corpus / kept).read_bytes() == (clean / kept).read_bytes()
 
 
 def test_keep_going_continues(tmp_path, capsys):
@@ -524,19 +541,24 @@ def _drop_member(text, key):
     return "\n".join(lines[:start] + lines[end:])
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda text: text[:1000],
-    lambda text: _drop_member(text, "order_edges"),
-    lambda text: json.dumps(json.loads(text)),
-    lambda text: b"\xff" + text.encode(),
-], ids=["truncated", "missing_member", "compact", "not_utf8"])
-def test_corrupt_feature_file_fails_cleanly(tmp_path, capsys, mutate):
+_QUERIES = (["compare", "true_att", "true_intel"],
+            ["tfstats", "true_att"],
+            ["nearest", "true_intel"],
+            ["matrix", "--all"],
+            ["contain"])
+
+
+@pytest.mark.parametrize("mutate, queries", [
+    (lambda text: text[:1000], _QUERIES),
+    (lambda text: _drop_member(text, "order_edges"), _QUERIES),
+    (lambda text: json.dumps(json.loads(text)), _QUERIES),
+    (lambda text: b"\xff" + text.encode(), _QUERIES),
+    # only tfstats reads term_counts
+    (lambda text: replace_first_count(text, '"x"'), [["tfstats", "true_att"]]),
+], ids=["truncated", "missing_member", "compact", "not_utf8", "count_not_int"])
+def test_corrupt_feature_file_fails_cleanly(tmp_path, capsys, mutate, queries):
     corpus, path = _corrupt_corpus(tmp_path, mutate)
-    for argv in (["compare", "true_att", "true_intel"],
-                 ["tfstats", "true_att"],
-                 ["nearest", "true_intel"],
-                 ["matrix", "--all"],
-                 ["contain"]):
+    for argv in queries:
         code, out, err = run(capsys, "-C", corpus, *argv)
         assert code == 1, argv
         assert out == ""

@@ -14,7 +14,7 @@ from ddghash.errors import (DdghashError, MalformedListing,
                             NoInstructionsFound, UnknownProgram)
 from ddghash.features import FeatureParams, ProgramFeatureSet, compare
 
-from fixtures import star_program
+from fixtures import replace_first_count, star_program
 
 PARAMS = FeatureParams()
 
@@ -71,12 +71,17 @@ def test_format_version_checked():
     lambda t: t.replace('"program_id": "', '"program_id": 1 + "', 1),
     lambda t: t.replace('"digest_bits": 128', '"digest_bits": 64', 1),
     lambda t: t.replace('"wl_iterations": 3', '"wl_iterations": 0', 1),
+    *(lambda t, v=v: replace_first_count(t, v)
+      for v in ('"x"', "-1", "true", "1.5", "null", "[1]")),
 ], ids=["renamed", "extra_inside", "extra_last", "no_comma", "bad_value",
-        "digest_bits_64", "wl_iterations_0"])
+        "digest_bits_64", "wl_iterations_0", "count_str", "count_negative",
+        "count_bool", "count_float", "count_null", "count_list"])
 def test_non_canonical_text_names_source(mutate):
     text = encode_feature_file(_random_feature_file(random.Random(3)))
+    assert mutate(text) != text
     with pytest.raises(DdghashError, match="^corp/p.features.json: "):
-        decode_feature_file(mutate(text), "corp/p.features.json")
+        # term_counts is decoded on first read
+        decode_feature_file(mutate(text), "corp/p.features.json").term_counts
 
 
 def test_ingest_dedup_counts(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from pathlib import Path
 
@@ -80,8 +79,8 @@ def test_att_and_intel_renderings_agree():
     intel = parse_listing(CMOV_BLOCK_INTEL)[0]
     att = parse_listing(CMOV_BLOCK_ATT)[0]
     assert len(intel.instructions) == len(att.instructions)
+    assert intel.addresses == att.addresses
     for a, b in zip(intel.instructions, att.instructions):
-        assert a.address == b.address
         assert a.mnemonic == b.mnemonic
         assert a.operands == b.operands
 
@@ -123,7 +122,7 @@ def test_parse_operand_registers_and_sib():
         ("", []),
     ]:
         assert _split_operands(text) == parts, text
-    ins = _parse_instruction(0, "lea    0x8(%rax,%rbx,4),%rcx", "att")
+    ins = _parse_instruction("lea    0x8(%rax,%rbx,4),%rcx", "att")
     assert ins.operands == (parse_operand("rcx"), op)
 
 
@@ -146,7 +145,14 @@ def test_parse_operand_unparsable():
     ]:
         assert _split_operands(text) == parts, text
     with pytest.raises(UnparsableOperand):
-        _parse_instruction(0, "mov    eax], [rbx, ecx", "intel")
+        _parse_instruction("mov    eax], [rbx, ecx", "intel")
+    # AT&T register names, bare or as a base or index, are checked against
+    # the register table as Intel ones are
+    for asm in ("mov    %eax),(%ebx,%ecx", "mov    %bogus,%eax",
+                "mov    (%bogus),%eax", "mov    0x8(%rax,%bogus,4),%eax",
+                "mov    %,%eax"):
+        with pytest.raises(UnparsableOperand):
+            _parse_instruction(asm, "att")
 
 
 def test_operand_canonical_text_reparses_equal():
@@ -170,7 +176,8 @@ def test_round_trip_determinism():
 
 def test_addresses_strictly_increasing():
     fns = parse_listing(CMOV_BLOCK_INTEL)
-    addrs = [i.address for i in fns[0].instructions]
+    addrs = list(fns[0].addresses)
+    assert len(addrs) == len(fns[0].instructions)
     assert addrs == sorted(set(addrs))
 
 
@@ -243,12 +250,13 @@ def test_generated_corpus_parses_identically_in_both_syntaxes():
     specs = gen_instructions(rng, 600)
     intel_fns = parse_listing(render_listing(specs, att=False, seed=5))
     att_fns = parse_listing(render_listing(specs, att=True, seed=6))
+    assert [f.addresses for f in intel_fns] == [f.addresses for f in att_fns]
     intel = [i for f in intel_fns for i in f.instructions]
     att = [i for f in att_fns for i in f.instructions]
     assert len(intel) == len(att) == 600
     for a, b in zip(intel, att):
-        assert (a.address, a.mnemonic, a.operands, a.prefixes) == \
-            (b.address, b.mnemonic, b.operands, b.prefixes)
+        assert (a.mnemonic, a.operands, a.prefixes) == \
+            (b.mnemonic, b.operands, b.prefixes)
 
 
 @pytest.mark.parametrize("att_name, intel_name", [
@@ -257,9 +265,9 @@ def test_generated_corpus_parses_identically_in_both_syntaxes():
 ])
 def test_att_sign_extension_aliases_give_intel_records(att_name, intel_name):
     def records(name, syntax):
-        fns = parse_listing(make_listing([("f", [name])]), syntax=syntax)
-        return [(i.address, i.mnemonic, i.operands, i.prefixes)
-                for i in fns[0].instructions]
+        fn = parse_listing(make_listing([("f", [name])]), syntax=syntax)[0]
+        return [(address, i.mnemonic, i.operands, i.prefixes)
+                for address, i in zip(fn.addresses, fn.instructions)]
 
     assert records(att_name, "att") == records(intel_name, "intel") == \
         [(0x1000, intel_name, (), ())]
@@ -288,9 +296,10 @@ def test_repeated_malformed_text_reported_at_each_line():
 def test_repeated_text_gets_its_own_address():
     text = make_listing([("f", ["mov    eax, DWORD PTR [rbp-0x2c]", "nop",
                                 "mov    eax, DWORD PTR [rbp-0x2c]"])])
-    first, _, third = parse_listing(text)[0].instructions
-    assert (first.address, third.address) == (0x1000, 0x1008)
-    assert first == dataclasses.replace(third, address=first.address)
+    fn = parse_listing(text)[0]
+    first, _, third = fn.instructions
+    assert first is third  # one record per distinct text
+    assert (fn.addresses[0], fn.addresses[2]) == (0x1000, 0x1008)
     assert first.operands[1].text == "[rbp-44]"
 
 
@@ -304,5 +313,5 @@ def test_same_text_parses_per_syntax():
     for a, b in zip(att, intel):
         assert a.operands == (parse_operand("[10]"),)
         assert b.operands == (parse_operand("imm:10"),)
-        assert a == _parse_instruction(a.address, a.raw_text, "att")
-        assert b == _parse_instruction(b.address, b.raw_text, "intel")
+        assert a == _parse_instruction(a.raw_text, "att")
+        assert b == _parse_instruction(b.raw_text, "intel")

@@ -4,9 +4,11 @@ tests/data holds objdump -d output of /usr/bin/true (GNU coreutils,
 x86-64) in both syntaxes. Unlike the synthetic fixtures this exercises
 the long tail of real listings: plt stubs, bnd/cs prefixes, multi-byte
 nops, indirect calls, rip-relative negative displacements, and the
-implicit shift-by-one form.
+implicit shift-by-one form. Where objdump and base64 are installed, the
+parser checks also run on base64's listings, made when the tests run.
 """
 
+import re
 from pathlib import Path
 
 from ddghash.corpus import build_feature_file
@@ -14,6 +16,8 @@ from ddghash.disasm import (_parse_instruction, detect_syntax,
                             parse_listing_with_report)
 from ddghash.features import FeatureParams, compare
 from ddghash.tfidf import load_default_dictionary
+
+from fixtures import BASE64, objdump_listings
 
 DATA = Path(__file__).parent / "data"
 ATT = (DATA / "true_att.objdump").read_text()
@@ -34,27 +38,51 @@ def test_full_listing_parses_cleanly():
 
 
 def test_syntaxes_normalize_to_identical_records():
-    att_fns, _ = parse_listing_with_report(ATT)
-    intel_fns, _ = parse_listing_with_report(INTEL)
-    assert [f.name for f in att_fns] == [f.name for f in intel_fns]
-    for fa, fb in zip(att_fns, intel_fns):
-        assert len(fa.instructions) == len(fb.instructions)
-        for a, b in zip(fa.instructions, fb.instructions):
-            assert (a.address, a.mnemonic, a.operands, a.prefixes) == \
-                (b.address, b.mnemonic, b.operands, b.prefixes)
+    pairs = [(ATT, INTEL)]
+    if objdump_listings(BASE64) is not None:
+        pairs.append(objdump_listings(BASE64))
+    for att, intel in pairs:
+        att_fns, _ = parse_listing_with_report(att)
+        intel_fns, _ = parse_listing_with_report(intel)
+        assert [f.name for f in att_fns] == [f.name for f in intel_fns]
+        for fa, fb in zip(att_fns, intel_fns):
+            assert fa.addresses == fb.addresses
+            assert len(fa.instructions) == len(fb.instructions)
+            for a, b in zip(fa.instructions, fb.instructions):
+                assert (a.mnemonic, a.operands, a.prefixes) == \
+                    (b.mnemonic, b.operands, b.prefixes)
+
+
+_LINE_RE = re.compile(r"^ *([0-9a-f]+):\t(.*)$", re.MULTILINE)
+
+
+def _check_shared_records(text):
+    """One Instruction per distinct asm text, and each function's addresses
+    are those of the lines its instructions came from."""
+    fns, report = parse_listing_with_report(text)
+    instructions = [i for f in fns for i in f.instructions]
+    assert len(instructions) == report.instructions
+    assert len({id(i) for i in instructions}) == report.distinct_asm_texts == \
+        len({i.raw_text for i in instructions}) < len(instructions)
+    assert "distinct_asm_texts" not in report.as_dict()
+    lines = {int(m.group(1), 16): m.group(2) for m in _LINE_RE.finditer(text)}
+    for fn in fns:
+        assert len(fn.addresses) == len(fn.instructions)
+        for address, ins in zip(fn.addresses, fn.instructions):
+            assert ins.raw_text in lines[address]
+    return instructions
 
 
 def test_each_instruction_equals_a_fresh_parse():
-    # the listing parser parses each distinct text once and reuses it
+    # the listing parser parses each distinct text once and shares it
     for text, syntax in ((ATT, "att"), (INTEL, "intel")):
-        fns, report = parse_listing_with_report(text)
-        instructions = [i for f in fns for i in f.instructions]
-        assert len(instructions) == report.instructions
-        for ins in instructions:
-            assert ins == _parse_instruction(ins.address, ins.raw_text, syntax)
-        assert report.distinct_asm_texts == \
-            len({i.raw_text for i in instructions}) < len(instructions)
-        assert "distinct_asm_texts" not in report.as_dict()
+        for ins in _check_shared_records(text):
+            assert ins == _parse_instruction(ins.raw_text, syntax)
+
+
+def test_base64_listing_shares_one_record_per_text(base64_listings):
+    for text in base64_listings:
+        _check_shared_records(text)
 
 
 def test_feature_sets_agree_across_syntaxes():
