@@ -4,40 +4,73 @@ Pipeline: objdump-style listing -> basic blocks -> per-block data
 dependency graphs -> Weisfeiler-Lehman hashes -> deduplicated hash set
 with CFG partial order, compared by exact Jaccard/containment set
 algebra, with a 32-stem opcode tf-idf baseline alongside.
+
+Every public name below loads its module on first access, so a corpus
+query never imports the ingest pipeline (disasm, blocks, ddg, wlhash,
+tfidf).
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .blocks import BasicBlock, segment
-from .ddg import (DataDependencyGraph, InstructionFamilyPolicy, LabelMode,
-                  build_ddg, node_label)
-from .disasm import (FunctionListing, Instruction, Operand, detect_syntax,
-                     parse_listing, parse_listing_with_report, parse_operand)
-from .errors import (DdghashError, EmptyCorpus, EmptyGraph,
-                     IncompatibleCorpora, MalformedListing,
-                     NoInstructionsFound, UnknownProgram, UnparsableOperand,
-                     ZeroVector)
-from .features import (FeatureParams, ProgramFeatureSet, SimilarityReport,
-                       compare, five_number_summary, make_feature_set)
-from .tfidf import (TermDictionary, cosine_similarity, idf,
-                    load_default_dictionary, tf_vector)
-from .wlhash import wl_hash, wl_refine
-from .corpus import Corpus, FeatureFile, build_feature_file
 
-__all__ = [
-    "__version__",
-    "BasicBlock", "segment",
-    "DataDependencyGraph", "InstructionFamilyPolicy", "LabelMode",
-    "build_ddg", "node_label",
-    "FunctionListing", "Instruction", "Operand", "detect_syntax",
-    "parse_listing", "parse_listing_with_report", "parse_operand",
-    "DdghashError", "EmptyCorpus", "EmptyGraph", "IncompatibleCorpora",
-    "MalformedListing", "NoInstructionsFound", "UnknownProgram",
-    "UnparsableOperand", "ZeroVector",
-    "FeatureParams", "ProgramFeatureSet", "SimilarityReport", "compare",
-    "five_number_summary", "make_feature_set",
-    "TermDictionary", "cosine_similarity", "idf",
-    "load_default_dictionary", "tf_vector",
-    "wl_hash", "wl_refine",
-    "Corpus", "FeatureFile", "build_feature_file",
-]
+def lazy_names(namespace, homes):
+    """PEP 562 lazy imports for the module whose globals are `namespace`.
+
+    `homes` maps each name to the module of this package that defines it,
+    as "module" or, for a name bound under another name, "module.attr".
+    Returns (__getattr__, bind_all): the first imports a name on first
+    access from outside, the second binds every name before the module's
+    own functions run. Either binds the name into `namespace`, where the
+    functions look it up at call time, and neither replaces a name already
+    bound there, so a wrapper or a test's monkeypatch stays in place.
+    """
+
+    def bind(name):
+        module, _, attr = homes[name].partition(".")
+        value = getattr(import_module(f"{__name__}.{module}"), attr or name)
+        return namespace.setdefault(name, value)
+
+    def __getattr__(name):
+        if name not in homes:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}")
+        return bind(name)
+
+    def bind_all():
+        for name in homes:
+            if name not in namespace:
+                bind(name)
+
+    return __getattr__, bind_all
+
+
+# each public name -> its module, in the order of __all__
+_HOMES = {
+    "BasicBlock": "blocks", "segment": "blocks",
+    "DataDependencyGraph": "ddg", "InstructionFamilyPolicy": "isa",
+    "LabelMode": "isa", "build_ddg": "ddg", "node_label": "ddg",
+    "FunctionListing": "disasm", "Instruction": "disasm", "Operand": "disasm",
+    "detect_syntax": "disasm", "parse_listing": "disasm",
+    "parse_listing_with_report": "disasm", "parse_operand": "disasm",
+    "DdghashError": "errors", "EmptyCorpus": "errors", "EmptyGraph": "errors",
+    "IncompatibleCorpora": "errors", "MalformedListing": "errors",
+    "NoInstructionsFound": "errors", "UnknownProgram": "errors",
+    "UnparsableOperand": "errors", "ZeroVector": "errors",
+    "FeatureParams": "features", "ProgramFeatureSet": "features",
+    "SimilarityReport": "features", "compare": "features",
+    "five_number_summary": "features", "make_feature_set": "features",
+    "TermDictionary": "tfidf", "cosine_similarity": "tfidf", "idf": "tfidf",
+    "load_default_dictionary": "tfidf", "tf_vector": "tfidf",
+    "wl_hash": "wlhash", "wl_refine": "wlhash",
+    "Corpus": "corpus", "FeatureFile": "corpus", "build_feature_file": "corpus",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+__getattr__, _ = lazy_names(globals(), _HOMES)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,12 +9,8 @@ transfer can only ever sit in the final slot of its block.
 from dataclasses import dataclass
 
 from . import isa
-from .disasm import IMMEDIATE, FunctionListing
-
-# a block's unresolved exit: a jump that reaches no block of its function
-INDIRECT = "indirect"  # no direct target
-EXTERNAL = "external"  # a target outside the function
-DANGLING = "dangling"  # a target inside the function, mid-instruction
+from .disasm import FunctionListing
+from .isa import DANGLING, EXTERNAL, IMMEDIATE, INDIRECT
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 operational error, 2 usage error.
 """
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -23,12 +22,16 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
+from . import __version__, lazy_names
 from .corpus import Corpus, check_program_id
-from .ddg import InstructionFamilyPolicy, LabelMode
 from .errors import DdghashError, InvalidProgramId
 from .features import FeatureParams, decimal3, five_number_summary, ratio
-from .tfidf import distribution_from_vectors, idf as corpus_idf
+from .isa import InstructionFamilyPolicy, LabelMode
+
+# tfstats's term statistics load when it first runs, or when the names are
+# first read from outside (where a tracer may wrap them)
+__getattr__, _bind_tfidf = lazy_names(globals(), {
+    "distribution_from_vectors": "tfidf", "corpus_idf": "tfidf.idf"})
 
 
 def _corpus_dir(args):
@@ -72,12 +75,13 @@ def _read_listing(path):
 SCHEMA_VERSION = 1
 
 
-def _emit_csv(rows, header):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def _emit_csv(rows, header, out=None):
+    """Write CSV to `out`, standard output by default."""
+    import csv  # loaded only by the commands that write CSV
+
+    writer = csv.writer(sys.stdout if out is None else out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    print(out.getvalue(), end="")
 
 
 def _emit_json(doc):
@@ -198,9 +202,7 @@ def cmd_matrix(args):
         pair_rows = [[a, b, decimal3(reports[(a, b)].jaccard)] for a, b in pairs]
         if args.pairs_out:
             with open(args.pairs_out, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["id_a", "id_b", "jaccard"])
-                writer.writerows(pair_rows)
+                _emit_csv(pair_rows, ["id_a", "id_b", "jaccard"], fh)
         if args.format == "json":
             _emit_json(dict(shown, pairs=[
                 {"id_a": a, "id_b": b, "jaccard": j} for a, b, j in pair_rows]))
@@ -270,6 +272,7 @@ def cmd_contain(args):
 
 
 def cmd_tfstats(args):
+    _bind_tfidf()
     corpus = Corpus(_corpus_dir(args))
     ff = corpus.load(args.id)
     counts = [c for _, c in sorted(ff.term_counts.items())]

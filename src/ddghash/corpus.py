@@ -10,7 +10,6 @@ and concurrent writers never share one. Reads rely on that fixed
 formatting to decode only the members a caller uses.
 """
 
-import hashlib
 import json
 import os
 import re
@@ -18,13 +17,17 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from . import __version__
-from .blocks import segment
-from .disasm import parse_listing_with_report
+from . import __version__, lazy_names
 from .errors import DdghashError, InvalidProgramId, UnknownProgram
 from .features import (FeatureParams, LazyFields, ProgramFeatureSet, compare,
                        make_feature_set)
-from .tfidf import load_default_dictionary, tf_vector
+
+# the ingest pipeline loads when build_feature_file first runs, or when the
+# names are first read from outside (where a tracer may wrap them); queries
+# never load it
+__getattr__, _bind_pipeline = lazy_names(globals(), {
+    "parse_listing_with_report": "disasm", "segment": "blocks",
+    "load_default_dictionary": "tfidf", "tf_vector": "tfidf"})
 
 FORMAT_VERSION = 1
 
@@ -240,6 +243,9 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
 def build_feature_file(text: str, program_id: str,
                        params: FeatureParams) -> FeatureFile:
     """Run the full pipeline on listing text: parse, segment, DDG, hash."""
+    from hashlib import sha256
+
+    _bind_pipeline()
     functions, report = parse_listing_with_report(text)
     dictionary = load_default_dictionary()
     blocks = []
@@ -250,7 +256,7 @@ def build_feature_file(text: str, program_id: str,
                                      report.as_dict()),
         term_counts={b.id: tf_vector(b, dictionary) for b in blocks},
         term_stems=dictionary.stems,
-        source_digest="sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        source_digest="sha256:" + sha256(text.encode("utf-8")).hexdigest(),
         distinct_asm_texts=report.distinct_asm_texts,
     )
 
@@ -278,7 +284,7 @@ class Corpus:
         if not path.is_file():
             raise UnknownProgram(program_id)
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise DdghashError(f"{path}: {exc}") from None
         ff = decode_feature_file(text, path)

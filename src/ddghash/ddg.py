@@ -9,22 +9,10 @@ with two or more operands contribute edges from each source-position
 operand to its first (destination) operand.
 """
 
-import enum
 from dataclasses import dataclass
 
 from . import isa
-from .disasm import MEMORY, REGISTER
-
-
-class LabelMode(enum.Enum):
-    UNLABELED = "unlabeled"
-    OPERAND_CLASS = "operand_class"
-    LITERAL = "literal"
-
-
-class InstructionFamilyPolicy(enum.Enum):
-    MOV_ONLY = "mov_only"
-    ALL_DATA_OPERANDS = "all_data_operands"
+from .isa import MEMORY, REGISTER, InstructionFamilyPolicy, LabelMode
 
 
 _CLASS_LABELS = {REGISTER: "reg", MEMORY: "mem"}

@@ -24,10 +24,7 @@ from functools import lru_cache
 
 from . import isa
 from .errors import MalformedListing, NoInstructionsFound, UnparsableOperand
-
-REGISTER = "register"
-MEMORY = "memory"
-IMMEDIATE = "immediate"
+from .isa import IMMEDIATE, MEMORY, REGISTER
 
 MAX_MALFORMED_RATIO = 0.10  # malformed share above which a listing is refused
 

@@ -6,14 +6,20 @@ the set its partial order. All similarity arithmetic is exact: sizes are
 ints and coefficients Fractions, so inclusion-exclusion holds to the bit.
 """
 
-import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blocks import DANGLING, EXTERNAL, INDIRECT
-from .ddg import InstructionFamilyPolicy, LabelMode, build_ddg
+from . import lazy_names
 from .errors import IncompatibleCorpora
-from .wlhash import DIGEST_BITS, wl_hash
+from .isa import (DANGLING, EXTERNAL, INDIRECT, InstructionFamilyPolicy,
+                  LabelMode)
+
+# the DDG builder and hasher load when make_feature_set first runs, or when
+# the names are first read from outside (where a tracer may wrap them)
+__getattr__, _bind_pipeline = lazy_names(globals(), {
+    "build_ddg": "ddg", "wl_hash": "wlhash"})
+
+DIGEST_BITS = 128  # the only WL digest width: 32 hex characters
 
 # the diagnostics member that counts each kind of block exit
 _EXIT_COUNTS = {INDIRECT: "indirect_transfers", EXTERNAL: "external_targets",
@@ -170,6 +176,7 @@ def make_feature_set(program_id, blocks, params,
     distinct (labels, edges) key is hashed once. The diagnostics gain the
     block, hash, edge and exit counts.
     """
+    _bind_pipeline()
     diag = dict(diagnostics)
     diag.update(dict.fromkeys(_EXIT_COUNTS.values(), 0))
     block_map = {}
@@ -224,6 +231,8 @@ def compare(a: ProgramFeatureSet, b: ProgramFeatureSet) -> SimilarityReport:
 
 def five_number_summary(values):
     """min/q1/median/q3/max over similarity coefficients (exact input ok)."""
+    import statistics
+
     data = sorted(values)
     if not data:
         raise ValueError("no values to summarize")

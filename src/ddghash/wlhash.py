@@ -14,8 +14,7 @@ independent implementation can reproduce digests exactly.
 from hashlib import blake2b
 
 from .errors import EmptyGraph
-
-DIGEST_BITS = 128  # the only width: 32 hex characters
+from .features import DIGEST_BITS
 
 
 def _digest(data: bytes) -> str:
@@ -23,8 +22,14 @@ def _digest(data: bytes) -> str:
 
 
 def _label_list(labels) -> str:
-    # length-prefixed, sorted: unambiguous for arbitrary label content
-    return "".join(f"{len(lab)}:{lab}" for lab in sorted(labels))
+    # length-prefixed, sorted: unambiguous for arbitrary label content. The
+    # prefix counts UTF-8 bytes, which len() gives when the text is ASCII,
+    # as every label the pipeline makes is.
+    labels = sorted(labels)
+    text = "".join(f"{len(lab)}:{lab}" for lab in labels)
+    if text.isascii():
+        return text
+    return "".join(f"{len(lab.encode('utf-8'))}:{lab}" for lab in labels)
 
 
 def _adjacency(graph):

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -564,6 +567,22 @@ def test_corrupt_feature_file_fails_cleanly(tmp_path, capsys, mutate, queries):
         assert out == ""
         assert err.startswith(f"error: {path}: "), err
         assert "Traceback" not in err
+
+
+def test_feature_files_decode_as_utf8_under_an_ascii_locale(tmp_path):
+    # with locale coercion and UTF-8 mode off, the C locale's encoding is
+    # ASCII; a feature file is still read as UTF-8
+    corpus, path = _corrupt_corpus(tmp_path, lambda text: b"\xff" + text.encode())
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from ddghash.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "-C", corpus,
+         "compare", "true_att", "true_intel"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {path}: 'utf-8' codec can't decode "
+                                  "byte 0xff in position 0"), proc.stderr
 
 
 def test_queries_leave_term_counts_undecoded(tmp_path, capsys):

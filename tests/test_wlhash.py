@@ -1,5 +1,6 @@
 import random
 import re
+from hashlib import blake2b
 
 import pytest
 
@@ -125,3 +126,35 @@ def test_hash_agrees_with_refinement_oracle_on_random_pairs():
                 labels1, labels2,
             )
             assert (wl_hash(g1) == wl_hash(g2)) == equivalent
+
+
+def _wl1_from_formats_doc(labels, edges, iterations=3):
+    """wl/1 as docs/formats.md specifies it: "<len>" is the byte length of
+    the label's UTF-8 encoding. labels: node id -> label."""
+    def label_list(ls):
+        return "".join(f"{len(lab.encode('utf-8'))}:{lab}" for lab in sorted(ls))
+
+    def digest(text):
+        return blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+
+    payload = (f"ddghash-wl/1\nnodes={len(labels)}\nedges={len(edges)}\n"
+               f"iterations={iterations}\n")
+    for rnd in range(iterations + 1):
+        if rnd:
+            labels = {v: digest(label_list([labels[v]])
+                                + "|i" + label_list(labels[s] for s, d in edges if d == v)
+                                + "|o" + label_list(labels[d] for s, d in edges if s == v))
+                      for v in labels}
+        payload += f"round={rnd}\n{label_list(labels.values())}\n"
+    return digest(payload)
+
+
+@pytest.mark.parametrize("labels", [["\u00e9", "x"], ["reg", "mem"],
+                                    ["\u4e2d", "\U0001f600"]],
+                         ids=["latin", "ascii", "wide"])
+def test_label_length_prefix_counts_utf8_bytes(labels):
+    g = make_graph(2, {(0, 1)}, labels=labels)
+    expected = _wl1_from_formats_doc(dict(enumerate(labels)), [(0, 1)])
+    assert wl_hash(g) == expected
+    if labels[0] == "\u00e9":
+        assert expected.startswith("ce52a86a")
