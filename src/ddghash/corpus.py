@@ -242,23 +242,37 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
 
 def build_feature_file(text: str, program_id: str,
                        params: FeatureParams) -> FeatureFile:
-    """Run the full pipeline on listing text: parse, segment, DDG, hash."""
+    """Run the full pipeline on listing text: parse, segment, DDG, hash.
+
+    The cyclic garbage collector is paused for the build and restored as
+    it was found, also when the build raises. The build makes no
+    reference cycles, so reference counting frees all it drops, while
+    each full collection would rescan every record, block and count row
+    still alive.
+    """
+    import gc
     from hashlib import sha256
 
     _bind_pipeline()
-    functions, report = parse_listing_with_report(text)
-    dictionary = load_default_dictionary()
-    blocks = []
-    for fn in functions:
-        blocks.extend(segment(fn, first_id=len(blocks)))
-    return FeatureFile(
-        feature_set=make_feature_set(program_id, blocks, params,
-                                     report.as_dict()),
-        term_counts={b.id: tf_vector(b, dictionary) for b in blocks},
-        term_stems=dictionary.stems,
-        source_digest="sha256:" + sha256(text.encode("utf-8")).hexdigest(),
-        distinct_asm_texts=report.distinct_asm_texts,
-    )
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        functions, report = parse_listing_with_report(text)
+        dictionary = load_default_dictionary()
+        blocks = []
+        for fn in functions:
+            blocks.extend(segment(fn, first_id=len(blocks)))
+        return FeatureFile(
+            feature_set=make_feature_set(program_id, blocks, params,
+                                         report.as_dict()),
+            term_counts={b.id: tf_vector(b, dictionary) for b in blocks},
+            term_stems=dictionary.stems,
+            source_digest="sha256:" + sha256(text.encode("utf-8")).hexdigest(),
+            distinct_asm_texts=report.distinct_asm_texts,
+        )
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def check_program_id(program_id):

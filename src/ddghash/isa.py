@@ -149,14 +149,32 @@ ATT_ALIASES = {"cbtw": "cbw", "cwtl": "cwde", "cltq": "cdqe",
                "cwtd": "cwd", "cltd": "cdq", "cqto": "cqo"}
 
 
+# x87 mnemonics whose AT&T spelling carries a memory-operand size suffix
+# (s, l, t or ll: flds, fildll, fstpt) that Intel syntax omits. A closed
+# list, so fldl2t, fldl2e and fldlg2 stay as they are.
+X87_SUFFIX_BASES = {
+    "fld", "fst", "fstp", "fild", "fist", "fistp", "fisttp", "fadd", "fsub",
+    "fsubr", "fmul", "fdiv", "fdivr", "fcom", "fcomp", "fiadd", "fisub",
+    "fisubr", "fimul", "fidiv", "fidivr", "ficom", "ficomp",
+}
+
+# AT&T swaps the reversed and plain forms of register-register x87
+# subtraction and division when the destination is st(i), i != 0: AT&T
+# fsub %st,%st(1) is Intel fsubr st(1),st.
+X87_REVERSED = {"fsub": "fsubr", "fsubr": "fsub", "fsubp": "fsubrp",
+                "fsubrp": "fsubp", "fdiv": "fdivr", "fdivr": "fdiv",
+                "fdivp": "fdivrp", "fdivrp": "fdivp"}
+
+
 def normalize_mnemonic(mnemonic, att):
     """Lowercase and, for AT&T input, fold operand-size suffixes away.
 
     movzbl/movzbq/... -> movzx, movsbl/movslq/... -> movsx, movsxd -> movsx,
-    movl -> mov, pushq -> push, and so on; the AT&T sign-extension names
-    become their Intel ones (cltq -> cdqe, see ATT_ALIASES). Intel-mode
-    input is only lowercased (movsxd is still folded so both syntaxes
-    agree).
+    movl -> mov, pushq -> push, fildll -> fild, fstpt -> fstp, and so on;
+    the AT&T sign-extension names become their Intel ones (cltq -> cdqe,
+    see ATT_ALIASES). Intel-mode input is only lowercased (movsxd is still
+    folded so both syntaxes agree). The x87 reversed forms depend on the
+    operands, so the parser swaps them (X87_REVERSED).
     """
     m = mnemonic.lower()
     if m == "movsxd":
@@ -169,5 +187,9 @@ def normalize_mnemonic(mnemonic, att):
             m[4] in _SIZE_SUFFIXES and m[5] in _SIZE_SUFFIXES:
         return "movzx" if m[3] == "z" else "movsx"
     if len(m) > 2 and m[-1] in _SIZE_SUFFIXES and m[:-1] in SUFFIX_STRIP_BASES:
+        return m[:-1]
+    if m.endswith("ll") and m[:-2] in X87_SUFFIX_BASES:
+        return m[:-2]
+    if m[-1:] in ("s", "l", "t") and m[:-1] in X87_SUFFIX_BASES:
         return m[:-1]
     return m

@@ -9,8 +9,16 @@ plus the node and edge counts, rendered as 32 lowercase hex characters.
 The byte-exact serialization is documented in docs/formats.md; it uses
 length-prefixed sorted label lists, so any label alphabet is safe and an
 independent implementation can reproduce digests exactly.
+
+A refined label is a pure function of the node's own label and the sorted
+labels of its neighbors, and few of those neighborhoods are distinct (on
+a real listing about one in ten), so one bounded memo keyed by the
+neighborhood serves every node, round and graph of the process: the
+payload is rendered and digested only on a miss. Each graph's adjacency
+is built once, not once per round.
 """
 
+from functools import lru_cache
 from hashlib import blake2b
 
 from .errors import EmptyGraph
@@ -26,34 +34,44 @@ def _label_list(labels) -> str:
     # prefix counts UTF-8 bytes, which len() gives when the text is ASCII,
     # as every label the pipeline makes is.
     labels = sorted(labels)
-    text = "".join(f"{len(lab)}:{lab}" for lab in labels)
+    text = "".join([f"{len(lab)}:{lab}" for lab in labels])
     if text.isascii():
         return text
-    return "".join(f"{len(lab.encode('utf-8'))}:{lab}" for lab in labels)
+    return "".join([f"{len(lab.encode('utf-8'))}:{lab}" for lab in labels])
+
+
+@lru_cache(maxsize=65536)
+def _refined(own, preds, succs) -> str:
+    """The refined label of a node labelled `own` whose in- and
+    out-neighbors carry the labels `preds` and `succs` (sorted tuples)."""
+    payload = (_label_list([own]) + "|i" + _label_list(preds)
+               + "|o" + _label_list(succs))
+    return _digest(payload.encode("utf-8"))
 
 
 def _adjacency(graph):
-    preds = {node.id: [] for node in graph.nodes}
-    succs = {node.id: [] for node in graph.nodes}
+    """Per node, in graph.nodes order: the positions of its in-neighbors
+    and of its out-neighbors."""
+    position = {node.id: i for i, node in enumerate(graph.nodes)}
+    preds = [[] for _ in graph.nodes]
+    succs = [[] for _ in graph.nodes]
     for src, dst in graph.edges:
-        succs[src].append(dst)
-        preds[dst].append(src)
-    return preds, succs
+        succs[position[src]].append(position[dst])
+        preds[position[dst]].append(position[src])
+    return list(zip(preds, succs))
+
+
+def _refine(adjacency, labels):
+    """One round over labels listed in node order."""
+    return [_refined(labels[v], tuple(sorted([labels[u] for u in preds])),
+                     tuple(sorted([labels[w] for w in succs])))
+            for v, (preds, succs) in enumerate(adjacency)]
 
 
 def wl_refine(graph, labels):
     """One refinement round: labels is a node-id -> label mapping."""
-    preds, succs = _adjacency(graph)
-    new_labels = {}
-    for node in graph.nodes:
-        v = node.id
-        payload = (
-            _label_list([labels[v]])
-            + "|i" + _label_list(labels[u] for u in preds[v])
-            + "|o" + _label_list(labels[w] for w in succs[v])
-        )
-        new_labels[v] = _digest(payload.encode("utf-8"))
-    return new_labels
+    refined = _refine(_adjacency(graph), [labels[node.id] for node in graph.nodes])
+    return {node.id: label for node, label in zip(graph.nodes, refined)}
 
 
 def wl_hash(graph, iterations=3) -> str:
@@ -64,7 +82,8 @@ def wl_hash(graph, iterations=3) -> str:
     """
     if not graph.nodes:
         raise EmptyGraph(f"block {graph.block_id} has an empty graph")
-    labels = {node.id: node.label for node in graph.nodes}
+    adjacency = _adjacency(graph)
+    labels = [node.label for node in graph.nodes]
     parts = [
         "ddghash-wl/1\n",
         f"nodes={len(graph.nodes)}\n",
@@ -73,7 +92,7 @@ def wl_hash(graph, iterations=3) -> str:
     ]
     for rnd in range(iterations + 1):
         if rnd > 0:
-            labels = wl_refine(graph, labels)
+            labels = _refine(adjacency, labels)
         parts.append(f"round={rnd}\n")
-        parts.append(_label_list(labels.values()) + "\n")
+        parts.append(_label_list(labels) + "\n")
     return _digest("".join(parts).encode("utf-8"))

@@ -317,6 +317,7 @@ def replace_first_count(text, value):
 # --- listings objdump generates from an installed binary -------------------
 
 BASE64 = "/usr/bin/base64"  # a few thousand instructions
+LS = "/usr/bin/ls"  # about 22k instructions, with x87 code
 
 
 @functools.lru_cache(maxsize=None)

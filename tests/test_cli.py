@@ -11,7 +11,8 @@ import pytest
 
 from ddghash.cli import main
 
-from fixtures import CMOV_BLOCK_INTEL, replace_first_count, star_program
+from fixtures import (BASE64, CMOV_BLOCK_INTEL, objdump_listings,
+                      replace_first_count, star_program)
 
 DATA = Path(__file__).parent / "data"
 
@@ -231,6 +232,35 @@ def test_feature_file_bytes_are_pinned(tmp_path, capsys, setting, listing):
     assert code == 0, err
     data = (corpus / f"{listing}.features.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == PINNED_FILES[setting][listing]
+
+
+def _ingest_in_a_new_process(corpus, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddghash", "-C", str(corpus), "ingest",
+         *map(str, args)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("setting", list(PINNED_FILES)[:2], ids=["default", "literal"])
+def test_one_ingest_process_writes_what_separate_ones_write(tmp_path, setting):
+    """State an ingest keeps in memory for the next listing (parsed
+    operands, refined WL labels) never reaches a file: ingesting B after A
+    in one process writes what ingesting B alone does."""
+    listings = [DATA / f"{pid}.objdump" for pid in ("true_att", "true_intel", "false_intel")]
+    if objdump_listings(BASE64) is not None:
+        for syntax, text in zip(("att", "intel"), objdump_listings(BASE64)):
+            path = tmp_path / f"base64_{syntax}.objdump"
+            path.write_text(text)
+            listings.append(path)
+    _ingest_in_a_new_process(tmp_path / "forward", *listings, *setting)
+    _ingest_in_a_new_process(tmp_path / "backward", *reversed(listings), *setting)
+    for path in listings:
+        _ingest_in_a_new_process(tmp_path / "apart", path, *setting)
+    trees = [{p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+             for name in ("forward", "backward", "apart")]
+    assert len(trees[0]) == len(listings) + 1  # and index.json
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_compare_reference_cardinalities(tmp_path, capsys):

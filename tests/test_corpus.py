@@ -1,22 +1,27 @@
+import gc
 import json
 import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddghash.corpus import (Corpus, FeatureFile, decode_feature_file,
-                            encode_feature_file)
+from ddghash import corpus as corpus_module
+from ddghash.corpus import (Corpus, FeatureFile, build_feature_file,
+                            decode_feature_file, encode_feature_file)
 from ddghash.ddg import InstructionFamilyPolicy, LabelMode
 from ddghash.errors import (DdghashError, MalformedListing,
                             NoInstructionsFound, UnknownProgram)
-from ddghash.features import FeatureParams, ProgramFeatureSet, compare
+from ddghash.features import (FeatureParams, ProgramFeatureSet, compare,
+                              make_feature_set)
 
 from fixtures import replace_first_count, star_program
 
 PARAMS = FeatureParams()
+DATA = Path(__file__).parent / "data"
 
 
 def _random_feature_file(rng):
@@ -107,17 +112,66 @@ def test_ingest_idempotent(tmp_path):
     assert stored.stat().st_mtime_ns == first_mtime
 
 
+# a listing whose every line is malformed
+TRUNCATED = "0000000000001000 <f>:\n" + "\n".join(
+    f"    {0x1000 + i:x}:\t90\tmov [}}x{{], eax" for i in range(20)
+)
+
+
 def test_ingest_failure_writes_nothing(tmp_path):
     corpus = Corpus(tmp_path / "corpus")
     with pytest.raises(NoInstructionsFound):
         corpus.ingest("this is not a listing\n", "bad", PARAMS)
-    truncated = "0000000000001000 <f>:\n" + "\n".join(
-        f"    {0x1000 + i:x}:\t90\tmov [}}x{{], eax" for i in range(20)
-    )
     with pytest.raises(MalformedListing):
-        corpus.ingest(truncated, "trunc", PARAMS)
+        corpus.ingest(TRUNCATED, "trunc", PARAMS)
     assert not (tmp_path / "corpus" / "bad.features.json").exists()
     assert not (tmp_path / "corpus" / "trunc.features.json").exists()
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_build_leaves_the_collector_as_it_found_it(collector, monkeypatch, enabled):
+    (gc.enable if enabled else gc.disable)()
+    during = []
+
+    def spy(*args):
+        during.append(gc.isenabled())
+        return make_feature_set(*args)
+
+    monkeypatch.setattr(corpus_module, "make_feature_set", spy)
+    build_feature_file(star_program(range(1, 20)), "p", PARAMS)
+    assert during == [False]
+    assert gc.isenabled() is enabled
+    with pytest.raises(NoInstructionsFound):
+        build_feature_file("this is not a listing\n", "bad", PARAMS)
+    assert gc.isenabled() is enabled
+    with pytest.raises(MalformedListing):
+        build_feature_file(TRUNCATED, "trunc", PARAMS)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("listing", ["true_att", "true_intel", "false_intel"])
+@pytest.mark.parametrize("params", [
+    PARAMS,
+    FeatureParams(label_mode=LabelMode.LITERAL,
+                  policy=InstructionFamilyPolicy.ALL_DATA_OPERANDS),
+], ids=["default", "literal"])
+def test_build_makes_no_cyclic_garbage(params, listing):
+    # what makes pausing the collector leak-free: reference counting alone
+    # frees everything a build drops, and what it returns
+    text = (DATA / f"{listing}.objdump").read_text()
+    gc.collect()
+    ff = build_feature_file(text, listing, params)
+    assert gc.collect() == 0
+    del ff
+    assert gc.collect() == 0
 
 
 def test_unknown_program(tmp_path):

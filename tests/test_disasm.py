@@ -282,6 +282,36 @@ def test_string_moves_keep_their_att_names():
     assert [i.mnemonic for i in fns[0].instructions] == ["movsq", "cvtsi2sdl"]
 
 
+@pytest.mark.parametrize("att, intel", [
+    ("fildll 0x20(%rsp)", "fild   QWORD PTR [rsp+0x20]"),
+    ("fildl  0x44(%rsp)", "fild   DWORD PTR [rsp+0x44]"),
+    ("fistpll 0x20(%rsp)", "fistp  QWORD PTR [rsp+0x20]"),
+    ("fstpt  (%rsp)", "fstp   TBYTE PTR [rsp]"),
+    ("fldt   0x30(%rsp)", "fld    TBYTE PTR [rsp+0x30]"),
+    ("flds   0xd2ad(%rip)", "fld    DWORD PTR [rip+0xd2ad]"),
+    ("fadds  0xd30a(%rip)", "fadd   DWORD PTR [rip+0xd30a]"),
+    ("fmull  0x8(%rax)", "fmul   QWORD PTR [rax+0x8]"),
+    ("fisubrs (%rax)", "fisubr WORD PTR [rax]"),
+    # a memory operand or an st(0) destination is never swapped
+    ("fsubs  (%rax)", "fsub   DWORD PTR [rax]"),
+    ("fdivrl (%rax)", "fdivr  QWORD PTR [rax]"),
+    ("fsub   %st(1),%st", "fsub   st,st(1)"),
+    # AT&T swaps the reversed forms when the destination is st(i), i != 0
+    ("fsub   %st,%st(1)", "fsubr  st(1),st"),
+    ("fsubr  %st,%st(2)", "fsub   st(2),st"),
+    ("fdivrp %st,%st(1)", "fdivp  st(1),st"),
+    ("fdivp  %st,%st(1)", "fdivrp st(1),st"),
+    ("fldl2t", "fldl2t"), ("fldl2e", "fldl2e"), ("fldlg2", "fldlg2"),
+])
+def test_x87_att_forms_give_intel_records(att, intel):
+    a = _parse_instruction(att, "att")
+    b = _parse_instruction(intel, "intel")
+    assert (a.mnemonic, a.operands) == (b.mnemonic, b.operands)
+    # every x87 spelling stems to "other", so folding leaves files as they were
+    stem = load_default_dictionary().stem
+    assert stem(att.split()[0]) == stem(b.mnemonic) == "other"
+
+
 def test_repeated_malformed_text_reported_at_each_line():
     bad = "mov [}junk{], eax"
     lines = [f"mov    eax, {i}" for i in range(20)]

@@ -5,7 +5,8 @@ x86-64) in both syntaxes. Unlike the synthetic fixtures this exercises
 the long tail of real listings: plt stubs, bnd/cs prefixes, multi-byte
 nops, indirect calls, rip-relative negative displacements, and the
 implicit shift-by-one form. Where objdump and base64 are installed, the
-parser checks also run on base64's listings, made when the tests run.
+parser checks also run on base64's listings, made when the tests run, and
+the cross-syntax check also on ls's, which hold x87 code.
 """
 
 import re
@@ -17,7 +18,7 @@ from ddghash.disasm import (_parse_instruction, detect_syntax,
 from ddghash.features import FeatureParams, compare
 from ddghash.tfidf import load_default_dictionary
 
-from fixtures import BASE64, objdump_listings
+from fixtures import BASE64, LS, objdump_listings
 
 DATA = Path(__file__).parent / "data"
 ATT = (DATA / "true_att.objdump").read_text()
@@ -39,8 +40,9 @@ def test_full_listing_parses_cleanly():
 
 def test_syntaxes_normalize_to_identical_records():
     pairs = [(ATT, INTEL)]
-    if objdump_listings(BASE64) is not None:
-        pairs.append(objdump_listings(BASE64))
+    for binary in (BASE64, LS):
+        if objdump_listings(binary) is not None:
+            pairs.append(objdump_listings(binary))
     for att, intel in pairs:
         att_fns, _ = parse_listing_with_report(att)
         intel_fns, _ = parse_listing_with_report(intel)

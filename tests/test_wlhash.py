@@ -6,6 +6,7 @@ import pytest
 
 from ddghash.errors import EmptyGraph
 from ddghash.features import FeatureParams
+from ddghash import wlhash
 from ddghash.wlhash import wl_hash, wl_refine
 
 import iso_oracle
@@ -128,25 +129,32 @@ def test_hash_agrees_with_refinement_oracle_on_random_pairs():
             assert (wl_hash(g1) == wl_hash(g2)) == equivalent
 
 
+def _label_list(labels):
+    return "".join(f"{len(lab.encode('utf-8'))}:{lab}" for lab in sorted(labels))
+
+
+def _digest(text):
+    return blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def _round_from_formats_doc(labels, edges):
+    """One wl/1 refinement round as docs/formats.md specifies it."""
+    return {v: _digest(_label_list([labels[v]])
+                       + "|i" + _label_list(labels[s] for s, d in edges if d == v)
+                       + "|o" + _label_list(labels[d] for s, d in edges if s == v))
+            for v in labels}
+
+
 def _wl1_from_formats_doc(labels, edges, iterations=3):
     """wl/1 as docs/formats.md specifies it: "<len>" is the byte length of
     the label's UTF-8 encoding. labels: node id -> label."""
-    def label_list(ls):
-        return "".join(f"{len(lab.encode('utf-8'))}:{lab}" for lab in sorted(ls))
-
-    def digest(text):
-        return blake2b(text.encode("utf-8"), digest_size=16).hexdigest()
-
     payload = (f"ddghash-wl/1\nnodes={len(labels)}\nedges={len(edges)}\n"
                f"iterations={iterations}\n")
     for rnd in range(iterations + 1):
         if rnd:
-            labels = {v: digest(label_list([labels[v]])
-                                + "|i" + label_list(labels[s] for s, d in edges if d == v)
-                                + "|o" + label_list(labels[d] for s, d in edges if s == v))
-                      for v in labels}
-        payload += f"round={rnd}\n{label_list(labels.values())}\n"
-    return digest(payload)
+            labels = _round_from_formats_doc(labels, edges)
+        payload += f"round={rnd}\n{_label_list(labels.values())}\n"
+    return _digest(payload)
 
 
 @pytest.mark.parametrize("labels", [["\u00e9", "x"], ["reg", "mem"],
@@ -158,3 +166,46 @@ def test_label_length_prefix_counts_utf8_bytes(labels):
     assert wl_hash(g) == expected
     if labels[0] == "\u00e9":
         assert expected.startswith("ce52a86a")
+
+
+# operand-class, literal-style and non-ASCII node labels
+LABEL_POOLS = [("reg", "mem", "imm"),
+               ("rax", "eax", "[rbp-44]", "[rip+4096]", "imm:0", "imm:-1"),
+               ("\u00e9", "x", "\u4e2d", "\U0001f600", "reg")]
+
+
+def test_memo_never_changes_a_digest():
+    # refined labels are memoised across nodes, rounds and graphs; hash
+    # unrelated graphs first, then relabelled and isomorphic copies of
+    # them, which meet the memo warm
+    rng = random.Random(5151)
+    graphs = [(random_graph(rng, max_nodes=8, label_pool=pool), rng.randint(1, 3))
+              for pool in LABEL_POOLS for _ in range(70)]
+    copies = []
+    for g, iterations in graphs:
+        n = len(g.nodes)
+        perm = rng.sample(range(n), n)
+        copies.append((permute_graph(g, perm), iterations))
+        copies.append((permute_graph(g, [1000 + i for i in perm]), iterations))
+    rng.shuffle(copies)
+    hits = wlhash._refined.cache_info().hits
+    for g, iterations in graphs + copies:
+        labels = {node.id: node.label for node in g.nodes}
+        assert wl_hash(g, iterations) == \
+            _wl1_from_formats_doc(labels, g.edges, iterations)
+    assert wlhash._refined.cache_info().hits > hits
+
+
+def test_refine_with_caller_labels_after_the_memo_is_warm():
+    rng = random.Random(6262)
+    graphs = [random_graph(rng, max_nodes=8, label_pool=pool)
+              for pool in LABEL_POOLS for _ in range(20)]
+    for g in graphs:
+        wl_hash(g)
+    for g in graphs:
+        # labels of the caller's choosing, then refined ones fed back
+        labels = {node.id: rng.choice(rng.choice(LABEL_POOLS)) for node in g.nodes}
+        for _ in range(2):
+            refined = wl_refine(g, labels)
+            assert refined == _round_from_formats_doc(labels, g.edges)
+            labels = refined
