@@ -379,9 +379,7 @@ def _parse_instruction(asm, syntax):
         raise UnparsableOperand(operand_text)
     if att:
         operands.reverse()
-        if mnemonic in isa.X87_REVERSED and operands \
-                and operands[0].kind == REGISTER \
-                and operands[0].base.startswith("st(") and operands[0].base != "st(0)":
+        if mnemonic in isa.X87_REVERSED and operands and operands[0].text in isa.ST_I:
             mnemonic = isa.X87_REVERSED[mnemonic]
     if len(operands) == 1 and mnemonic in isa.SHIFT_ROTATE:
         operands.append(_immediate_operand(1))  # implicit shift-by-one

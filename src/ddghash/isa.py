@@ -164,6 +164,7 @@ X87_SUFFIX_BASES = {
 X87_REVERSED = {"fsub": "fsubr", "fsubr": "fsub", "fsubp": "fsubrp",
                 "fsubrp": "fsubp", "fdiv": "fdivr", "fdivr": "fdiv",
                 "fdivp": "fdivrp", "fdivrp": "fdivp"}
+ST_I = {f"st({i})" for i in range(1, 8)}  # the x87 registers but st(0)
 
 
 def normalize_mnemonic(mnemonic, att):

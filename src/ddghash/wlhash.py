@@ -11,11 +11,10 @@ length-prefixed sorted label lists, so any label alphabet is safe and an
 independent implementation can reproduce digests exactly.
 
 A refined label is a pure function of the node's own label and the sorted
-labels of its neighbors, and few of those neighborhoods are distinct (on
-a real listing about one in ten), so one bounded memo keyed by the
-neighborhood serves every node, round and graph of the process: the
-payload is rendered and digested only on a miss. Each graph's adjacency
-is built once, not once per round.
+labels of its neighbors, and on real listings most such neighborhoods
+repeat, so one bounded memo keyed by the neighborhood serves every node,
+round and graph of the process: the payload is rendered and digested
+only on a miss. Each graph's adjacency is built once, not once per round.
 """
 
 from functools import lru_cache
