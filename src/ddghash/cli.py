@@ -101,6 +101,8 @@ def cmd_ingest(args):
         args.usage_error("reading from stdin requires --id")
     program_ids = [Path(path).stem if args.id is None else args.id
                    for path in args.paths]
+    if len(set(program_ids)) < len(program_ids):
+        args.usage_error("an id may appear only once")
     for program_id in program_ids:
         try:
             check_program_id(program_id)

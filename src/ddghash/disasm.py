@@ -7,10 +7,13 @@ shape: Intel operand order (destination first), lowercase mnemonics with
 AT&T size suffixes folded away, and decimal displacements/immediates.
 
 Format gotchas handled here:
-  - function headers         "0000000000001000 <name>:"
+  - function headers         "0000000000001000 <name>:"; a demangled C++
+    name may hold "<", ">" and spaces, so the name runs to the last ">:"
   - instruction lines        "    1000:\t48 89 e5  \tmov    %rsp,%rbp"
   - byte-continuation lines  (opcode bytes only, no mnemonic) are skipped
-  - trailing "# ..." comments and "<sym+0x10>" annotations are stripped
+  - an annotation is everything from the first "<" ("<sym+0x10>", nested
+    "<f<int> >" ones too), a comment everything from the first "#"; both
+    are stripped
   - branch targets print as bare hex without the 0x prefix
   - bare numbers elsewhere follow the usual 0x convention, decimal otherwise
   - memory operands may appear without brackets ("rbp - 44" style); they
@@ -75,10 +78,19 @@ class ParseReport:
         }
 
 
-_FUNC_HEADER_RE = re.compile(r"^([0-9a-fA-F]+)\s+<([^<>]+)>:\s*$")
-_INSTR_LINE_RE = re.compile(r"^\s+([0-9a-fA-F]+):\s*(.*)$")
-_BYTES_FIELD_RE = re.compile(r"^(?:[0-9a-f]{2}\s+)*[0-9a-f]{2}\s*$")
-_ANNOTATION_RE = re.compile(r"<[^<>]*>")
+# One listing line. A function header is a hex address, then "<name>:",
+# the name running to the last ">:". An instruction line is an indented hex
+# address and ":", an optional opcode-bytes field (hex pairs up to the first
+# tab), then the assembly text up to the first "<" or "#". Where no opcode
+# field matched, a text made only of hex pairs is a byte continuation, and
+# the line does not match.
+_LINE_RE = re.compile(r"""
+    [0-9a-fA-F]+\s+<(?P<name>.+)>:\s*$
+  | \s+(?P<address>[0-9a-fA-F]+):\s*
+    (?: (?:[0-9a-f]{2}[^\S\t]+)*[0-9a-f]{2}[^\S\t]*\t\s*
+      | (?!(?:[0-9a-f]{2}\s+)*[0-9a-f]{2}\s*(?:[<#]|$)) )
+    (?P<asm>[^\s<#][^<#]*)
+""", re.VERBOSE)
 _MNEMONIC_OK_RE = re.compile(r"^[a-z][a-z0-9.]*$")
 _INT_RE = re.compile(r"^-?(?:0x[0-9a-fA-F]+|\d+)$")
 _HEX_TARGET_RE = re.compile(r"^(?:0x)?[0-9a-fA-F]+$")
@@ -299,11 +311,13 @@ def parse_operand(token, syntax="intel"):
     return _parse_operand_cached(token.strip(), syntax, False)
 
 
-_BARE_TARGET_RE = re.compile(r"^\*?(?:0x)?[0-9a-fA-F]+$")
-
-
 def detect_syntax(text):
-    """Vote att/intel over the first 100 instruction-shaped lines.
+    """Vote att/intel over the first 100 instruction lines of text."""
+    return _vote(text.splitlines())
+
+
+def _vote(lines):
+    """Vote att/intel over the first 100 instruction lines.
 
     The %/$ sigils vote att; other operand text votes intel. Bare numeric
     operands (branch targets look the same in both syntaxes) and
@@ -311,20 +325,17 @@ def detect_syntax(text):
     """
     att = intel = 0
     seen = 0
-    for raw in text.splitlines():
-        m = _INSTR_LINE_RE.match(raw)
-        if not m:
-            continue
-        asm = _extract_asm(m.group(2))
-        if asm is None:
+    for raw in lines:
+        m = _LINE_RE.match(raw)
+        if m is None or m["asm"] is None:
             continue
         seen += 1
-        parts = asm.split(None, 1)
+        parts = m["asm"].split(None, 1)
         if len(parts) == 2:
             ops = parts[1].strip()
             if "%" in ops or "$" in ops:
                 att += 1
-            elif not _BARE_TARGET_RE.match(ops):
+            elif not _HEX_TARGET_RE.match(ops.removeprefix("*")):
                 intel += 1
         if seen >= 100:
             break
@@ -333,27 +344,9 @@ def detect_syntax(text):
     return "att" if att > intel else "intel"
 
 
-def _extract_asm(rest):
-    """Split the post-address part of an instruction line into assembly text.
-
-    Returns None for byte-continuation lines (opcode bytes, no mnemonic).
-    """
-    rest = _ANNOTATION_RE.sub("", rest)
-    hash_pos = rest.find("#")
-    if hash_pos != -1:
-        rest = rest[:hash_pos]
-    fields = rest.split("\t")
-    if len(fields) >= 2 and _BYTES_FIELD_RE.match(fields[0].strip()):
-        asm = "\t".join(fields[1:]).strip()
-    else:
-        candidate = rest.strip()
-        if _BYTES_FIELD_RE.match(candidate):
-            return None
-        asm = candidate
-    return asm or None
-
-
-_DATA_DIRECTIVES = (".byte", ".word", ".long", ".quad", ".value", ".zero", ".short")
+# asm texts that are no instruction: data directives and undecodable bytes
+_NOT_INSTRUCTIONS = (".byte", ".word", ".long", ".quad", ".value", ".zero",
+                     ".short", "(bad)")
 
 
 def _parse_instruction(asm, syntax):
@@ -381,6 +374,9 @@ def _parse_instruction(asm, syntax):
         operands.reverse()
         if mnemonic in isa.X87_REVERSED and operands and operands[0].text in isa.ST_I:
             mnemonic = isa.X87_REVERSED[mnemonic]
+        elif mnemonic in isa.ATT_CVTSI2S or mnemonic in isa.ATT_STRING_OPS and \
+                [op.kind for op in operands] == [MEMORY, MEMORY]:
+            mnemonic = mnemonic[:-1]  # the size suffix
     if len(operands) == 1 and mnemonic in isa.SHIFT_ROTATE:
         operands.append(_immediate_operand(1))  # implicit shift-by-one
     return Instruction(
@@ -402,30 +398,29 @@ def parse_listing_with_report(text, syntax=None):
     MalformedListing when more than MAX_MALFORMED_RATIO of the
     instruction-shaped lines fail to parse.
     """
+    lines = text.splitlines()
     if syntax is None:
-        syntax = detect_syntax(text)
+        syntax = _vote(lines)
     report = ParseReport(syntax=syntax)
     parsed = {}  # asm text -> Instruction
     pending = []  # (name, instructions, addresses) of each function, in order
 
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
+    for line_no, raw in enumerate(lines, 1):
+        m = _LINE_RE.match(raw)
+        if m is None:
+            if raw.strip():
+                report.skipped_lines += 1
             continue
-        header = _FUNC_HEADER_RE.match(raw)
-        if header:
-            pending.append((header.group(2), [], []))
+        name, address, asm = m.groups()
+        if name is not None:
+            pending.append((name, [], []))
             continue
-        m = _INSTR_LINE_RE.match(raw)
-        if not m:
-            report.skipped_lines += 1
-            continue
-        asm = _extract_asm(m.group(2))
-        if asm is None or asm == "..." or asm.startswith(_DATA_DIRECTIVES) \
-                or asm.startswith("(bad)"):
+        asm = asm.rstrip()
+        if asm == "..." or asm.startswith(_NOT_INSTRUCTIONS):
             report.skipped_lines += 1
             continue
         report.instruction_shaped += 1
-        address = int(m.group(1), 16)
+        address = int(address, 16)
         instr = parsed.get(asm)
         if instr is None:
             try:
@@ -441,6 +436,7 @@ def parse_listing_with_report(text, syntax=None):
             continue
         instructions.append(instr)
         addresses.append(address)
+    del lines  # the split text goes before the records are made into tuples
     functions = [FunctionListing(name, tuple(instructions), tuple(addresses))
                  for name, instructions, addresses in pending if instructions]
     report.functions = len(functions)

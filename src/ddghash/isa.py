@@ -142,9 +142,7 @@ SHIFT_ROTATE = {"shl", "shr", "sal", "sar", "rol", "ror", "rcl", "rcr"}
 _SIZE_SUFFIXES = "bwlq"
 
 # AT&T names of the sign-extension instructions, which Intel syntax
-# spells differently. The string moves (AT&T movsq/movsl, Intel movs) and
-# cvtsi2sdl are not folded: Intel's movsd names both a string move and an
-# SSE move, so telling them apart needs the operands.
+# spells differently.
 ATT_ALIASES = {"cbtw": "cbw", "cwtl": "cwde", "cltq": "cdqe",
                "cwtd": "cwd", "cltd": "cdq", "cqto": "cqo"}
 
@@ -166,6 +164,14 @@ X87_REVERSED = {"fsub": "fsubr", "fsubr": "fsub", "fsubp": "fsubrp",
                 "fdivp": "fdivrp", "fdivrp": "fdivp"}
 ST_I = {f"st({i})" for i in range(1, 8)}  # the x87 registers but st(0)
 
+# AT&T size-suffixed names that suffix folding cannot see, so the parser
+# drops the suffix. A string move or compare (movsq, cmpsb; Intel movs,
+# cmps) is told from SSE movsd by its two memory operands; the %xmm operand
+# of cvtsi2sdl (Intel cvtsi2sd) keeps it out of suffix folding.
+ATT_STRING_OPS = {op + size for op in ("movs", "cmps") for size in "bwlq"}
+ATT_CVTSI2S = {f"{v}cvtsi2s{p}{size}"
+               for v in ("", "v") for p in "sd" for size in "lq"}
+
 
 def normalize_mnemonic(mnemonic, att):
     """Lowercase and, for AT&T input, fold operand-size suffixes away.
@@ -174,8 +180,10 @@ def normalize_mnemonic(mnemonic, att):
     movl -> mov, pushq -> push, fildll -> fild, fstpt -> fstp, and so on;
     the AT&T sign-extension names become their Intel ones (cltq -> cdqe,
     see ATT_ALIASES). Intel-mode input is only lowercased (movsxd is still
-    folded so both syntaxes agree). The x87 reversed forms depend on the
-    operands, so the parser swaps them (X87_REVERSED).
+    folded so both syntaxes agree). The x87 reversed forms and the string
+    ops depend on the operands, and cvtsi2s*'s %xmm operand keeps it out
+    of the folding here, so the parser folds these (X87_REVERSED,
+    ATT_STRING_OPS, ATT_CVTSI2S).
     """
     m = mnemonic.lower()
     if m == "movsxd":

@@ -318,15 +318,25 @@ def replace_first_count(text, value):
 
 BASE64 = "/usr/bin/base64"  # a few thousand instructions
 LS = "/usr/bin/ls"  # about 22k instructions, with x87 code
+APT_CACHE = "/usr/bin/apt-cache"  # C++, with template names to demangle
+
+# the real binaries whose AT&T and Intel listings must give equal records:
+# ls holds x87 code, sha1sum and sha512sum hold string moves
+CROSS_SYNTAX_BINARIES = (BASE64, LS, "/usr/bin/sha1sum", "/usr/bin/sha512sum")
 
 
 @functools.lru_cache(maxsize=None)
-def objdump_listings(binary):
-    """(AT&T, Intel) objdump -d text of an installed binary, made once per
-    process; None when objdump or the binary is absent."""
+def objdump_text(binary, *flags):
+    """objdump -d text of an installed binary, with extra objdump flags, made
+    once per process; None when objdump or the binary is absent."""
     if shutil.which("objdump") is None or not Path(binary).is_file():
         return None
-    return tuple(
-        subprocess.run(["objdump", "-d", *flags, binary], capture_output=True,
-                       text=True, check=True).stdout
-        for flags in ([], ["-M", "intel"]))
+    return subprocess.run(["objdump", "-d", *flags, binary], capture_output=True,
+                          text=True, check=True).stdout
+
+
+def objdump_listings(binary):
+    """(AT&T, Intel) objdump -d text of an installed binary; None when
+    objdump or the binary is absent."""
+    att = objdump_text(binary)
+    return None if att is None else (att, objdump_text(binary, "-M", "intel"))

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import iso_oracle
-from fixtures import (BASE64, CMOV_BLOCK_INTEL, gen_instructions,
+from fixtures import (CMOV_BLOCK_INTEL, CROSS_SYNTAX_BINARIES, gen_instructions,
                       large_listing, make_graph, make_listing, objdump_listings,
                       permute_graph, random_graph, render_listing, star_program)
 
@@ -269,16 +269,17 @@ def criterion_8_persistence(tmp_path):
 def criterion_9_parser_equivalence():
     """>= 500 generated instructions rendered in AT&T and Intel syntax
     parse to field-identical records at the same addresses, and so do
-    /usr/bin/true's listings in tests/data and, where objdump and base64
-    are installed, base64's."""
+    /usr/bin/true's listings in tests/data and, where objdump is
+    installed, those of the installed CROSS_SYNTAX_BINARIES."""
     rng = random.Random(0xA55)
     specs = gen_instructions(rng, 500)
     pairs = [(render_listing(specs, att=True, seed=2),
               render_listing(specs, att=False, seed=1)),
              tuple((DATA / f"true_{s}.objdump").read_text()
                    for s in ("att", "intel"))]
-    if objdump_listings(BASE64) is not None:
-        pairs.append(objdump_listings(BASE64))
+    for binary in CROSS_SYNTAX_BINARIES:
+        if objdump_listings(binary) is not None:
+            pairs.append(objdump_listings(binary))
     counts = []
     for att_text, intel_text in pairs:
         att_fns, intel_fns = parse_listing(att_text), parse_listing(intel_text)

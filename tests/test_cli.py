@@ -38,13 +38,15 @@ def _seed_corpus(tmp_path, programs):
 
 def test_usage_error_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name in ("a", "b", "bad name"):
+    (tmp_path / "d").mkdir()
+    for name in ("a", "b", "bad name", "d/a"):
         (tmp_path / f"{name}.objdump").write_text(star_program([1]))
     for argv in ([], ["ingest"],
                  ["ingest", "x.objdump", "--iters", "0"],
                  ["ingest", "-"],
                  ["ingest", "a.objdump", "--id", "../escaped"],
                  ["ingest", "a.objdump", "bad name.objdump"],
+                 ["ingest", "a.objdump", "d/a.objdump"],  # both have the id a
                  ["contain", "--threshold", "nan"],
                  ["contain", "--threshold", "inf"],
                  ["contain", "--threshold", "0"],
@@ -63,8 +65,11 @@ def test_usage_error_exit_2(tmp_path, capsys, monkeypatch):
             assert f"ddghash {argv[0]}: error: " in err, argv
         if "threshold" in argv:
             assert "--threshold must be in (0, 1]" in err
+        if argv in (["ingest", "a.objdump", "d/a.objdump"], ["matrix", "a", "b", "a"]):
+            assert "an id may appear only once" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "a.objdump", "b.objdump", "bad name.objdump"]  # nothing written
+        "a.objdump", "b.objdump", "bad name.objdump", "d"]  # nothing written
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["a.objdump"]
 
 
 def test_ingest_id_with_multiple_paths_is_usage_error(tmp_path, capsys):

@@ -1,9 +1,13 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddghash.disasm import (IMMEDIATE, MEMORY, REGISTER, Operand,
+from ddghash import isa
+from ddghash.disasm import (_LINE_RE, IMMEDIATE, MEMORY, REGISTER, Operand,
                             _parse_instruction, _split_operands, detect_syntax,
                             parse_listing, parse_listing_with_report,
                             parse_operand)
@@ -11,8 +15,9 @@ from ddghash.errors import (MalformedListing, NoInstructionsFound,
                             UnparsableOperand)
 from ddghash.tfidf import load_default_dictionary
 
-from fixtures import CMOV_BLOCK_ATT, CMOV_BLOCK_INTEL, gen_instructions, \
-    make_listing, render_listing
+from fixtures import (BASE64, CMOV_BLOCK_ATT, CMOV_BLOCK_INTEL, LS,
+                      gen_instructions, make_listing, objdump_listings,
+                      render_listing)
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,6 +64,9 @@ def test_detect_syntax_bare_branch_targets_abstain():
         for i in range(30)
     )
     assert detect_syntax(plt) == "att"
+    # so do starred ones, the AT&T spelling of an absolute indirect jump
+    starred = "    1000:\t90\tjmp    *0x2020\n    1004:\t90\tpush   $0x1\n"
+    assert detect_syntax(starred) == "att"
 
 
 def test_parse_sample_block_mnemonics():
@@ -168,6 +176,62 @@ def test_operand_canonical_text_reparses_equal():
                     assert parse_operand(op.text, "intel") == op
 
 
+_BASES = ["rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp", "r8", "r13",
+          "eax", "r9d", "rip"]
+_INDEXES = ["rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "r8", "r15", "ecx"]
+
+
+def _number(draw, value):
+    return hex(value) if draw(st.booleans()) else str(value)
+
+
+@st.composite
+def _operands(draw):
+    """(kind, Intel text, AT&T text) of one operand, as objdump may print it."""
+    kind = draw(st.sampled_from([REGISTER, IMMEDIATE, MEMORY]))
+    if kind == REGISTER:
+        name = draw(st.sampled_from(sorted(isa.REGISTERS)))
+        return kind, name, f"%{name}"
+    if kind == IMMEDIATE:
+        value = _number(draw, draw(st.integers(-(1 << 63), (1 << 64) - 1)))
+        return kind, value, f"${value}"
+    base = draw(st.none() | st.sampled_from(_BASES))
+    index = draw(st.none() | st.sampled_from(_INDEXES))
+    scale = draw(st.sampled_from([1, 2, 4, 8]))
+    terms = [base] if base else []
+    if index:
+        terms.append(f"{index}*{scale}" if draw(st.booleans()) else f"{scale}*{index}")
+    displacements = st.integers(-(1 << 63), (1 << 63) - 1)
+    disp = draw((displacements | st.none()) if terms else displacements)
+    # a negative displacement prints signed or as 64-bit two's complement
+    # hex; without a register, only as the latter
+    if disp is not None and disp < 0 and (not terms or draw(st.booleans())):
+        disp &= (1 << 64) - 1
+    signed = "" if disp is None else _number(draw, disp)
+    expr = "+".join(terms)
+    if signed:
+        expr += signed if signed.startswith("-") or not expr else f"+{signed}"
+    size = draw(st.sampled_from(["", "QWORD PTR ", "BYTE PTR "]))
+    segment = draw(st.sampled_from(["", "fs:"]))
+    att_segment = f"%{segment}" if segment else ""
+    if not terms:  # an absolute address: Intel may leave out the brackets
+        bare = draw(st.booleans())
+        intel = f"{segment or 'ds:'}{expr}" if bare else f"{segment}[{expr}]"
+        return kind, f"{size}{intel}", f"{att_segment}{signed}"
+    registers = (f"%{base}" if base else "") + (f",%{index},{scale}" if index else "")
+    return kind, f"{size}{segment}[{expr}]", f"{att_segment}{signed}({registers})"
+
+
+@settings(deadline=None)
+@given(_operands())
+def test_generated_operand_canonical_text_reparses_equal(case):
+    kind, intel, att = case
+    op = parse_operand(intel, "intel")
+    assert op.kind == kind
+    assert parse_operand(att, "att") == op
+    assert parse_operand(op.text, "intel") == op
+
+
 def test_round_trip_determinism():
     a = parse_listing(CMOV_BLOCK_INTEL)
     b = parse_listing(CMOV_BLOCK_INTEL)
@@ -229,6 +293,9 @@ def test_prefixes_stripped_to_flags():
     assert first.prefixes == ("lock",)
     assert second.mnemonic == "movsb"
     assert second.prefixes == ("rep",)
+    # AT&T text folds a string move's size suffix only beside its two
+    # memory operands
+    assert _parse_instruction("rep movsb", "att") == second
 
 
 def test_annotations_and_comments_stripped():
@@ -276,10 +343,42 @@ def test_att_sign_extension_aliases_give_intel_records(att_name, intel_name):
     assert stem(att_name) == stem(intel_name) == "other"
 
 
-def test_string_moves_keep_their_att_names():
-    fns = parse_listing(make_listing([("f", ["rep movsq %ds:(%rsi),%es:(%rdi)",
-                                             "cvtsi2sdl %eax,%xmm0"])]))
-    assert [i.mnemonic for i in fns[0].instructions] == ["movsq", "cvtsi2sdl"]
+# (AT&T text, Intel text, the stem of both)
+_STRING_OPS_AND_CVTSI2S = [
+    # a string move or compare has two memory operands; AT&T names its size
+    ("rep movsq %ds:(%rsi),%es:(%rdi)",
+     "rep movs QWORD PTR es:[rdi],QWORD PTR ds:[rsi]", "string"),
+    ("movsl  %ds:(%rsi),%es:(%rdi)",
+     "movs   DWORD PTR es:[rdi],DWORD PTR ds:[rsi]", "string"),
+    ("movsw  %ds:(%rsi),%es:(%rdi)",
+     "movs   WORD PTR es:[rdi],WORD PTR ds:[rsi]", "string"),
+    ("movsb  %ds:(%rsi),%es:(%rdi)",
+     "movs   BYTE PTR es:[rdi],BYTE PTR ds:[rsi]", "string"),
+    ("repz cmpsb %es:(%rdi),%ds:(%rsi)",
+     "repz cmps BYTE PTR ds:[rsi],BYTE PTR es:[rdi]", "string"),
+    ("cmpsq  %es:(%rdi),%ds:(%rsi)",
+     "cmps   QWORD PTR ds:[rsi],QWORD PTR es:[rdi]", "string"),
+    # SSE movsd has a register operand and keeps its name
+    ("movsd  (%rax),%xmm1", "movsd  xmm1,QWORD PTR [rax]", "string"),
+    ("movsd  %xmm0,0x8(%rsp)", "movsd  QWORD PTR [rsp+0x8],xmm0", "string"),
+    # the %xmm operands keep cvtsi2s* and vcvtsi2s* out of suffix folding
+    ("cvtsi2sdl -0x14(%rbp),%xmm0", "cvtsi2sd xmm0,DWORD PTR [rbp-0x14]", "other"),
+    ("cvtsi2sdq %rax,%xmm1", "cvtsi2sd xmm1,rax", "other"),
+    ("cvtsi2ssl %eax,%xmm0", "cvtsi2ss xmm0,eax", "other"),
+    ("cvtsi2ssq 0x8(%rsp),%xmm2", "cvtsi2ss xmm2,QWORD PTR [rsp+0x8]", "other"),
+    ("vcvtsi2sdl (%rax),%xmm1,%xmm2", "vcvtsi2sd xmm2,xmm1,DWORD PTR [rax]", "other"),
+]
+
+
+@pytest.mark.parametrize("att, intel, stem", _STRING_OPS_AND_CVTSI2S,
+                         ids=[case[0] for case in _STRING_OPS_AND_CVTSI2S])
+def test_string_ops_and_cvtsi2s_give_intel_records(att, intel, stem):
+    a = _parse_instruction(att, "att")
+    b = _parse_instruction(intel, "intel")
+    assert (a.mnemonic, a.operands, a.prefixes) == (b.mnemonic, b.operands, b.prefixes)
+    # both spellings fall on one stem, so folding leaves feature files as they were
+    stems = load_default_dictionary().stem
+    assert stems(att.split()[-2]) == stems(b.mnemonic) == stem
 
 
 @pytest.mark.parametrize("att, intel", [
@@ -345,3 +444,112 @@ def test_same_text_parses_per_syntax():
         assert b.operands == (parse_operand("imm:10"),)
         assert a == _parse_instruction(a.raw_text, "att")
         assert b == _parse_instruction(b.raw_text, "intel")
+
+
+# --- the line grammar ------------------------------------------------------
+
+# A C++ function and its caller, as objdump -d prints them and as objdump
+# -d -C does: a header name with nested "<...<...>...>", a call with a
+# nested annotation and a "# ... <...>" comment.
+_MANGLED = ("_ZNKSt6vectorIiSaIiEE4sizeEv", "_ZTISt6vectorIiSaIiEE")
+_DEMANGLED = ("std::vector<int, std::allocator<int> >::size() const",
+              "typeinfo for std::vector<int, std::allocator<int> >")
+
+
+def _cpp_listing(size, typeinfo):
+    return make_listing([
+        (size, ["mov    rax, QWORD PTR [rdi+0x8]", "sub    rax, QWORD PTR [rdi]",
+                "sar    rax, 2", "ret"]),
+        ("main", [f"call   1000 <{size}>",
+                  f"mov    rdx, QWORD PTR [rip+0x2fe2]     # 4018 <{typeinfo}@@Base>",
+                  f"jmp    1004 <{size}+0x4>", "ret"]),
+    ])
+
+
+def test_demangled_listing_parses_like_its_mangled_twin():
+    fns, report = parse_listing_with_report(_cpp_listing(*_DEMANGLED))
+    twin_fns, twin_report = parse_listing_with_report(_cpp_listing(*_MANGLED))
+    assert [f.name for f in fns] == [_DEMANGLED[0], "main"]
+    assert [f.instructions for f in fns] == [f.instructions for f in twin_fns]
+    assert [f.addresses for f in fns] == [f.addresses for f in twin_fns]
+    assert report == twin_report
+    assert (report.functions, report.instructions, report.malformed) == (2, 8, [])
+    call, _, jump, _ = fns[1].instructions
+    assert (call.operands[0].value, jump.operands[0].value) == (0x1000, 0x1004)
+
+
+# The line scanner the pattern replaced, kept as the reference it must agree
+# with: four regexes, and the annotations stripped before the "#" cut and
+# the tab split.
+_REF_HEADER_RE = re.compile(r"^([0-9a-fA-F]+)\s+<([^<>]+)>:\s*$")
+_REF_INSTR_LINE_RE = re.compile(r"^\s+([0-9a-fA-F]+):\s*(.*)$")
+_REF_BYTES_FIELD_RE = re.compile(r"^(?:[0-9a-f]{2}\s+)*[0-9a-f]{2}\s*$")
+_REF_ANNOTATION_RE = re.compile(r"<[^<>]*>")
+
+
+def _reference_classify(raw):
+    header = _REF_HEADER_RE.match(raw)
+    if header:
+        return "header", header.group(2)
+    m = _REF_INSTR_LINE_RE.match(raw)
+    if not m:
+        return None
+    rest = _REF_ANNOTATION_RE.sub("", m.group(2))
+    hash_pos = rest.find("#")
+    if hash_pos != -1:
+        rest = rest[:hash_pos]
+    fields = rest.split("\t")
+    if len(fields) >= 2 and _REF_BYTES_FIELD_RE.match(fields[0].strip()):
+        asm = "\t".join(fields[1:]).strip()
+    else:
+        asm = rest.strip()
+        if _REF_BYTES_FIELD_RE.match(asm):
+            return None  # a byte continuation
+    return ("instruction", m.group(1), asm) if asm else None
+
+
+def _classify(raw):
+    m = _LINE_RE.match(raw)
+    if m is None:
+        return None
+    name, address, asm = m.groups()
+    if name is not None:
+        return "header", name
+    return "instruction", address, asm.rstrip()
+
+
+_ODD_LINES = [
+    "", "   ", "\t", "sample:     file format elf64-x86-64",
+    "Disassembly of section .text:", "\t...", "0000000000001000 <>:",
+    "0000000000001000 <f>:   ", "1000 <f.cold>:", "0000000000001000 <f>: x",
+    "    1000:\t90\tnop", "    1000:\tnop", "1000:\tnop", "    zz:\tnop",
+    "  1000:\t48 89 e5             \tmov    %rsp,%rbp",
+    "    1000:\t48 89 e5 \t  mov    eax, 1   ",
+    "    1000:\t90\u00a0\tnop",  # a no-break space ends the bytes field
+    "    1000:\tAB CD\tnop",  # upper-case hex is no bytes field
+    "    1007:\t00 01 02 03", "    1007:\t00 01 02 03 ", "    1007:\t00 01 02 03\t",
+    "    1007:\t00 00\t00 00",
+    "    1000:\t00 00\t00 00\tnop",  # the bytes field ends at the first tab
+    "    1007:  ab cd # x", "    1007:\tab <x>",
+    "    1007:\tab", "    1007:\tadd", "    1000:", "    1000:\t", "    1000:\t90\t",
+    "    1000:\t90\t# only a comment", "    1000:\t90\t<only an annotation>",
+    "    1000:\tcall   4016 <helper+0x16>",
+    "    1000:\te8 00 00 00 00\tcall   4016 <helper+0x16>",
+    "    1000:\tff 25 e2 2f 00 00    \tjmp    *0x2fe2(%rip)        # 4018 <x@plt>",
+    "    1000:\t90\tmov    %eax,%ebx\t# c <d>",
+    "    1000:\t90\t.byte 0x90", "    1000:\t90\t(bad)", "    1000:\t90\t...",
+    "    1000:\t66 2e 0f 1f 84 00 00 \tcs nopw 0x0(%rax,%rax,1)",
+]
+
+
+def test_line_pattern_classifies_as_the_reference_scanner():
+    texts = [path.read_text() for path in sorted(DATA.glob("*.objdump"))]
+    for binary in (BASE64, LS):
+        texts += objdump_listings(binary) or ()
+    lines = _ODD_LINES + [line for text in texts for line in text.splitlines()]
+    assert len(lines) > len(_ODD_LINES) + 7000
+    for line in lines:
+        assert _classify(line) == _reference_classify(line), line
+    # both kinds of line, and lines of neither, are in the table
+    kinds = {(_classify(line) or ("neither",))[0] for line in _ODD_LINES}
+    assert kinds == {"header", "instruction", "neither"}

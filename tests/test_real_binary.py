@@ -6,11 +6,15 @@ the long tail of real listings: plt stubs, bnd/cs prefixes, multi-byte
 nops, indirect calls, rip-relative negative displacements, and the
 implicit shift-by-one form. Where objdump and base64 are installed, the
 parser checks also run on base64's listings, made when the tests run, and
-the cross-syntax check also on ls's, which hold x87 code.
+the cross-syntax check also on those of the other CROSS_SYNTAX_BINARIES.
+Where apt-cache is installed, its demangled listing must read like its
+plain one.
 """
 
 import re
 from pathlib import Path
+
+import pytest
 
 from ddghash.corpus import build_feature_file
 from ddghash.disasm import (_parse_instruction, detect_syntax,
@@ -18,7 +22,8 @@ from ddghash.disasm import (_parse_instruction, detect_syntax,
 from ddghash.features import FeatureParams, compare
 from ddghash.tfidf import load_default_dictionary
 
-from fixtures import BASE64, LS, objdump_listings
+from fixtures import (APT_CACHE, CROSS_SYNTAX_BINARIES, objdump_listings,
+                      objdump_text)
 
 DATA = Path(__file__).parent / "data"
 ATT = (DATA / "true_att.objdump").read_text()
@@ -40,7 +45,7 @@ def test_full_listing_parses_cleanly():
 
 def test_syntaxes_normalize_to_identical_records():
     pairs = [(ATT, INTEL)]
-    for binary in (BASE64, LS):
+    for binary in CROSS_SYNTAX_BINARIES:
         if objdump_listings(binary) is not None:
             pairs.append(objdump_listings(binary))
     for att, intel in pairs:
@@ -53,6 +58,24 @@ def test_syntaxes_normalize_to_identical_records():
             for a, b in zip(fa.instructions, fb.instructions):
                 assert (a.mnemonic, a.operands, a.prefixes) == \
                     (b.mnemonic, b.operands, b.prefixes)
+
+
+def test_demangled_listing_reads_like_the_plain_one():
+    # C++ names demangled by objdump -C hold "<", ">" and spaces, in
+    # function headers and in nested annotations
+    plain, demangled = (objdump_text(APT_CACHE, *flags) for flags in ((), ("-C",)))
+    if plain is None:
+        pytest.skip(f"needs objdump and {APT_CACHE}")
+    assert plain != demangled
+    (plain_fns, plain_report), (fns, report) = (
+        parse_listing_with_report(text) for text in (plain, demangled))
+    assert report == plain_report
+    assert report.malformed == []
+    assert [f.instructions for f in fns] == [f.instructions for f in plain_fns]
+    assert [f.addresses for f in fns] == [f.addresses for f in plain_fns]
+    a, b = (build_feature_file(text, "apt-cache", FeatureParams()).feature_set
+            for text in (plain, demangled))
+    assert (a.block_map, a.hashes) == (b.block_map, b.hashes)
 
 
 _LINE_RE = re.compile(r"^ *([0-9a-f]+):\t(.*)$", re.MULTILINE)
