@@ -3,18 +3,17 @@
 Layout: one <program_id>.features.json per program plus a derived
 index.json. Feature files are the source of truth; the index (per-program
 cardinalities and the hash -> programs inverted index) is rebuilt from
-them on demand. Files are written with sorted keys and fixed formatting
+them on demand. Files are written with sorted keys and no whitespace
 so identical inputs produce byte-identical files, and writes go through a
 uniquely named temp file so a failed ingest never leaves partial output
-and concurrent writers never share one. Reads rely on that fixed
-formatting to decode only the members a caller uses.
+and concurrent writers never share one. Reads accept any JSON whitespace
+and decode members in file order only as far as a caller reads.
 """
 
 import json
 import os
 import re
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__, lazy_names
@@ -39,6 +38,7 @@ _MEMBERS = ("block_map", "diagnostics", "format_version", "hashes",
            "term_counts", "term_stems", "toolkit_version")
 
 _DECODER = json.JSONDecoder()
+_WHITESPACE = json.decoder.WHITESPACE.match
 
 
 @dataclass
@@ -47,125 +47,94 @@ class FeatureFile(LazyFields):
     term_counts: dict  # block id -> tuple of per-stem counts (all blocks)
     term_stems: tuple
     source_digest: str
-    toolkit_version: str = __version__
+    # a factory, not a default: a default is a class attribute, which
+    # attribute lookup finds before LazyFields' __getattr__, so a decoded
+    # file's own version would never be read
+    toolkit_version: str = field(default_factory=lambda: __version__)
     # asm texts parsed by build_feature_file; in memory only, never in a file
     distinct_asm_texts: int = field(default=None, compare=False)
 
 
 def encode_feature_file(ff: FeatureFile) -> str:
-    """The canonical text of a feature file: json.dumps(doc,
-    sort_keys=True, indent=2) + "\n", where doc maps each member of
-    _MEMBERS to its JSON value (block ids as string keys, `hashes` and
-    `order_edges` sorted).
-
-    The bulk members (block_map, hashes, order_edges, term_counts) are
-    rendered here in that exact layout rather than through the
-    pure-Python indenting encoder, and each distinct term_counts row is
-    rendered once; the small members go through json.dumps.
-    """
+    """The canonical text of a feature file: the document that maps each
+    member of _MEMBERS to its JSON value (block ids as string keys,
+    `hashes` and `order_edges` sorted), written by _dumps."""
     fs = ff.feature_set
-    rows = {}  # count row -> its text; most rows repeat
-
-    def row(counts):
-        counts = tuple(counts)
-        text = rows.get(counts)
-        if text is None:
-            text = rows[counts] = _container("[]", [str(c) for c in counts], 2)
-        return text
-
-    block_map = sorted((str(i), h) for i, h in fs.block_map.items())
-    term_counts = sorted((str(i), c) for i, c in ff.term_counts.items())
-    members = {
-        "block_map": _container(
-            "{}", [f'"{i}": {_quote(h)}' for i, h in block_map], 1),
-        "diagnostics": _small(fs.diagnostics),
-        "format_version": _small(FORMAT_VERSION),
-        "hashes": _container("[]", [_quote(h) for h in sorted(fs.hashes)], 1),
-        "order_edges": _container(
-            "[]", [_container("[]", [str(a), str(b)], 2)
-                   for a, b in sorted(fs.order_edges)], 1),
-        "params": _small(fs.params.as_dict()),
-        "program_id": _small(fs.program_id),
-        "source_digest": _small(ff.source_digest),
-        "term_counts": _container(
-            "{}", [f'"{i}": {row(c)}' for i, c in term_counts], 1),
-        "term_stems": _small(list(ff.term_stems)),
-        "toolkit_version": _small(ff.toolkit_version),
-    }
-    return ("{\n" + ",\n".join(f'  "{key}": {members[key]}' for key in _MEMBERS)
-            + "\n}\n")
+    return _dumps({
+        "block_map": {str(i): h for i, h in fs.block_map.items()},
+        "diagnostics": fs.diagnostics,
+        "format_version": FORMAT_VERSION,
+        "hashes": sorted(fs.hashes),
+        "order_edges": sorted(fs.order_edges),
+        "params": fs.params.as_dict(),
+        "program_id": fs.program_id,
+        "source_digest": ff.source_digest,
+        "term_counts": {str(i): c for i, c in ff.term_counts.items()},
+        "term_stems": ff.term_stems,
+        "toolkit_version": ff.toolkit_version,
+    })
 
 
-def _container(brackets, items, depth):
-    """A JSON array or object of rendered items (object items already
-    "key": value), laid out as json.dumps(indent=2) lays it out when
-    nested `depth` levels deep."""
-    if not items:
-        return brackets
-    inner = "\n" + "  " * (depth + 1)
-    return (brackets[0] + inner + ("," + inner).join(items)
-            + "\n" + "  " * depth + brackets[1])
+def _dumps(doc):
+    """The text of every JSON file in a corpus: sorted keys, no
+    whitespace, one trailing newline. Keys must be strings, because the
+    encoder sorts int keys as numbers ("2" before "10")."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _small(value):
-    """A top-level member's value through json.dumps, indented one level
-    (json.dumps escapes newlines inside strings, so every raw newline
-    starts a line of the layout)."""
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+def _skip(text, pos, mark):
+    """The offset after `mark`, which must come next in text after JSON
+    whitespace, and after the whitespace that follows it."""
+    pos = _WHITESPACE(text, pos).end()
+    if not text.startswith(mark, pos):
+        raise ValueError(f"expected {mark!r} at offset {pos}")
+    return _WHITESPACE(text, pos + len(mark)).end()
 
 
 class _Members:
-    """The top-level members of one feature file, located by its canonical
-    layout and decoded one at a time.
+    """The top-level members of one feature file, decoded in file order.
 
-    encode_feature_file writes json.dumps(sort_keys=True, indent=2), which
-    starts every top-level key on a line of its own at indent 2 and never
-    puts a raw newline inside a string; nested lines are indented further.
-    So each member starts at a '\n  "<key>": ' mark and ends at the ','
-    before the next mark, and the keys are exactly _MEMBERS, in that order.
-    The marks are found forward from the start up to term_counts and
-    backward from the end after it, so term_counts, most of the file, is
-    not scanned until it is decoded.
+    The document must be one JSON object whose keys are exactly _MEMBERS,
+    in that order, as sort_keys writes them; any JSON whitespace may sit
+    between its tokens. A member is decoded when it or a member after it
+    is first read, so a query, which reads up to program_id, never
+    decodes term_counts, most of the file.
     """
 
     def __init__(self, text, source):
         self.text = text
         self.source = source
-        if not (text.startswith('{\n  "') and text.endswith("\n}\n")):
-            raise self.error("not a canonical feature file")
-        split = _MEMBERS.index("term_counts") + 1
-        marks = []
-        line = 0
-        for _ in _MEMBERS[:split]:
-            line = text.find('\n  "', line + 1)
-            marks.append(line)
-        line = len(text)
-        for _ in _MEMBERS[split:]:
-            line = text.rfind('\n  "', 0, line)
-            marks.insert(split, line)
-        starts = []
-        for key, mark in zip(_MEMBERS, marks):
-            head = f'\n  "{key}": '
-            if mark == -1 or not text.startswith(head, mark):
-                raise self.error(f"member {key!r} missing or out of order")
-            starts.append(mark + len(head))
-        ends = [mark - 1 for mark in marks[1:]]
-        for key, end in zip(_MEMBERS, ends):
-            if text[end] != ",":
-                raise self.error(f"no ',' after member {key!r}")
-        ends.append(len(text) - 3)
-        self.spans = dict(zip(_MEMBERS, zip(starts, ends)))
+        self.values = {}  # member -> its JSON value, for the members walked
+        self.pos = None  # where the next member's key starts, once one is walked
 
     def error(self, message):
         return DdghashError(f"{self.source}: {message}")
 
+    def _next(self):
+        """Decode the next member and the ',' or final '}' after it."""
+        walked = len(self.values)
+        key = _MEMBERS[walked]
+        text = self.text
+        try:
+            pos = self.pos if walked else _skip(text, 0, "{")
+            found, pos = _DECODER.raw_decode(text, pos)
+            if found != key:
+                raise ValueError("missing or out of order")
+            value, pos = _DECODER.raw_decode(text, _skip(text, pos, ":"))
+            if walked + 1 < len(_MEMBERS):
+                self.pos = _skip(text, pos, ",")
+            elif _skip(text, pos, "}") != len(text):
+                raise ValueError("text after the document")
+        except (ValueError, RecursionError) as exc:
+            raise self.error(f"member {key!r}: {exc}") from None
+        self.values[key] = value
+
     def read(self, key, build=None):
         """Decode one member exactly as json.loads would, then build it."""
-        start, end = self.spans[key]
+        while key not in self.values:
+            self._next()
+        value = self.values[key]
         try:
-            value, stop = _DECODER.raw_decode(self.text, start)
-            if stop != end:
-                raise ValueError(f"unexpected text at offset {stop}")
             return value if build is None else build(value)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise self.error(f"member {key!r}: {exc}") from None
@@ -205,10 +174,10 @@ def _diagnostics(diag):
 
 
 def decode_feature_file(text: str, source="feature file") -> FeatureFile:
-    """Decode a canonical feature file; DdghashError names `source`.
+    """Decode a feature file; DdghashError names `source`.
 
     format_version, params, program_id and hashes, which every query
-    reads, are decoded here. The other members stay text until a caller
+    reads, are built here. The other members are built when a caller
     first reads them, so a query never parses term_counts.
     """
     members = _Members(text, source)
@@ -290,8 +259,11 @@ class Corpus:
         return self.root / f"{program_id}.features.json"
 
     def ids(self):
-        return sorted(p.name[: -len(".features.json")]
-                      for p in self.root.glob("*.features.json"))
+        """The programs of the corpus. A file whose name no id can address,
+        such as an editor's lock file, is not one of them."""
+        stems = (p.name[: -len(".features.json")]
+                 for p in self.root.glob("*.features.json"))
+        return sorted(pid for pid in stems if _PROGRAM_ID.fullmatch(pid))
 
     def load(self, program_id) -> FeatureFile:
         path = self._path(program_id)
@@ -376,8 +348,7 @@ class Corpus:
             "programs": programs,
             "inverted": {h: sorted(ps) for h, ps in inverted.items()},
         }
-        _write_atomic(self.root / "index.json",
-                      json.dumps(index, sort_keys=True, indent=2) + "\n")
+        _write_atomic(self.root / "index.json", _dumps(index))
         return index
 
 

@@ -340,7 +340,7 @@ def _vote(lines):
         if seen >= 100:
             break
     if seen == 0:
-        raise NoInstructionsFound("no instruction lines in input")
+        raise NoInstructionsFound()
     return "att" if att > intel else "intel"
 
 
@@ -444,7 +444,7 @@ def parse_listing_with_report(text, syntax=None):
     report.distinct_asm_texts = len(parsed)
 
     if report.instruction_shaped == 0:
-        raise NoInstructionsFound("no instruction lines in input")
+        raise NoInstructionsFound()
     if len(report.malformed) > MAX_MALFORMED_RATIO * report.instruction_shaped:
         raise MalformedListing(report)
     return functions, report

@@ -8,6 +8,12 @@ class DdghashError(Exception):
 class NoInstructionsFound(DdghashError):
     """Input text contains no recognizable instruction lines."""
 
+    def __init__(self):
+        super().__init__(
+            "no instruction lines in input: an instruction line is an indented "
+            "hex address and ':', as `objdump -d` prints it "
+            "(`objdump --prefix-addresses` output is not read)")
+
 
 class MalformedListing(DdghashError):
     """Too many instruction-shaped lines failed to parse (> threshold)."""

@@ -1,6 +1,7 @@
 """Shared fixture builders: listing text generators and graph constructors."""
 
 import functools
+import json
 import re
 import shutil
 import subprocess
@@ -309,9 +310,24 @@ def large_listing(n_instructions, seed=7):
 
 
 def replace_first_count(text, value):
-    """A feature file's text with value written over its first term count."""
-    return re.sub(r'("term_counts": \{\n    "\d+": \[\n +)\d+',
+    """A feature file's text, in any layout, with value written over its
+    first term count."""
+    return re.sub(r'("term_counts":\s*\{\s*"\d+":\s*\[\s*)\d+',
                   lambda m: m.group(1) + value, text, count=1)
+
+
+def member_span(text, key):
+    """Where a top-level member of a feature file's text, in any layout,
+    starts, where its value starts and where its value ends."""
+    head = re.search(rf'"{key}"\s*:\s*', text)
+    _, end = json.JSONDecoder().raw_decode(text, head.end())
+    return head.start(), head.end(), end
+
+
+def nest_hashes(text):
+    """A feature file's text with its hashes nested 200,000 deep."""
+    _, value, end = member_span(text, "hashes")
+    return text[:value] + "[" * 200_000 + "]" * 200_000 + text[end:]
 
 
 # --- listings objdump generates from an installed binary -------------------

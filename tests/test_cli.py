@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,8 @@ import pytest
 
 from ddghash.cli import main
 
-from fixtures import (BASE64, CMOV_BLOCK_INTEL, objdump_listings,
-                      replace_first_count, star_program)
+from fixtures import (BASE64, CMOV_BLOCK_INTEL, member_span, nest_hashes,
+                      objdump_listings, replace_first_count, star_program)
 
 DATA = Path(__file__).parent / "data"
 
@@ -178,10 +179,18 @@ def test_keep_going_continues(tmp_path, capsys):
 
 
 def test_ingest_refreshes_index(tmp_path, capsys):
-    corpus = _seed_corpus(tmp_path, {"a": range(1, 5), "b": range(3, 8)})
+    _seed_corpus(tmp_path, {"a": range(1, 5)})
+    # no id names these files, an editor's lock file among them, so they
+    # are not programs: not indexed, not read
+    for stray in (".#a.features.json", "a b.features.json"):
+        (tmp_path / "corpus" / stray).write_text("{")
+    corpus = _seed_corpus(tmp_path, {"b": range(3, 8)})
     index = json.loads((tmp_path / "corpus" / "index.json").read_text())
     assert set(index["programs"]) == {"a", "b"}
     assert all(len(pids) >= 1 for pids in index["inverted"].values())
+    for argv in (["nearest", "a"], ["matrix", "--all"], ["contain"]):
+        code, _, err = run(capsys, "-C", corpus, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 def test_ingest_reports_counts(tmp_path, capsys):
@@ -206,8 +215,10 @@ def test_ingest_json_reports_work_done_outside_the_file(tmp_path, capsys):
     assert "distinct_" not in (corpus / "true_att.features.json").read_text()
 
 
-# sha256 of <id>.features.json for each tests/data listing under each setting
-PINNED_FILES = {
+# sha256 of the document of <id>.features.json for each tests/data listing
+# under each setting: json.dumps(sort_keys=True, indent=2) of the file's
+# json.loads, plus a newline
+PINNED_DOCUMENTS = {
     (): {
         "true_att": "a3719e416622c8cb63746855faf98e2a7fa31ed1f4fd7ef02713414429beb0a2",
         "true_intel": "24e445c008084801d317d0c654be894d35b77200d8751b30b805a1e8b6b62858",
@@ -225,18 +236,41 @@ PINNED_FILES = {
     },
 }
 
+# sha256 of the same files' bytes
+PINNED_FILES = {
+    (): {
+        "true_att": "c01824e469ca49f7fbc7fff7e98ca399288b6a6822f43adc3975c961c2f9ad25",
+        "true_intel": "3c9435f33df1e8b897066b8fedd6b455ceb39e8a603c66635878b1e48f9c29aa",
+        "false_intel": "aa6966ee00e4b1ac3f28e1d7b88a3e6090879c332d3f1a91f4aa8264bc9a7c62",
+    },
+    ("--mode", "literal", "--policy", "all_data_operands"): {
+        "true_att": "1b2608926989599a32840069fb8834ab7d442bc427aba81a4c4e047ca0e95eb6",
+        "true_intel": "d24a27f7b5ce39558f63ad0c5f37ab2d202818b0ea53ab3ecc7f582cd463d33b",
+        "false_intel": "0ee340abf7b85869cd1b79c43da7c9164bd267911426a3f8a5c86baefcbb01e5",
+    },
+    ("--mode", "unlabeled", "--iters", "2"): {
+        "true_att": "36959b75cef27946e513650e278ee953be81e0a2f08a8ec4ac9b09160fbd8e3c",
+        "true_intel": "fdb2324ea2ac32b1058095acac4303459edef8606f7c091d32b6f4713f608ba2",
+        "false_intel": "d72b991dc80897d3fcd33bafbf7cc8b56a01128fca2a716bb250f034aa16eacc",
+    },
+}
+
 
 @pytest.mark.parametrize("listing", ["true_att", "true_intel", "false_intel"])
-@pytest.mark.parametrize("setting", list(PINNED_FILES),
+@pytest.mark.parametrize("setting", list(PINNED_DOCUMENTS),
                          ids=["default", "literal", "unlabeled"])
 def test_feature_file_bytes_are_pinned(tmp_path, capsys, setting, listing):
-    """The files' exact bytes: how the pipeline saves work must not move them."""
+    """The files' exact bytes and their documents: how the pipeline saves
+    work must not move them."""
     corpus = tmp_path / "corpus"
     code, _, err = run(capsys, "-C", str(corpus), "ingest",
                        str(DATA / f"{listing}.objdump"), *setting)
     assert code == 0, err
     data = (corpus / f"{listing}.features.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == PINNED_FILES[setting][listing]
+    document = json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n"
+    assert (hashlib.sha256(document.encode()).hexdigest()
+            == PINNED_DOCUMENTS[setting][listing])
 
 
 def _ingest_in_a_new_process(corpus, *args):
@@ -247,7 +281,7 @@ def _ingest_in_a_new_process(corpus, *args):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("setting", list(PINNED_FILES)[:2], ids=["default", "literal"])
+@pytest.mark.parametrize("setting", list(PINNED_DOCUMENTS)[:2], ids=["default", "literal"])
 def test_one_ingest_process_writes_what_separate_ones_write(tmp_path, setting):
     """State an ingest keeps in memory for the next listing (parsed
     operands, refined WL labels) never reaches a file: ingesting B after A
@@ -570,13 +604,9 @@ def _corrupt_corpus(tmp_path, mutate):
 
 
 def _drop_member(text, key):
-    lines = text.split("\n")
-    start = next(i for i, line in enumerate(lines)
-                 if line.startswith(f'  "{key}": '))
-    end = start + 1
-    while not lines[end].startswith('  "'):
-        end += 1
-    return "\n".join(lines[:start] + lines[end:])
+    """The text without one member, not the last, and the ',' after it."""
+    start, _, end = member_span(text, key)
+    return text[:start] + text[re.compile(r"\s*,\s*").match(text, end).end():]
 
 
 _QUERIES = (["compare", "true_att", "true_intel"],
@@ -589,11 +619,11 @@ _QUERIES = (["compare", "true_att", "true_intel"],
 @pytest.mark.parametrize("mutate, queries", [
     (lambda text: text[:1000], _QUERIES),
     (lambda text: _drop_member(text, "order_edges"), _QUERIES),
-    (lambda text: json.dumps(json.loads(text)), _QUERIES),
     (lambda text: b"\xff" + text.encode(), _QUERIES),
     # only tfstats reads term_counts
     (lambda text: replace_first_count(text, '"x"'), [["tfstats", "true_att"]]),
-], ids=["truncated", "missing_member", "compact", "not_utf8", "count_not_int"])
+    (nest_hashes, _QUERIES),
+], ids=["truncated", "missing_member", "not_utf8", "count_not_int", "deep_nesting"])
 def test_corrupt_feature_file_fails_cleanly(tmp_path, capsys, mutate, queries):
     corpus, path = _corrupt_corpus(tmp_path, mutate)
     for argv in queries:
@@ -602,6 +632,22 @@ def test_corrupt_feature_file_fails_cleanly(tmp_path, capsys, mutate, queries):
         assert out == ""
         assert err.startswith(f"error: {path}: "), err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("layout", [
+    json.dumps,
+    lambda doc: json.dumps(doc, indent=4),
+], ids=["compact", "indent4"])
+def test_reserialized_feature_file_answers_every_query(tmp_path, capsys, layout):
+    """A file another JSON tool wrote out again reads as the original does."""
+    corpus, path = _corrupt_corpus(tmp_path, lambda text: text)
+    queries = [*_QUERIES, ["tfstats", "true_att", "--vectors"]]
+    answers = [run(capsys, "-C", corpus, "--format", "json", *argv)
+               for argv in queries]
+    path.write_text(layout(json.loads(path.read_text())))
+    for argv, answer in zip(queries, answers):
+        assert answer[0] == 0, argv
+        assert run(capsys, "-C", corpus, "--format", "json", *argv) == answer, argv
 
 
 def test_feature_files_decode_as_utf8_under_an_ascii_locale(tmp_path):
@@ -623,7 +669,7 @@ def test_feature_files_decode_as_utf8_under_an_ascii_locale(tmp_path):
 def test_queries_leave_term_counts_undecoded(tmp_path, capsys):
     # a damaged term_counts member breaks tfstats only: set queries never read it
     corpus, path = _corrupt_corpus(
-        tmp_path, lambda text: text.replace('"term_counts": {', '"term_counts": {]', 1))
+        tmp_path, lambda text: re.sub(r'"term_counts":\s*\{', r"\g<0>]", text, count=1))
     code, out, _ = run(capsys, "-C", corpus, "compare", "true_att", "true_intel")
     assert code == 0
     assert "jaccard:             1/1 = 1.000" in out

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from ddghash.errors import (DdghashError, MalformedListing,
 from ddghash.features import (FeatureParams, ProgramFeatureSet, compare,
                               make_feature_set)
 
-from fixtures import replace_first_count, star_program
+from fixtures import nest_hashes, replace_first_count, star_program
 
 PARAMS = FeatureParams()
 DATA = Path(__file__).parent / "data"
@@ -50,14 +51,22 @@ def _random_feature_file(rng):
         term_counts=term_counts,
         term_stems=tuple(f"s{i}" for i in range(32)),
         source_digest=f"sha256:{rng.randrange(1 << 64):064x}",
+        toolkit_version=f"0.{rng.randrange(10)}.0",
     )
+
+
+def _layouts(text):
+    """A feature file's text as written and re-serialized with indent=2,
+    the layout of format_version 1's first writer."""
+    return text, json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_round_trip_random_feature_files():
     rng = random.Random(8)
     for _ in range(50):
         ff = _random_feature_file(rng)
-        assert decode_feature_file(encode_feature_file(ff)) == ff
+        for text in _layouts(encode_feature_file(ff)):
+            assert decode_feature_file(text) == ff
 
 
 def test_format_version_checked():
@@ -68,25 +77,30 @@ def test_format_version_checked():
         decode_feature_file(json.dumps(doc))
 
 
+def _sub(pattern, replacement):
+    return lambda t: re.sub(pattern, replacement, t, count=1)
+
+
 @pytest.mark.parametrize("mutate", [
-    lambda t: t.replace('"hashes": ', '"hashez": ', 1),
-    lambda t: t.replace('\n  "order_edges": ', '\n  "extra": 1,\n  "order_edges": ', 1),
-    lambda t: t.replace('\n}\n', ',\n  "zzz": 1\n}\n'),
-    lambda t: t.replace(',\n  "params": ', '\n  "params": ', 1),
-    lambda t: t.replace('"program_id": "', '"program_id": 1 + "', 1),
-    lambda t: t.replace('"digest_bits": 128', '"digest_bits": 64', 1),
-    lambda t: t.replace('"wl_iterations": 3', '"wl_iterations": 0', 1),
+    _sub(r'"hashes":', '"hashez":'),
+    _sub(r'(,\s*)("order_edges":)', r'\1"extra": 1,\2'),
+    _sub(r'\}\s*$', ',"zzz": 1}\n'),
+    _sub(r',(\s*"params":)', r'\1'),
+    _sub(r'("program_id":\s*)"', r'\1 1 + "'),
+    _sub(r'"digest_bits":\s*128', '"digest_bits": 64'),
+    _sub(r'"wl_iterations":\s*3', '"wl_iterations": 0'),
     *(lambda t, v=v: replace_first_count(t, v)
       for v in ('"x"', "-1", "true", "1.5", "null", "[1]")),
+    nest_hashes,
 ], ids=["renamed", "extra_inside", "extra_last", "no_comma", "bad_value",
         "digest_bits_64", "wl_iterations_0", "count_str", "count_negative",
-        "count_bool", "count_float", "count_null", "count_list"])
+        "count_bool", "count_float", "count_null", "count_list", "deep_nesting"])
 def test_non_canonical_text_names_source(mutate):
-    text = encode_feature_file(_random_feature_file(random.Random(3)))
-    assert mutate(text) != text
-    with pytest.raises(DdghashError, match="^corp/p.features.json: "):
-        # term_counts is decoded on first read
-        decode_feature_file(mutate(text), "corp/p.features.json").term_counts
+    for text in _layouts(encode_feature_file(_random_feature_file(random.Random(3)))):
+        assert mutate(text) != text
+        with pytest.raises(DdghashError, match="^corp/p.features.json: "):
+            # repr reads every member; most are decoded on first read
+            repr(decode_feature_file(mutate(text), "corp/p.features.json"))
 
 
 def test_ingest_dedup_counts(tmp_path):
@@ -326,7 +340,8 @@ def test_concurrent_writers_use_separate_temp_files(tmp_path, monkeypatch):
 
 
 def _reference_encoding(ff):
-    """The canonical text as json.dumps writes it: the writer's spec."""
+    """The canonical text as json.dumps writes it from the document with
+    string keys: the writer's spec."""
     fs = ff.feature_set
     doc = {
         "format_version": 1,
@@ -341,7 +356,7 @@ def _reference_encoding(ff):
         "source_digest": ff.source_digest,
         "toolkit_version": ff.toolkit_version,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 _TEXT = st.text(max_size=10)
@@ -390,27 +405,24 @@ def _writer_case(block_map=(), edges=(), term_counts=(), program_id="p",
 
 # each case: a file and fragments that its text holds in this order
 @pytest.mark.parametrize("ff, fragments", [
-    (_writer_case(), ['"block_map": {}', '"hashes": []', '"order_edges": []',
-                      '"term_counts": {}']),
+    (_writer_case(), ['"block_map":{}', '"hashes":[]', '"order_edges":[]',
+                      '"term_counts":{}']),
     (_writer_case(block_map={i: f"{i:032x}" for i in (2, 10, 100, 3)},
                   edges={(10, 2), (2, 10), (100, 3)},
                   term_counts={i: (i, 0) for i in (2, 10, 100, 3)}),
-     ['"10": "', '"100": "', '"2": "', '"3": "',
-      '"order_edges": [\n    [\n      2,\n      10\n    ],\n    [\n      10,'
-      '\n      2\n    ],\n    [\n      100,\n      3\n    ]\n  ]',
-      '"10": [\n      10,\n      0\n    ],\n    "100": [']),
+     ['"10":"', '"100":"', '"2":"', '"3":"',
+      '"order_edges":[[2,10],[10,2],[100,3]]', '"10":[10,0],"100":[']),
     (_writer_case(term_counts={i: ((1, 0), (0, 2), (0, 0))[i % 3] for i in range(12)}),
-     ['"10": [\n      0,\n      2\n    ],\n    "11": [\n      0,\n      0\n    ],'
-      '\n    "2": [\n      0,\n      0\n    ]']),
+     ['"10":[0,2],"11":[0,0],"2":[0,0]']),
     (_writer_case(program_id='dis"asm\\ \u00fc\n\u2028',
                   diagnostics={"note": 'tab\t"q"', "blocks": 3, "\u00e9": None}),
-     ['"diagnostics": {\n    "blocks": 3,\n    "note": "tab\\t\\"q\\"",\n'
-      '    "\\u00e9": null\n  }',
-      '"program_id": "dis\\"asm\\\\ \\u00fc\\n\\u2028"']),
+     ['"diagnostics":{"blocks":3,"note":"tab\\t\\"q\\"","\\u00e9":null}',
+      '"program_id":"dis\\"asm\\\\ \\u00fc\\n\\u2028"']),
 ], ids=["empty", "ids_as_strings", "repeated_rows", "escaping"])
 def test_writer_edge_cases(ff, fragments):
     text = encode_feature_file(ff)
     assert text == _reference_encoding(ff)
     positions = [text.index(fragment) for fragment in fragments]
     assert positions == sorted(positions)
-    assert decode_feature_file(text) == ff
+    for layout in _layouts(text):
+        assert decode_feature_file(layout) == ff

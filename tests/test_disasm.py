@@ -81,6 +81,16 @@ def test_parse_sample_block_mnemonics():
 def test_parse_empty_string():
     with pytest.raises(NoInstructionsFound):
         parse_listing("")
+    # the form `objdump -d --prefix-addresses` prints is not read, and the
+    # message says what is
+    prefix_addresses = (
+        "Disassembly of section .init:\n"
+        "0000000000002000 <.init> sub    $0x8,%rsp\n"
+        "0000000000002004 <.init+0x4> test   %rax,%rax\n")
+    with pytest.raises(NoInstructionsFound,
+                       match=r"an indented hex address and ':', as `objdump -d` "
+                             r"prints it \(`objdump --prefix-addresses` output"):
+        parse_listing(prefix_addresses)
 
 
 def test_att_and_intel_renderings_agree():
