@@ -46,6 +46,35 @@ def lazy_names(namespace, homes):
     return __getattr__, bind_all
 
 
+class Record:
+    """Base of the package's records: plain classes whose fields are their
+    __slots__, so no instance carries a __dict__. Each record writes out
+    its own __init__ and __eq__, and __hash__ when it is frozen; a record
+    equals only a record of its own class. repr shows the class and every
+    field whose name does not start with "_"."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose __init__ sets each field once, through
+    object.__setattr__; assigning or deleting a field later raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # each public name -> its module, in the order of __all__
 _HOMES = {
     "BasicBlock": "blocks", "segment": "blocks",

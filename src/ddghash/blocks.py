@@ -6,20 +6,34 @@ Blocks therefore partition the instruction stream in order, and a control
 transfer can only ever sit in the final slot of its block.
 """
 
-from dataclasses import dataclass
-
-from . import isa
+from . import FrozenRecord, isa
 from .disasm import FunctionListing
 from .isa import DANGLING, EXTERNAL, IMMEDIATE, INDIRECT
 
 
-@dataclass(frozen=True)
-class BasicBlock:
-    id: int
-    start_address: int
-    instructions: tuple
-    successors: frozenset  # ids of the blocks control passes to next
-    exit: str | None  # INDIRECT, EXTERNAL, DANGLING or None
+class BasicBlock(FrozenRecord):
+    __slots__ = ("id", "start_address", "instructions", "successors", "exit")
+
+    def __init__(self, id, start_address, instructions, successors, exit):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "start_address", start_address)
+        object.__setattr__(self, "instructions", instructions)  # tuple
+        # ids of the blocks control passes to next, as a frozenset
+        object.__setattr__(self, "successors", successors)
+        # INDIRECT, EXTERNAL, DANGLING or None
+        object.__setattr__(self, "exit", exit)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.start_address, self.instructions,
+                self.successors, self.exit) == (
+            other.id, other.start_address, other.instructions,
+            other.successors, other.exit)
+
+    def __hash__(self):
+        return hash((self.id, self.start_address, self.instructions,
+                     self.successors, self.exit))
 
 
 def _direct_target(instr):

@@ -13,7 +13,6 @@ and decode members in file order only as far as a caller reads.
 import json
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__, lazy_names
@@ -41,18 +40,30 @@ _DECODER = json.JSONDecoder()
 _WHITESPACE = json.decoder.WHITESPACE.match
 
 
-@dataclass
 class FeatureFile(LazyFields):
-    feature_set: ProgramFeatureSet
-    term_counts: dict  # block id -> tuple of per-stem counts (all blocks)
-    term_stems: tuple
-    source_digest: str
-    # a factory, not a default: a default is a class attribute, which
-    # attribute lookup finds before LazyFields' __getattr__, so a decoded
-    # file's own version would never be read
-    toolkit_version: str = field(default_factory=lambda: __version__)
-    # asm texts parsed by build_feature_file; in memory only, never in a file
-    distinct_asm_texts: int = field(default=None, compare=False)
+    """distinct_asm_texts, the number of asm texts build_feature_file
+    parsed, is in memory only: never in a file, and not part of equality."""
+
+    __slots__ = ("feature_set", "term_counts", "term_stems", "source_digest",
+                 "toolkit_version", "distinct_asm_texts")
+
+    def __init__(self, feature_set, term_counts, term_stems, source_digest,
+                 toolkit_version=__version__, distinct_asm_texts=None):
+        self.feature_set = feature_set
+        # block id -> tuple of per-stem counts, for every block
+        self.term_counts = term_counts
+        self.term_stems = term_stems
+        self.source_digest = source_digest
+        self.toolkit_version = toolkit_version
+        self.distinct_asm_texts = distinct_asm_texts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.feature_set, self.term_counts, self.term_stems,
+                self.source_digest, self.toolkit_version) == (
+            other.feature_set, other.term_counts, other.term_stems,
+            other.source_digest, other.toolkit_version)
 
 
 def encode_feature_file(ff: FeatureFile) -> str:
@@ -104,15 +115,17 @@ class _Members:
     def __init__(self, text, source):
         self.text = text
         self.source = source
-        self.values = {}  # member -> its JSON value, for the members walked
+        self.walked = 0  # members decoded so far
         self.pos = None  # where the next member's key starts, once one is walked
+        self.raw = {}  # member -> its JSON value, until it is built
+        self.built = {}  # member -> the value built from it
 
     def error(self, message):
         return DdghashError(f"{self.source}: {message}")
 
     def _next(self):
         """Decode the next member and the ',' or final '}' after it."""
-        walked = len(self.values)
+        walked = self.walked
         key = _MEMBERS[walked]
         text = self.text
         try:
@@ -127,17 +140,24 @@ class _Members:
                 raise ValueError("text after the document")
         except (ValueError, RecursionError) as exc:
             raise self.error(f"member {key!r}: {exc}") from None
-        self.values[key] = value
+        self.raw[key] = value
+        self.walked = walked + 1
 
     def read(self, key, build=None):
-        """Decode one member exactly as json.loads would, then build it."""
-        while key not in self.values:
+        """Decode one member exactly as json.loads would, then build it.
+        The JSON value is dropped once built, and a member read again, as
+        term_stems is, gives the value built the first time."""
+        if key in self.built:
+            return self.built[key]
+        while key not in self.raw:
             self._next()
-        value = self.values[key]
         try:
-            return value if build is None else build(value)
+            value = self.raw[key] if build is None else build(self.raw[key])
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise self.error(f"member {key!r}: {exc}") from None
+        del self.raw[key]
+        self.built[key] = value
+        return value
 
     def later(self, key, build=None):
         return lambda: self.read(key, build)
@@ -157,9 +177,14 @@ def _term_stems(stems):
 
 def _term_counts(counts, stems):
     """Rows keyed by block id; each must hold one non-negative integer
-    count per stem. Each distinct row is checked once."""
-    rows = {int(i): tuple(c) for i, c in counts.items()}
-    for row in set(rows.values()):
+    count per stem. Equal rows share one tuple, and each distinct row is
+    checked once."""
+    distinct = {}  # row -> itself
+    rows = {}
+    for i, c in counts.items():
+        row = tuple(c)
+        rows[int(i)] = distinct.setdefault(row, row)
+    for row in distinct:
         if len(row) != len(stems) or not all(type(c) is int and c >= 0 for c in row):
             block = next(i for i, r in rows.items() if r is row)
             raise ValueError(f"block {block} does not hold {len(stems)} "
@@ -196,6 +221,7 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
         program_id=members.read("program_id"),
         params=members.read("params", FeatureParams.from_dict),
         hashes=members.read("hashes", lambda h: frozenset(_strings(h))),
+        distinct_graphs=None,
     )
     return FeatureFile.deferred(
         {
@@ -206,6 +232,7 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
             "toolkit_version": later("toolkit_version"),
         },
         feature_set=fs,
+        distinct_asm_texts=None,
     )
 
 

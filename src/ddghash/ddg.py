@@ -9,9 +9,7 @@ with two or more operands contribute edges from each source-position
 operand to its first (destination) operand.
 """
 
-from dataclasses import dataclass
-
-from . import isa
+from . import FrozenRecord, isa
 from .isa import MEMORY, REGISTER, InstructionFamilyPolicy, LabelMode
 
 
@@ -26,18 +24,40 @@ def node_label(operand, mode: LabelMode):
     return operand.text
 
 
-@dataclass(frozen=True)
-class DdgNode:
-    id: int
-    text: str
-    label: str
+class DdgNode(FrozenRecord):
+    __slots__ = ("id", "text", "label")
+
+    def __init__(self, id, text, label):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.text, self.label) == (other.id, other.text, other.label)
+
+    def __hash__(self):
+        return hash((self.id, self.text, self.label))
 
 
-@dataclass(frozen=True)
-class DataDependencyGraph:
-    block_id: int
-    nodes: tuple[DdgNode, ...]
-    edges: frozenset  # (src node id, dst node id)
+class DataDependencyGraph(FrozenRecord):
+    __slots__ = ("block_id", "nodes", "edges")
+
+    def __init__(self, block_id, nodes, edges):
+        object.__setattr__(self, "block_id", block_id)
+        object.__setattr__(self, "nodes", nodes)  # tuple of DdgNode
+        # (src node id, dst node id) pairs, as a frozenset
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.block_id, self.nodes, self.edges) == (
+            other.block_id, other.nodes, other.edges)
+
+    def __hash__(self):
+        return hash((self.block_id, self.nodes, self.edges))
 
     def __len__(self):
         return len(self.nodes)

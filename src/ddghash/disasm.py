@@ -22,51 +22,106 @@ Format gotchas handled here:
 """
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import isa
+from . import FrozenRecord, Record, isa
 from .errors import MalformedListing, NoInstructionsFound, UnparsableOperand
 from .isa import IMMEDIATE, MEMORY, REGISTER
 
 MAX_MALFORMED_RATIO = 0.10  # malformed share above which a listing is refused
 
 
-@dataclass(frozen=True)
-class Operand:
-    kind: str
-    base: str | None = None
-    index: str | None = None
-    scale: int | None = None
-    displacement: int | None = None
-    value: int | None = None
-    text: str = ""
+class Operand(FrozenRecord):
+    __slots__ = ("kind", "base", "index", "scale", "displacement", "value",
+                 "text")
+
+    def __init__(self, kind, base=None, index=None, scale=None,
+                 displacement=None, value=None, text=""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "displacement", displacement)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "text", text)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.base, self.index, self.scale,
+                self.displacement, self.value, self.text) == (
+            other.kind, other.base, other.index, other.scale,
+            other.displacement, other.value, other.text)
+
+    def __hash__(self):
+        return hash((self.kind, self.base, self.index, self.scale,
+                     self.displacement, self.value, self.text))
 
 
-@dataclass(frozen=True)
-class Instruction:
-    mnemonic: str
-    operands: tuple[Operand, ...]
-    raw_text: str
-    prefixes: tuple[str, ...] = ()
+class Instruction(FrozenRecord):
+    __slots__ = ("mnemonic", "operands", "raw_text", "prefixes")
+
+    def __init__(self, mnemonic, operands, raw_text, prefixes=()):
+        object.__setattr__(self, "mnemonic", mnemonic)
+        object.__setattr__(self, "operands", operands)  # tuple of Operand
+        object.__setattr__(self, "raw_text", raw_text)
+        object.__setattr__(self, "prefixes", prefixes)  # tuple of str
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mnemonic, self.operands, self.raw_text, self.prefixes) == (
+            other.mnemonic, other.operands, other.raw_text, other.prefixes)
+
+    def __hash__(self):
+        return hash((self.mnemonic, self.operands, self.raw_text, self.prefixes))
 
 
-@dataclass(frozen=True)
-class FunctionListing:
-    name: str
-    instructions: tuple[Instruction, ...]
-    addresses: tuple[int, ...]  # of each line, parallel to instructions
+class FunctionListing(FrozenRecord):
+    __slots__ = ("name", "instructions", "addresses")
+
+    def __init__(self, name, instructions, addresses):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "instructions", instructions)  # tuple
+        # of each line, parallel to instructions
+        object.__setattr__(self, "addresses", addresses)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.instructions, self.addresses) == (
+            other.name, other.instructions, other.addresses)
+
+    def __hash__(self):
+        return hash((self.name, self.instructions, self.addresses))
 
 
-@dataclass
-class ParseReport:
-    syntax: str = "intel"
-    functions: int = 0
-    instructions: int = 0
-    skipped_lines: int = 0
-    instruction_shaped: int = 0
-    malformed: list = field(default_factory=list)  # (line_no, reason, line)
-    distinct_asm_texts: int = 0  # parsed once each; not part of as_dict()
+class ParseReport(Record):
+    __slots__ = ("syntax", "functions", "instructions", "skipped_lines",
+                 "instruction_shaped", "malformed", "distinct_asm_texts")
+
+    def __init__(self, syntax="intel", functions=0, instructions=0,
+                 skipped_lines=0, instruction_shaped=0, malformed=None,
+                 distinct_asm_texts=0):
+        self.syntax = syntax
+        self.functions = functions
+        self.instructions = instructions
+        self.skipped_lines = skipped_lines
+        self.instruction_shaped = instruction_shaped
+        # (line_no, reason, line) of each malformed line; a fresh list each
+        self.malformed = [] if malformed is None else malformed
+        # asm texts parsed once each; not in as_dict()
+        self.distinct_asm_texts = distinct_asm_texts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.syntax, self.functions, self.instructions,
+                self.skipped_lines, self.instruction_shaped, self.malformed,
+                self.distinct_asm_texts) == (
+            other.syntax, other.functions, other.instructions,
+            other.skipped_lines, other.instruction_shaped, other.malformed,
+            other.distinct_asm_texts)
 
     def as_dict(self):
         return {

@@ -6,10 +6,9 @@ the set its partial order. All similarity arithmetic is exact: sizes are
 ints and coefficients Fractions, so inclusion-exclusion holds to the bit.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import lazy_names
+from . import FrozenRecord, Record, lazy_names
 from .errors import IncompatibleCorpora
 from .isa import (DANGLING, EXTERNAL, INDIRECT, InstructionFamilyPolicy,
                   LabelMode)
@@ -26,18 +25,28 @@ _EXIT_COUNTS = {INDIRECT: "indirect_transfers", EXTERNAL: "external_targets",
                 DANGLING: "dangling_targets"}
 
 
-@dataclass(frozen=True)
-class FeatureParams:
+class FeatureParams(FrozenRecord):
     """Extraction settings; comparisons are gated on equality of these."""
 
-    label_mode: LabelMode = LabelMode.OPERAND_CLASS
-    policy: InstructionFamilyPolicy = InstructionFamilyPolicy.MOV_ONLY
-    wl_iterations: int = 3
+    __slots__ = ("label_mode", "policy", "wl_iterations")
 
-    def __post_init__(self):
-        if self.wl_iterations < 1:
+    def __init__(self, label_mode=LabelMode.OPERAND_CLASS,
+                 policy=InstructionFamilyPolicy.MOV_ONLY, wl_iterations=3):
+        if wl_iterations < 1:
             raise ValueError(
-                f"wl_iterations must be >= 1, not {self.wl_iterations!r}")
+                f"wl_iterations must be >= 1, not {wl_iterations!r}")
+        object.__setattr__(self, "label_mode", label_mode)
+        object.__setattr__(self, "policy", policy)
+        object.__setattr__(self, "wl_iterations", wl_iterations)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label_mode, self.policy, self.wl_iterations) == (
+            other.label_mode, other.policy, other.wl_iterations)
+
+    def __hash__(self):
+        return hash((self.label_mode, self.policy, self.wl_iterations))
 
     def as_dict(self):
         return {
@@ -59,54 +68,85 @@ class FeatureParams:
         )
 
 
-class LazyFields:
-    """Dataclass mixin for instances decoded from a file. One made by
-    `deferred` builds each field named in `pending` (name -> zero-argument
-    builder) on its first read and keeps it; equality and repr read
-    every field, so they build them all."""
+class LazyFields(Record):
+    """Base of records decoded from a file. One made by `deferred` builds
+    each field named in `pending` (name -> zero-argument builder) on its
+    first read and keeps it; every other field must be given. Equality and
+    repr read every field, so they build them all. A field is a slot and
+    has no class-level default, which attribute lookup would find before
+    __getattr__ and so never build the field."""
+
+    __slots__ = ("_pending",)
 
     @classmethod
     def deferred(cls, pending, **fields):
         obj = cls.__new__(cls)
-        obj.__dict__.update(fields, _pending=pending)
+        for name, value in fields.items():
+            setattr(obj, name, value)
+        obj._pending = pending
         return obj
 
-    def __getattr__(self, name):  # reached only for fields not yet built
-        pending = self.__dict__.get("_pending", {})
-        if name not in pending:
+    def __getattr__(self, name):  # reached only for fields not yet set
+        # a record not made by deferred has no _pending
+        if name == "_pending" or name not in getattr(self, "_pending", ()):
             raise AttributeError(name)
+        pending = self._pending
         value = pending[name]()
         del pending[name]
         setattr(self, name, value)
         return value
 
 
-@dataclass
 class ProgramFeatureSet(LazyFields):
-    program_id: str
-    params: FeatureParams
-    block_map: dict  # block index -> 32-hex hash, insertion-ordered
-    order_edges: frozenset  # (block index, block index)
-    diagnostics: dict = field(default_factory=dict)
-    hashes: frozenset = None  # distinct block_map values, computed once
-    # graphs hashed by make_feature_set; in memory only, never in a file
-    distinct_graphs: int = field(default=None, compare=False)
+    """distinct_graphs, the number of graphs make_feature_set hashed, is
+    in memory only: never in a file, and not part of equality."""
 
-    def __post_init__(self):
-        if self.hashes is None:
-            self.hashes = frozenset(self.block_map.values())
+    __slots__ = ("program_id", "params", "block_map", "order_edges",
+                 "diagnostics", "hashes", "distinct_graphs")
+
+    def __init__(self, program_id, params, block_map, order_edges,
+                 diagnostics=None, hashes=None, distinct_graphs=None):
+        self.program_id = program_id
+        self.params = params
+        self.block_map = block_map  # block index -> 32-hex hash, insertion-ordered
+        self.order_edges = order_edges  # frozenset of (block index, block index)
+        self.diagnostics = {} if diagnostics is None else diagnostics
+        # the distinct block_map values, computed once
+        self.hashes = frozenset(block_map.values()) if hashes is None else hashes
+        self.distinct_graphs = distinct_graphs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.program_id, self.params, self.block_map,
+                self.order_edges, self.diagnostics, self.hashes) == (
+            other.program_id, other.params, other.block_map,
+            other.order_edges, other.diagnostics, other.hashes)
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
+class SimilarityReport(FrozenRecord):
     """The measured sizes of two hash sets and of their intersection;
     every other figure is derived from them."""
 
-    a_id: str
-    b_id: str
-    size_a: int
-    size_b: int
-    intersection: int
+    __slots__ = ("a_id", "b_id", "size_a", "size_b", "intersection")
+
+    def __init__(self, a_id, b_id, size_a, size_b, intersection):
+        object.__setattr__(self, "a_id", a_id)
+        object.__setattr__(self, "b_id", b_id)
+        object.__setattr__(self, "size_a", size_a)
+        object.__setattr__(self, "size_b", size_b)
+        object.__setattr__(self, "intersection", intersection)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a_id, self.b_id, self.size_a, self.size_b,
+                self.intersection) == (other.a_id, other.b_id, other.size_a,
+                                       other.size_b, other.intersection)
+
+    def __hash__(self):
+        return hash((self.a_id, self.b_id, self.size_a, self.size_b,
+                     self.intersection))
 
     @property
     def union(self) -> int:

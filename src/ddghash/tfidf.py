@@ -8,26 +8,33 @@ smoothed idf so no stem weight is ever zero.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from operator import itemgetter
 
+from . import FrozenRecord
 from .errors import EmptyCorpus, ZeroVector
 
 OTHER = "other"
 
 
-@dataclass(frozen=True)
-class TermDictionary:
-    stems: tuple  # 32 stems, fixed order
-    rules: dict  # prefix pattern -> stem
+class TermDictionary(FrozenRecord):
+    """Frozen, but unhashable: its rules are a dict."""
 
-    def __post_init__(self):
-        assert len(self.stems) == len(set(self.stems))
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.stems)})
-        object.__setattr__(self, "_max_len", max(map(len, self.rules)))
+    __slots__ = ("stems", "rules", "_index", "_max_len", "_slots")
+
+    def __init__(self, stems, rules):
+        assert len(stems) == len(set(stems))
+        object.__setattr__(self, "stems", stems)  # 32 stems, fixed order
+        object.__setattr__(self, "rules", rules)  # prefix pattern -> stem
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(stems)})
+        object.__setattr__(self, "_max_len", max(map(len, rules)))
         object.__setattr__(self, "_slots", {})  # mnemonic -> stem index
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.stems, self.rules) == (other.stems, other.rules)
 
     def stem(self, mnemonic: str) -> str:
         for length in range(min(len(mnemonic), self._max_len), 0, -1):
@@ -92,12 +99,26 @@ def idf(rows) -> tuple:
     return tuple(math.log((1 + n) / (1 + d)) + 1.0 for d in df)
 
 
-@dataclass(frozen=True)
-class TermDistribution:
-    totals: tuple  # (stem, count), descending by count then stem
-    instruction_count: int
-    modal_stem: str
-    modal_share: Fraction
+class TermDistribution(FrozenRecord):
+    __slots__ = ("totals", "instruction_count", "modal_stem", "modal_share")
+
+    def __init__(self, totals, instruction_count, modal_stem, modal_share):
+        # (stem, count) pairs, descending by count then stem
+        object.__setattr__(self, "totals", totals)
+        object.__setattr__(self, "instruction_count", instruction_count)
+        object.__setattr__(self, "modal_stem", modal_stem)
+        object.__setattr__(self, "modal_share", modal_share)  # a Fraction
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.totals, self.instruction_count, self.modal_stem,
+                self.modal_share) == (other.totals, other.instruction_count,
+                                      other.modal_stem, other.modal_share)
+
+    def __hash__(self):
+        return hash((self.totals, self.instruction_count, self.modal_stem,
+                     self.modal_share))
 
 
 def distribution_from_vectors(rows, stems) -> TermDistribution:

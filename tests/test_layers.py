@@ -1,6 +1,7 @@
 """The package's two import layers: corpus queries load only the query
 layer, and the ingest pipeline loads on first use without hiding its
-functions from a tracer that wraps them where they are called."""
+functions from a tracer that wraps them where they are called. No
+command loads dataclasses or the code-introspection modules it needs."""
 
 import json
 import os
@@ -19,10 +20,13 @@ QUERY_LAYER = {"ddghash", "ddghash.cli", "ddghash.corpus", "ddghash.errors",
                "ddghash.features", "ddghash.isa"}
 INGEST_ONLY = {"ddghash.disasm", "ddghash.blocks", "ddghash.ddg",
                "ddghash.wlhash", "ddghash.tfidf", "hashlib", "csv", "statistics"}
+# dataclasses and what it imports to generate each class's methods; the
+# records are plain slotted classes, so no command pays for these
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 # runs each command line of argv[2] in one fresh interpreter, in order,
 # and writes the modules each command had loaded since start-up to argv[1]
-_RUN_QUERIES = """
+_RUN_COMMANDS = """
 import contextlib, io, json, sys
 start = set(sys.modules)
 from ddghash import cli
@@ -65,7 +69,7 @@ def test_queries_load_only_the_query_layer(corpus, tmp_path):
     ]
     out = tmp_path / "loaded.json"
     argvs = [["-C", str(corpus), *argv] for argv, _ in commands]
-    proc = _python("-c", _RUN_QUERIES, str(out), json.dumps(argvs))
+    proc = _python("-c", _RUN_COMMANDS, str(out), json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     allowed = set()
     for (argv, extra), (code, loaded) in zip(commands, json.loads(out.read_text())):
@@ -74,6 +78,27 @@ def test_queries_load_only_the_query_layer(corpus, tmp_path):
         ours = {m for m in loaded if m.split(".")[0] == "ddghash"}
         assert ours <= QUERY_LAYER | allowed, argv
         assert not (INGEST_ONLY - allowed) & set(loaded), argv
+
+
+def test_no_command_loads_dataclasses_or_introspection(tmp_path):
+    corpus = str(tmp_path / "corpus")
+    listings = [str(DATA / f"{pid}.objdump") for pid in ("true_att", "false_intel")]
+    argvs = [["-C", corpus, *argv] for argv in (
+        ["ingest", *listings],
+        ["--format", "json", "ingest", "--id", "again", listings[0]],
+        ["tfstats", "true_att"],
+        ["tfstats", "--vectors", "true_att"],
+        ["--format", "csv", "matrix", "true_att", "false_intel", "--stats"],
+        ["compare", "true_att", "false_intel"],
+        ["nearest", "true_att"],
+        ["contain"],
+    )]
+    out = tmp_path / "loaded.json"
+    proc = _python("-c", _RUN_COMMANDS, str(out), json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    for argv, (code, loaded) in zip(argvs, json.loads(out.read_text())):
+        assert code == 0, argv
+        assert not INTROSPECTION & set(loaded), argv
 
 
 def test_every_public_name_resolves_in_a_fresh_interpreter():
