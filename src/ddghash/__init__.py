@@ -49,11 +49,17 @@ def lazy_names(namespace, homes):
 class Record:
     """Base of the package's records: plain classes whose fields are their
     __slots__, so no instance carries a __dict__. Each record writes out
-    its own __init__ and __eq__, and __hash__ when it is frozen; a record
-    equals only a record of its own class. repr shows the class and every
-    field whose name does not start with "_"."""
+    its __init__ and a _key() that returns the tuple of its compared
+    fields. A record equals only a record of its own class with an equal
+    key, and is unhashable unless it is frozen. repr shows the class and
+    every field whose name does not start with "_"."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -64,9 +70,12 @@ class Record:
 class FrozenRecord(Record):
     """A record whose __init__ sets each field once, through
     object.__setattr__; assigning or deleting a field later raises
-    AttributeError."""
+    AttributeError. It hashes by its key."""
 
     __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -23,17 +23,9 @@ class BasicBlock(FrozenRecord):
         # INDIRECT, EXTERNAL, DANGLING or None
         object.__setattr__(self, "exit", exit)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
+    def _key(self):
         return (self.id, self.start_address, self.instructions,
-                self.successors, self.exit) == (
-            other.id, other.start_address, other.instructions,
-            other.successors, other.exit)
-
-    def __hash__(self):
-        return hash((self.id, self.start_address, self.instructions,
-                     self.successors, self.exit))
+                self.successors, self.exit)
 
 
 def _direct_target(instr):

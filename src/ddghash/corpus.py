@@ -57,13 +57,9 @@ class FeatureFile(LazyFields):
         self.toolkit_version = toolkit_version
         self.distinct_asm_texts = distinct_asm_texts
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
+    def _key(self):
         return (self.feature_set, self.term_counts, self.term_stems,
-                self.source_digest, self.toolkit_version) == (
-            other.feature_set, other.term_counts, other.term_stems,
-            other.source_digest, other.toolkit_version)
+                self.source_digest, self.toolkit_version)
 
 
 def encode_feature_file(ff: FeatureFile) -> str:

@@ -32,13 +32,8 @@ class DdgNode(FrozenRecord):
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "label", label)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.text, self.label) == (other.id, other.text, other.label)
-
-    def __hash__(self):
-        return hash((self.id, self.text, self.label))
+    def _key(self):
+        return (self.id, self.text, self.label)
 
 
 class DataDependencyGraph(FrozenRecord):
@@ -50,14 +45,8 @@ class DataDependencyGraph(FrozenRecord):
         # (src node id, dst node id) pairs, as a frozenset
         object.__setattr__(self, "edges", edges)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.block_id, self.nodes, self.edges) == (
-            other.block_id, other.nodes, other.edges)
-
-    def __hash__(self):
-        return hash((self.block_id, self.nodes, self.edges))
+    def _key(self):
+        return (self.block_id, self.nodes, self.edges)
 
     def __len__(self):
         return len(self.nodes)

@@ -45,17 +45,9 @@ class Operand(FrozenRecord):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "text", text)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
+    def _key(self):
         return (self.kind, self.base, self.index, self.scale,
-                self.displacement, self.value, self.text) == (
-            other.kind, other.base, other.index, other.scale,
-            other.displacement, other.value, other.text)
-
-    def __hash__(self):
-        return hash((self.kind, self.base, self.index, self.scale,
-                     self.displacement, self.value, self.text))
+                self.displacement, self.value, self.text)
 
 
 class Instruction(FrozenRecord):
@@ -67,14 +59,8 @@ class Instruction(FrozenRecord):
         object.__setattr__(self, "raw_text", raw_text)
         object.__setattr__(self, "prefixes", prefixes)  # tuple of str
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.mnemonic, self.operands, self.raw_text, self.prefixes) == (
-            other.mnemonic, other.operands, other.raw_text, other.prefixes)
-
-    def __hash__(self):
-        return hash((self.mnemonic, self.operands, self.raw_text, self.prefixes))
+    def _key(self):
+        return (self.mnemonic, self.operands, self.raw_text, self.prefixes)
 
 
 class FunctionListing(FrozenRecord):
@@ -83,17 +69,11 @@ class FunctionListing(FrozenRecord):
     def __init__(self, name, instructions, addresses):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "instructions", instructions)  # tuple
-        # of each line, parallel to instructions
+        # the address of each line, parallel to instructions
         object.__setattr__(self, "addresses", addresses)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.instructions, self.addresses) == (
-            other.name, other.instructions, other.addresses)
-
-    def __hash__(self):
-        return hash((self.name, self.instructions, self.addresses))
+    def _key(self):
+        return (self.name, self.instructions, self.addresses)
 
 
 class ParseReport(Record):
@@ -113,15 +93,10 @@ class ParseReport(Record):
         # asm texts parsed once each; not in as_dict()
         self.distinct_asm_texts = distinct_asm_texts
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
+    def _key(self):
         return (self.syntax, self.functions, self.instructions,
                 self.skipped_lines, self.instruction_shaped, self.malformed,
-                self.distinct_asm_texts) == (
-            other.syntax, other.functions, other.instructions,
-            other.skipped_lines, other.instruction_shaped, other.malformed,
-            other.distinct_asm_texts)
+                self.distinct_asm_texts)
 
     def as_dict(self):
         return {

@@ -39,14 +39,8 @@ class FeatureParams(FrozenRecord):
         object.__setattr__(self, "policy", policy)
         object.__setattr__(self, "wl_iterations", wl_iterations)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.label_mode, self.policy, self.wl_iterations) == (
-            other.label_mode, other.policy, other.wl_iterations)
-
-    def __hash__(self):
-        return hash((self.label_mode, self.policy, self.wl_iterations))
+    def _key(self):
+        return (self.label_mode, self.policy, self.wl_iterations)
 
     def as_dict(self):
         return {
@@ -115,13 +109,9 @@ class ProgramFeatureSet(LazyFields):
         self.hashes = frozenset(block_map.values()) if hashes is None else hashes
         self.distinct_graphs = distinct_graphs
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.program_id, self.params, self.block_map,
-                self.order_edges, self.diagnostics, self.hashes) == (
-            other.program_id, other.params, other.block_map,
-            other.order_edges, other.diagnostics, other.hashes)
+    def _key(self):
+        return (self.program_id, self.params, self.block_map, self.order_edges,
+                self.diagnostics, self.hashes)
 
 
 class SimilarityReport(FrozenRecord):
@@ -137,16 +127,9 @@ class SimilarityReport(FrozenRecord):
         object.__setattr__(self, "size_b", size_b)
         object.__setattr__(self, "intersection", intersection)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
+    def _key(self):
         return (self.a_id, self.b_id, self.size_a, self.size_b,
-                self.intersection) == (other.a_id, other.b_id, other.size_a,
-                                       other.size_b, other.intersection)
-
-    def __hash__(self):
-        return hash((self.a_id, self.b_id, self.size_a, self.size_b,
-                     self.intersection))
+                self.intersection)
 
     @property
     def union(self) -> int:

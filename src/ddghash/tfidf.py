@@ -31,10 +31,8 @@ class TermDictionary(FrozenRecord):
         object.__setattr__(self, "_max_len", max(map(len, rules)))
         object.__setattr__(self, "_slots", {})  # mnemonic -> stem index
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.stems, self.rules) == (other.stems, other.rules)
+    def _key(self):
+        return (self.stems, self.rules)
 
     def stem(self, mnemonic: str) -> str:
         for length in range(min(len(mnemonic), self._max_len), 0, -1):
@@ -109,16 +107,9 @@ class TermDistribution(FrozenRecord):
         object.__setattr__(self, "modal_stem", modal_stem)
         object.__setattr__(self, "modal_share", modal_share)  # a Fraction
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
+    def _key(self):
         return (self.totals, self.instruction_count, self.modal_stem,
-                self.modal_share) == (other.totals, other.instruction_count,
-                                      other.modal_stem, other.modal_share)
-
-    def __hash__(self):
-        return hash((self.totals, self.instruction_count, self.modal_stem,
-                     self.modal_share))
+                self.modal_share)
 
 
 def distribution_from_vectors(rows, stems) -> TermDistribution:

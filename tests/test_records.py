@@ -160,6 +160,12 @@ def test_decoded_feature_file_reads_its_own_fields():
     assert decoded.feature_set.distinct_graphs is None
 
 
+def test_decoded_equal_count_rows_share_one_tuple():
+    ff = FeatureFile(**dict(RECORDS[-1][1](), term_counts={0: (1, 0), 1: (1, 0)}))
+    rows = decode_feature_file(encode_feature_file(ff)).term_counts
+    assert rows == {0: (1, 0), 1: (1, 0)} and rows[0] is rows[1]
+
+
 def test_members_drop_each_json_value_once_built():
     members = _Members(encode_feature_file(FeatureFile(**RECORDS[-1][1]())), "f")
     stems = members.read("term_stems", tuple)
