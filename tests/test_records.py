@@ -20,11 +20,10 @@ MOV = Instruction(mnemonic="mov", operands=(RAX,), raw_text="mov    %rax")
 HASH = "0123456789abcdef" * 2
 
 
-def _feature_set(**changes):
-    fields = dict(program_id="p", params=FeatureParams(), block_map={0: HASH},
-                  order_edges=frozenset({(0, 0)}), diagnostics={"blocks": 1},
-                  hashes=frozenset({HASH}), distinct_graphs=1)
-    return ProgramFeatureSet(**dict(fields, **changes))
+def _feature_set_fields():
+    return dict(program_id="p", params=FeatureParams(), block_map={0: HASH},
+                order_edges=frozenset({(0, 0)}), diagnostics={"blocks": 1},
+                hashes=frozenset({HASH}), distinct_graphs=1)
 
 
 # (class, a function giving fresh fields in declaration order, a field to
@@ -61,15 +60,11 @@ RECORDS = [
                                  policy=InstructionFamilyPolicy.ALL_DATA_OPERANDS,
                                  wl_iterations=2),
      "wl_iterations", 3),
-    (ProgramFeatureSet, lambda: dict(
-        program_id="p", params=FeatureParams(), block_map={0: HASH},
-        order_edges=frozenset({(0, 0)}), diagnostics={"blocks": 1},
-        hashes=frozenset({HASH}), distinct_graphs=1),
-     "program_id", "q"),
+    (ProgramFeatureSet, _feature_set_fields, "program_id", "q"),
     (SimilarityReport, lambda: dict(a_id="a", b_id="b", size_a=3, size_b=4,
                                     intersection=2),
      "intersection", 1),
-    (FeatureFile, lambda: dict(feature_set=_feature_set(),
+    (FeatureFile, lambda: dict(feature_set=ProgramFeatureSet(**_feature_set_fields()),
                                term_counts={0: (1, 0)}, term_stems=("mov", "other"),
                                source_digest="sha256:" + "0" * 64,
                                toolkit_version="0.0.1", distinct_asm_texts=1),
