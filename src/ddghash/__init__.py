@@ -11,6 +11,7 @@ tfidf).
 """
 
 from importlib import import_module
+from operator import attrgetter
 
 __version__ = "0.1.0"
 
@@ -49,21 +50,33 @@ def lazy_names(namespace, homes):
 class Record:
     """Base of the package's records: plain classes whose fields are their
     __slots__, so no instance carries a __dict__. Each record writes out
-    its __init__ and a _key() that returns the tuple of its compared
-    fields. A record equals only a record of its own class with an equal
-    key, and is unhashable unless it is frozen. repr shows the class and
-    every field whose name does not start with "_"."""
+    its __init__. Its compared fields are its slots whose names do not
+    start with "_", less those it names in _uncompared; they make up the
+    key of each instance. A record equals only a record of its own class
+    with an equal key, and is unhashable unless it is frozen. repr shows
+    the class and every field whose name does not start with "_"."""
 
     __slots__ = ()
+    _uncompared = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        slots = [name for klass in reversed(cls.__mro__)
+                 for name in klass.__dict__.get("__slots__", ())]
+        cls._fields = tuple(name for name in slots if name[0] != "_")
+        compared = [name for name in cls._fields if name not in cls._uncompared]
+        if compared:
+            cls._key = attrgetter(*compared)  # instance -> its key
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        key = self._key
+        return key(self) == key(other)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__ if name[0] != "_")
+                           for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -75,7 +88,7 @@ class FrozenRecord(Record):
     __slots__ = ()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

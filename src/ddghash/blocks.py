@@ -23,10 +23,6 @@ class BasicBlock(FrozenRecord):
         # INDIRECT, EXTERNAL, DANGLING or None
         object.__setattr__(self, "exit", exit)
 
-    def _key(self):
-        return (self.id, self.start_address, self.instructions,
-                self.successors, self.exit)
-
 
 def _direct_target(instr):
     """Target address of a direct jump/call, or None when indirect."""

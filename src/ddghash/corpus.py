@@ -46,6 +46,7 @@ class FeatureFile(LazyFields):
 
     __slots__ = ("feature_set", "term_counts", "term_stems", "source_digest",
                  "toolkit_version", "distinct_asm_texts")
+    _uncompared = ("distinct_asm_texts",)
 
     def __init__(self, feature_set, term_counts, term_stems, source_digest,
                  toolkit_version=__version__, distinct_asm_texts=None):
@@ -56,10 +57,6 @@ class FeatureFile(LazyFields):
         self.source_digest = source_digest
         self.toolkit_version = toolkit_version
         self.distinct_asm_texts = distinct_asm_texts
-
-    def _key(self):
-        return (self.feature_set, self.term_counts, self.term_stems,
-                self.source_digest, self.toolkit_version)
 
 
 def encode_feature_file(ff: FeatureFile) -> str:
@@ -98,65 +95,40 @@ def _skip(text, pos, mark):
     return _WHITESPACE(text, pos + len(mark)).end()
 
 
-class _Members:
-    """The top-level members of one feature file, decoded in file order.
-
-    The document must be one JSON object whose keys are exactly _MEMBERS,
-    in that order, as sort_keys writes them; any JSON whitespace may sit
-    between its tokens. A member is decoded when it or a member after it
-    is first read, so a query, which reads up to program_id, never
-    decodes term_counts, most of the file.
-    """
-
-    def __init__(self, text, source):
-        self.text = text
-        self.source = source
-        self.walked = 0  # members decoded so far
-        self.pos = None  # where the next member's key starts, once one is walked
-        self.raw = {}  # member -> its JSON value, until it is built
-        self.built = {}  # member -> the value built from it
-
-    def error(self, message):
-        return DdghashError(f"{self.source}: {message}")
-
-    def _next(self):
-        """Decode the next member and the ',' or final '}' after it."""
-        walked = self.walked
-        key = _MEMBERS[walked]
-        text = self.text
+def _walk(text, source, keys, pos):
+    """Decode the members named `keys` from text, starting at offset pos,
+    where the member before them ends (0 for the first member). They must
+    be the next members of _MEMBERS: the document is one JSON object whose
+    keys are exactly _MEMBERS, in that order, as sort_keys writes them, and
+    any JSON whitespace may sit between its tokens. Returns the members'
+    JSON values, each as json.loads would give it, and the offset where
+    the last of them ends."""
+    values = []
+    for key in keys:
         try:
-            pos = self.pos if walked else _skip(text, 0, "{")
+            pos = _skip(text, pos, "," if pos else "{")
             found, pos = _DECODER.raw_decode(text, pos)
             if found != key:
                 raise ValueError("missing or out of order")
             value, pos = _DECODER.raw_decode(text, _skip(text, pos, ":"))
-            if walked + 1 < len(_MEMBERS):
-                self.pos = _skip(text, pos, ",")
-            elif _skip(text, pos, "}") != len(text):
+            if key == _MEMBERS[-1] and _skip(text, pos, "}") != len(text):
                 raise ValueError("text after the document")
         except (ValueError, RecursionError) as exc:
-            raise self.error(f"member {key!r}: {exc}") from None
-        self.raw[key] = value
-        self.walked = walked + 1
+            raise _error(source, key, exc) from None
+        values.append(value)
+    return values, pos
 
-    def read(self, key, build=None):
-        """Decode one member exactly as json.loads would, then build it.
-        The JSON value is dropped once built, and a member read again, as
-        term_stems is, gives the value built the first time."""
-        if key in self.built:
-            return self.built[key]
-        while key not in self.raw:
-            self._next()
-        try:
-            value = self.raw[key] if build is None else build(self.raw[key])
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise self.error(f"member {key!r}: {exc}") from None
-        del self.raw[key]
-        self.built[key] = value
-        return value
 
-    def later(self, key, build=None):
-        return lambda: self.read(key, build)
+def _error(source, key, exc):
+    return DdghashError(f"{source}: member {key!r}: {exc}")
+
+
+def _build(source, key, build, *values):
+    """build(*values), with an error in the values named as the member's."""
+    try:
+        return build(*values)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise _error(source, key, exc) from None
 
 
 def _strings(value):
@@ -195,41 +167,51 @@ def _diagnostics(diag):
 
 
 def decode_feature_file(text: str, source="feature file") -> FeatureFile:
-    """Decode a feature file; DdghashError names `source`.
+    """Decode a feature file; DdghashError names `source` and the member.
 
-    format_version, params, program_id and hashes, which every query
-    reads, are built here. The other members are built when a caller
-    first reads them, so a query never parses term_counts.
+    The members are walked in file order through program_id, and
+    program_id, params, hashes and diagnostics, which queries read, are
+    built here. block_map and order_edges are built together on the first
+    read of either. The members after program_id, which only tfstats
+    reads, are walked and built together on the first read of any of
+    them, so a query never parses term_counts. Only that last step holds
+    the text, which is released once it has run.
     """
-    members = _Members(text, source)
-    version = members.read("format_version")
+    (block_map, diagnostics, version), pos = _walk(text, source, _MEMBERS[:3], 0)
     if version != FORMAT_VERSION:
-        raise members.error(f"unsupported feature file format version {version!r}")
-    later = members.later
+        raise DdghashError(
+            f"{source}: unsupported feature file format version {version!r}")
+    (hashes, order_edges, params, program_id), pos = _walk(
+        text, source, _MEMBERS[3:7], pos)
+
+    def fill_order():
+        return {
+            "block_map": _build(source, "block_map", lambda m: dict(
+                sorted((int(i), h) for i, h in m.items())), block_map),
+            "order_edges": _build(source, "order_edges", lambda edges: frozenset(
+                (a, b) for a, b in edges), order_edges),
+        }
+
     fs = ProgramFeatureSet.deferred(
-        {
-            "block_map": later("block_map", lambda m: dict(
-                sorted((int(i), h) for i, h in m.items()))),
-            "order_edges": later("order_edges", lambda edges: frozenset(
-                (a, b) for a, b in edges)),
-            "diagnostics": later("diagnostics", _diagnostics),
-        },
-        program_id=members.read("program_id"),
-        params=members.read("params", FeatureParams.from_dict),
-        hashes=members.read("hashes", lambda h: frozenset(_strings(h))),
+        fill_order,
+        program_id=program_id,
+        params=_build(source, "params", FeatureParams.from_dict, params),
+        diagnostics=_build(source, "diagnostics", _diagnostics, diagnostics),
+        hashes=_build(source, "hashes", lambda h: frozenset(_strings(h)), hashes),
         distinct_graphs=None,
     )
-    return FeatureFile.deferred(
-        {
-            "term_counts": later("term_counts", lambda counts: _term_counts(
-                counts, members.read("term_stems", _term_stems))),
-            "term_stems": later("term_stems", _term_stems),
-            "source_digest": later("source_digest"),
-            "toolkit_version": later("toolkit_version"),
-        },
-        feature_set=fs,
-        distinct_asm_texts=None,
-    )
+
+    def fill_tail():
+        (digest, counts, stems, toolkit), _ = _walk(text, source, _MEMBERS[7:], pos)
+        stems = _build(source, "term_stems", _term_stems, stems)
+        return {
+            "term_counts": _build(source, "term_counts", _term_counts, counts, stems),
+            "term_stems": stems,
+            "source_digest": digest,
+            "toolkit_version": toolkit,
+        }
+
+    return FeatureFile.deferred(fill_tail, feature_set=fs, distinct_asm_texts=None)
 
 
 def build_feature_file(text: str, program_id: str,

@@ -32,9 +32,6 @@ class DdgNode(FrozenRecord):
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "label", label)
 
-    def _key(self):
-        return (self.id, self.text, self.label)
-
 
 class DataDependencyGraph(FrozenRecord):
     __slots__ = ("block_id", "nodes", "edges")
@@ -44,9 +41,6 @@ class DataDependencyGraph(FrozenRecord):
         object.__setattr__(self, "nodes", nodes)  # tuple of DdgNode
         # (src node id, dst node id) pairs, as a frozenset
         object.__setattr__(self, "edges", edges)
-
-    def _key(self):
-        return (self.block_id, self.nodes, self.edges)
 
     def __len__(self):
         return len(self.nodes)
@@ -58,8 +52,7 @@ class _Builder:
         self.mode = mode
         self.ids = {}
         self.nodes = []
-        self.edges = []
-        self.seen_edges = set()
+        self.edges = set()
 
     def node(self, operand):
         nid = self.ids.get(operand.text)
@@ -73,9 +66,7 @@ class _Builder:
         s, d = self.node(src), self.node(dst)
         if s == d:
             return  # self-moves keep the node but carry no dependency
-        if (s, d) not in self.seen_edges:
-            self.seen_edges.add((s, d))
-            self.edges.append((s, d))
+        self.edges.add((s, d))
 
     def finish(self):
         return DataDependencyGraph(
@@ -92,7 +83,7 @@ def build_ddg(block, policy=InstructionFamilyPolicy.MOV_ONLY,
     b = _Builder(block.id, mode)
     all_data = policy is InstructionFamilyPolicy.ALL_DATA_OPERANDS
     for ins in block.instructions:
-        if isa.is_mov_family(ins.mnemonic):
+        if ins.mnemonic in isa.MOV_FAMILY:
             if len(ins.operands) != 2:
                 continue
             dst, src = ins.operands

@@ -45,10 +45,6 @@ class Operand(FrozenRecord):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "text", text)
 
-    def _key(self):
-        return (self.kind, self.base, self.index, self.scale,
-                self.displacement, self.value, self.text)
-
 
 class Instruction(FrozenRecord):
     __slots__ = ("mnemonic", "operands", "raw_text", "prefixes")
@@ -59,9 +55,6 @@ class Instruction(FrozenRecord):
         object.__setattr__(self, "raw_text", raw_text)
         object.__setattr__(self, "prefixes", prefixes)  # tuple of str
 
-    def _key(self):
-        return (self.mnemonic, self.operands, self.raw_text, self.prefixes)
-
 
 class FunctionListing(FrozenRecord):
     __slots__ = ("name", "instructions", "addresses")
@@ -71,9 +64,6 @@ class FunctionListing(FrozenRecord):
         object.__setattr__(self, "instructions", instructions)  # tuple
         # the address of each line, parallel to instructions
         object.__setattr__(self, "addresses", addresses)
-
-    def _key(self):
-        return (self.name, self.instructions, self.addresses)
 
 
 class ParseReport(Record):
@@ -92,11 +82,6 @@ class ParseReport(Record):
         self.malformed = [] if malformed is None else malformed
         # asm texts parsed once each; not in as_dict()
         self.distinct_asm_texts = distinct_asm_texts
-
-    def _key(self):
-        return (self.syntax, self.functions, self.instructions,
-                self.skipped_lines, self.instruction_shaped, self.malformed,
-                self.distinct_asm_texts)
 
     def as_dict(self):
         return {

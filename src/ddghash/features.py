@@ -39,9 +39,6 @@ class FeatureParams(FrozenRecord):
         object.__setattr__(self, "policy", policy)
         object.__setattr__(self, "wl_iterations", wl_iterations)
 
-    def _key(self):
-        return (self.label_mode, self.policy, self.wl_iterations)
-
     def as_dict(self):
         return {
             "label_mode": self.label_mode.value,
@@ -63,32 +60,34 @@ class FeatureParams(FrozenRecord):
 
 
 class LazyFields(Record):
-    """Base of records decoded from a file. One made by `deferred` builds
-    each field named in `pending` (name -> zero-argument builder) on its
-    first read and keeps it; every other field must be given. Equality and
-    repr read every field, so they build them all. A field is a slot and
+    """Base of records decoded from a file. One made by `deferred` is given
+    some fields and a fill function for the rest: on the first read of a
+    field not given, fill() returns a dict of every such field, which the
+    record keeps. The fill function is dropped once it has returned, and a
+    fill that raises is kept, so each later read raises again. Equality and
+    repr read every field, so they fill the record. A field is a slot and
     has no class-level default, which attribute lookup would find before
-    __getattr__ and so never build the field."""
+    __getattr__ and so never fill the record."""
 
-    __slots__ = ("_pending",)
+    __slots__ = ("_fill",)
 
     @classmethod
-    def deferred(cls, pending, **fields):
+    def deferred(cls, fill, **fields):
         obj = cls.__new__(cls)
         for name, value in fields.items():
             setattr(obj, name, value)
-        obj._pending = pending
+        obj._fill = fill
         return obj
 
     def __getattr__(self, name):  # reached only for fields not yet set
-        # a record not made by deferred has no _pending
-        if name == "_pending" or name not in getattr(self, "_pending", ()):
+        # a record not made by deferred, or already filled, has no _fill
+        fill = None if name == "_fill" else getattr(self, "_fill", None)
+        if fill is None or name not in self._fields:
             raise AttributeError(name)
-        pending = self._pending
-        value = pending[name]()
-        del pending[name]
-        setattr(self, name, value)
-        return value
+        for field, value in fill().items():
+            setattr(self, field, value)
+        del self._fill
+        return getattr(self, name)
 
 
 class ProgramFeatureSet(LazyFields):
@@ -97,6 +96,7 @@ class ProgramFeatureSet(LazyFields):
 
     __slots__ = ("program_id", "params", "block_map", "order_edges",
                  "diagnostics", "hashes", "distinct_graphs")
+    _uncompared = ("distinct_graphs",)
 
     def __init__(self, program_id, params, block_map, order_edges,
                  diagnostics=None, hashes=None, distinct_graphs=None):
@@ -108,10 +108,6 @@ class ProgramFeatureSet(LazyFields):
         # the distinct block_map values, computed once
         self.hashes = frozenset(block_map.values()) if hashes is None else hashes
         self.distinct_graphs = distinct_graphs
-
-    def _key(self):
-        return (self.program_id, self.params, self.block_map, self.order_edges,
-                self.diagnostics, self.hashes)
 
 
 class SimilarityReport(FrozenRecord):
@@ -126,10 +122,6 @@ class SimilarityReport(FrozenRecord):
         object.__setattr__(self, "size_a", size_a)
         object.__setattr__(self, "size_b", size_b)
         object.__setattr__(self, "intersection", intersection)
-
-    def _key(self):
-        return (self.a_id, self.b_id, self.size_a, self.size_b,
-                self.intersection)
 
     @property
     def union(self) -> int:
@@ -221,7 +213,8 @@ def make_feature_set(program_id, blocks, params,
     )
     diag["blocks"] = len(blocks)
     diag["empty_ddgs"] = len(blocks) - len(block_map)
-    diag["duplicate_hashes"] = len(block_map) - len(set(block_map.values()))
+    hashes = frozenset(block_map.values())
+    diag["duplicate_hashes"] = len(block_map) - len(hashes)
     diag["dropped_order_edges"] = len(edges) - len(kept_edges)
     return ProgramFeatureSet(
         program_id=program_id,
@@ -229,6 +222,7 @@ def make_feature_set(program_id, blocks, params,
         block_map=block_map,
         order_edges=kept_edges,
         diagnostics=diag,
+        hashes=hashes,
         distinct_graphs=len(digests),
     )
 

@@ -79,45 +79,29 @@ REGISTERS = GP_REGISTERS | SIMD_REGISTERS | SEGMENT_REGISTERS | OTHER_REGISTERS
 PREFIXES = {"lock", "rep", "repe", "repz", "repne", "repnz", "bnd", "notrack",
             "data16", "addr32"} | SEGMENT_REGISTERS
 
-CONDITIONAL_JUMPS = {f"j{cc}" for cc in CONDITION_CODES}
-UNCONDITIONAL_JUMPS = {"jmp", "ljmp"}
-CALLS = {"call", "lcall"}
-RETURNS = {"ret", "retf", "iret", "lret"}
-INTERRUPTS = {"int", "int1", "int3", "into"}
-SYSCALLS = {"syscall", "sysenter", "sysexit", "sysret"}
-HALTS = {"hlt"}
+# the control-transfer class of each mnemonic that transfers control
+CONTROL_KINDS = {
+    mnemonic: kind
+    for kind, mnemonics in (
+        ("jump", ("jmp", "ljmp")),
+        ("cond", [f"j{cc}" for cc in CONDITION_CODES]),
+        ("call", ("call", "lcall")),
+        ("ret", ("ret", "retf", "iret", "lret")),
+        ("int", ("int", "int1", "int3", "into")),
+        ("syscall", ("syscall", "sysenter", "sysexit", "sysret")),
+        ("halt", ("hlt",)),
+    )
+    for mnemonic in mnemonics
+}
 
-
-def control_kind(mnemonic):
-    """Control-transfer class of a mnemonic, or None for straight-line code.
-
-    Returns one of "jump", "cond", "call", "ret", "int", "syscall", "halt".
-    """
-    if mnemonic in UNCONDITIONAL_JUMPS:
-        return "jump"
-    if mnemonic in CONDITIONAL_JUMPS:
-        return "cond"
-    if mnemonic in CALLS:
-        return "call"
-    if mnemonic in RETURNS:
-        return "ret"
-    if mnemonic in INTERRUPTS:
-        return "int"
-    if mnemonic in SYSCALLS:
-        return "syscall"
-    if mnemonic in HALTS:
-        return "halt"
-    return None
+# control_kind(mnemonic): its CONTROL_KINDS class, None for straight-line code
+control_kind = CONTROL_KINDS.get
 
 
 CMOV_MNEMONICS = {f"cmov{cc}" for cc in CONDITION_CODES}
 
 # Data-movement family for DDG extraction under the mov_only policy.
 MOV_FAMILY = {"mov", "movabs", "movzx", "movsx", "xchg"} | CMOV_MNEMONICS
-
-
-def is_mov_family(mnemonic):
-    return mnemonic in MOV_FAMILY
 
 
 # Mnemonics whose AT&T spelling may carry a b/w/l/q operand-size suffix

@@ -31,9 +31,6 @@ class TermDictionary(FrozenRecord):
         object.__setattr__(self, "_max_len", max(map(len, rules)))
         object.__setattr__(self, "_slots", {})  # mnemonic -> stem index
 
-    def _key(self):
-        return (self.stems, self.rules)
-
     def stem(self, mnemonic: str) -> str:
         for length in range(min(len(mnemonic), self._max_len), 0, -1):
             hit = self.rules.get(mnemonic[:length])
@@ -106,10 +103,6 @@ class TermDistribution(FrozenRecord):
         object.__setattr__(self, "instruction_count", instruction_count)
         object.__setattr__(self, "modal_stem", modal_stem)
         object.__setattr__(self, "modal_share", modal_share)  # a Fraction
-
-    def _key(self):
-        return (self.totals, self.instruction_count, self.modal_stem,
-                self.modal_share)
 
 
 def distribution_from_vectors(rows, stems) -> TermDistribution:

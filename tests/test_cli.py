@@ -623,7 +623,11 @@ _QUERIES = (["compare", "true_att", "true_intel"],
     # only tfstats reads term_counts
     (lambda text: replace_first_count(text, '"x"'), [["tfstats", "true_att"]]),
     (nest_hashes, _QUERIES),
-], ids=["truncated", "missing_member", "not_utf8", "count_not_int", "deep_nesting"])
+    # diagnostics are checked at every load
+    (lambda text: re.sub(r'("diagnostics":\s*\{\s*"blocks":\s*)\d+', r'\1"x"',
+                         text, count=1), _QUERIES),
+], ids=["truncated", "missing_member", "not_utf8", "count_not_int", "deep_nesting",
+        "blocks_not_int"])
 def test_corrupt_feature_file_fails_cleanly(tmp_path, capsys, mutate, queries):
     corpus, path = _corrupt_corpus(tmp_path, mutate)
     for argv in queries:

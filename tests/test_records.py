@@ -2,15 +2,21 @@
 by fields within one class, hashing by fields when frozen, AttributeError
 on assignment to a frozen field, and a repr that shows every field."""
 
+import enum
+import importlib
+import pkgutil
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ddghash
+from ddghash import Record
 from ddghash.blocks import BasicBlock
-from ddghash.corpus import (FeatureFile, _Members, decode_feature_file,
-                            encode_feature_file)
+from ddghash.corpus import FeatureFile, decode_feature_file, encode_feature_file
 from ddghash.ddg import DataDependencyGraph, DdgNode
 from ddghash.disasm import FunctionListing, Instruction, Operand, ParseReport
+from ddghash.errors import DdghashError
 from ddghash.features import FeatureParams, ProgramFeatureSet, SimilarityReport
 from ddghash.isa import InstructionFamilyPolicy, LabelMode
 from ddghash.tfidf import TermDictionary, TermDistribution
@@ -92,6 +98,53 @@ def test_equal_fields_give_equal_records(cls, fields, changed, other):
     assert cls(**dict(fields(), **{changed: other})) != a
 
 
+def _other(value):
+    """A value unequal to `value`, of its kind where that is easy."""
+    if isinstance(value, Record):  # its first field changed
+        fields = {name: getattr(value, name) for name in value._fields}
+        first = value._fields[0]
+        return type(value)(**dict(fields, **{first: _other(fields[first])}))
+    if isinstance(value, enum.Enum):
+        return next(member for member in type(value) if member is not value)
+    if value is None:
+        return 0
+    if isinstance(value, (int, Fraction)):
+        return value + 1
+    if isinstance(value, (str, tuple, list)):
+        return value + type(value)("x")
+    if isinstance(value, frozenset):
+        return frozenset() if value else frozenset({0})
+    if isinstance(value, dict):
+        return {**value, "x": 0}
+    raise TypeError(f"no other value for {value!r}")
+
+
+@by_class
+def test_every_compared_field_counts(cls, fields, changed, other):
+    a = cls(**fields())
+    for name, value in fields().items():
+        if name in cls._uncompared:  # test_in_memory_counts_are_not_compared
+            continue
+        b = cls(**dict(fields(), **{name: _other(value)}))
+        assert b != a, name
+        if cls not in UNHASHABLE:
+            assert hash(b) != hash(a), name
+
+
+def test_every_record_class_is_tested():
+    for module in pkgutil.iter_modules(ddghash.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"ddghash.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            # the bases FrozenRecord and LazyFields have no fields
+            if sub.__module__.startswith("ddghash") and sub._fields:
+                found.add(sub)
+    assert found == {cls for cls, *_ in RECORDS}
+
+
 @by_class
 def test_records_of_another_class_are_unequal(cls, fields, changed, other):
     twin = type(f"{cls.__name__}Twin", (cls,), {"__slots__": ()})
@@ -129,6 +182,7 @@ def test_repr_shows_class_and_fields(cls, fields, changed, other):
 def test_in_memory_counts_are_not_compared(cls):
     fields = next(make for c, make, _, _ in RECORDS if c is cls)
     name, other = NOT_COMPARED[cls]
+    assert cls._uncompared == (name,)
     assert cls(**dict(fields(), **{name: other})) == cls(**fields())
 
 
@@ -161,13 +215,23 @@ def test_decoded_equal_count_rows_share_one_tuple():
     assert rows == {0: (1, 0), 1: (1, 0)} and rows[0] is rows[1]
 
 
-def test_members_drop_each_json_value_once_built():
-    members = _Members(encode_feature_file(FeatureFile(**RECORDS[-1][1]())), "f")
-    stems = members.read("term_stems", tuple)
-    assert members.raw.keys() == {"block_map", "diagnostics", "format_version",
-                                  "hashes", "order_edges", "params",
-                                  "program_id", "source_digest", "term_counts"}
-    assert members.read("term_stems", tuple) is stems
-    members.read("term_counts", len)
-    assert "term_counts" not in members.raw
-    assert members.read("term_counts") == 1
+def test_decoded_file_lets_go_of_its_text_once_read():
+    text = encode_feature_file(FeatureFile(**RECORDS[-1][1]()))
+    before = sys.getrefcount(text)
+    ff = decode_feature_file(text)
+    ff.feature_set.block_map
+    assert sys.getrefcount(text) == before + 1  # held for the members after program_id
+    assert ff.source_digest == "sha256:" + "0" * 64
+    assert sys.getrefcount(text) == before
+
+
+def test_damaged_block_map_leaves_the_query_members_readable():
+    text = encode_feature_file(FeatureFile(**RECORDS[-1][1]()))
+    fs = decode_feature_file(text.replace('"block_map":{"0":', '"block_map":{"x":'),
+                             "f").feature_set
+    assert fs.program_id == "p"
+    assert fs.params == FeatureParams()
+    assert fs.hashes == {HASH}
+    for name in ("block_map", "block_map", "order_edges"):
+        with pytest.raises(DdghashError, match="^f: member 'block_map': "):
+            getattr(fs, name)
