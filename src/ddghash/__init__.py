@@ -100,8 +100,8 @@ class FrozenRecord(Record):
 # each public name -> its module, in the order of __all__
 _HOMES = {
     "BasicBlock": "blocks", "segment": "blocks",
-    "DataDependencyGraph": "ddg", "InstructionFamilyPolicy": "isa",
-    "LabelMode": "isa", "build_ddg": "ddg", "node_label": "ddg",
+    "DataDependencyGraph": "ddg", "InstructionFamilyPolicy": "features",
+    "LabelMode": "features", "build_ddg": "ddg", "node_label": "ddg",
     "FunctionListing": "disasm", "Instruction": "disasm", "Operand": "disasm",
     "detect_syntax": "disasm", "parse_listing": "disasm",
     "parse_listing_with_report": "disasm", "parse_operand": "disasm",

@@ -10,10 +10,12 @@
 The corpus directory comes from --corpus, the DDGHASH_CORPUS environment
 variable, or ./corpus, in that order. Output is human-readable text by
 default; --format json/csv expose the same report fields for machines.
-Exit codes: 0 success, 1 operational error, 2 usage error.
+Exit codes: 0 success, 1 operational error or a reader that closed
+standard output early, 2 usage error.
 """
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -25,8 +27,8 @@ from pathlib import Path
 from . import __version__, lazy_names
 from .corpus import Corpus, check_program_id
 from .errors import DdghashError, InvalidProgramId
-from .features import FeatureParams, decimal3, five_number_summary, ratio
-from .isa import InstructionFamilyPolicy, LabelMode
+from .features import (FeatureParams, InstructionFamilyPolicy, LabelMode,
+                       decimal3, five_number_summary, ratio)
 
 # tfstats's term statistics load when it first runs, or when the names are
 # first read from outside (where a tracer may wrap them)
@@ -368,14 +370,51 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; return its exit code. A usage error, --help and
+    --version raise SystemExit, as argparse does."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # the reader of our output has gone: see run()
     except (DdghashError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run():
+    """The ddghash command, for `python -m ddghash` and the console script:
+    main() on the process's arguments, then the process ends once stdout
+    and stderr are flushed.
+
+    The cyclic collector stays paused for the whole command, and the
+    process ends with os._exit, which skips the interpreter's teardown and
+    so any atexit handler: every file a command writes is closed before
+    main returns. A SystemExit's code is kept as sys.exit would keep it.
+    When the reader of stdout has gone, the command says nothing more and
+    exits 1. Any other exception ends the process as usual, with a
+    traceback.
+    """
+    gc.disable()
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered goes nowhere, so no later flush raises
+        # (the SIGPIPE note of the signal module's docs)
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if code is None:
+        code = 0
+    elif not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)

@@ -10,7 +10,8 @@ operand to its first (destination) operand.
 """
 
 from . import FrozenRecord, isa
-from .isa import MEMORY, REGISTER, InstructionFamilyPolicy, LabelMode
+from .features import InstructionFamilyPolicy, LabelMode
+from .isa import MEMORY, REGISTER
 
 
 _CLASS_LABELS = {REGISTER: "reg", MEMORY: "mem"}

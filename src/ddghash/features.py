@@ -6,23 +6,37 @@ the set its partial order. All similarity arithmetic is exact: sizes are
 ints and coefficients Fractions, so inclusion-exclusion holds to the bit.
 """
 
+import enum
 from fractions import Fraction
 
 from . import FrozenRecord, Record, lazy_names
 from .errors import IncompatibleCorpora
-from .isa import (DANGLING, EXTERNAL, INDIRECT, InstructionFamilyPolicy,
-                  LabelMode)
 
 # the DDG builder and hasher load when make_feature_set first runs, or when
-# the names are first read from outside (where a tracer may wrap them)
+# the names are first read from outside (where a tracer may wrap them); so
+# do the block exit kinds, which only an ingest meets
 __getattr__, _bind_pipeline = lazy_names(globals(), {
-    "build_ddg": "ddg", "wl_hash": "wlhash"})
+    "build_ddg": "ddg", "wl_hash": "wlhash",
+    "INDIRECT": "isa", "EXTERNAL": "isa", "DANGLING": "isa"})
 
 DIGEST_BITS = 128  # the only WL digest width: 32 hex characters
 
-# the diagnostics member that counts each kind of block exit
-_EXIT_COUNTS = {INDIRECT: "indirect_transfers", EXTERNAL: "external_targets",
-                DANGLING: "dangling_targets"}
+
+class LabelMode(enum.Enum):
+    """How a DDG node is labelled: not at all, by operand class, or by
+    its canonical operand text."""
+
+    UNLABELED = "unlabeled"
+    OPERAND_CLASS = "operand_class"
+    LITERAL = "literal"
+
+
+class InstructionFamilyPolicy(enum.Enum):
+    """Which instructions contribute DDG edges: the data-movement family
+    (isa.MOV_FAMILY) only, or every instruction with operands."""
+
+    MOV_ONLY = "mov_only"
+    ALL_DATA_OPERANDS = "all_data_operands"
 
 
 class FeatureParams(FrozenRecord):
@@ -192,13 +206,16 @@ def make_feature_set(program_id, blocks, params,
     block, hash, edge and exit counts.
     """
     _bind_pipeline()
+    # the diagnostics member that counts each kind of block exit
+    exit_counts = {INDIRECT: "indirect_transfers",
+                   EXTERNAL: "external_targets", DANGLING: "dangling_targets"}
     diag = dict(diagnostics)
-    diag.update(dict.fromkeys(_EXIT_COUNTS.values(), 0))
+    diag.update(dict.fromkeys(exit_counts.values(), 0))
     block_map = {}
     digests = {}  # (((node id, label), ...), edges) -> digest
     for block in blocks:
         if block.exit is not None:
-            diag[_EXIT_COUNTS[block.exit]] += 1
+            diag[exit_counts[block.exit]] += 1
         graph = build_ddg(block, params.policy, params.label_mode)
         if len(graph) == 0:
             continue
@@ -250,7 +267,9 @@ def five_number_summary(values):
     """min/q1/median/q3/max over similarity coefficients (exact input ok)."""
     import statistics
 
-    data = sorted(values)
+    # float is monotone on exact values, so this is sorted(values)'s order,
+    # with the exact comparison run only where two values round to one float
+    data = sorted(values, key=lambda v: (float(v), v))
     if not data:
         raise ValueError("no values to summarize")
     if len(data) == 1:

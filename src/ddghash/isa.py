@@ -1,13 +1,11 @@
-"""x86/64 mnemonic and register tables, and the kinds the pipeline names.
+"""x86/64 mnemonic and register tables, and the operand and block exit
+kinds the pipeline names.
 
 Everything here is plain data consulted by the parser, segmenter, DDG
 builder and feature sets. The tables cover the common integer/SSE subset
 produced by objdump on typical binaries; unknown mnemonics pass through
-untouched and stem to "other" downstream. Corpus queries load this module
-for the extraction settings, so it imports nothing of the pipeline.
+untouched and stem to "other" downstream.
 """
-
-import enum
 
 # Operand.kind
 REGISTER = "register"
@@ -19,23 +17,6 @@ IMMEDIATE = "immediate"
 INDIRECT = "indirect"  # no direct target
 EXTERNAL = "external"  # a target outside the function
 DANGLING = "dangling"  # a target inside the function, mid-instruction
-
-
-class LabelMode(enum.Enum):
-    """How a DDG node is labelled: not at all, by operand class, or by
-    its canonical operand text."""
-
-    UNLABELED = "unlabeled"
-    OPERAND_CLASS = "operand_class"
-    LITERAL = "literal"
-
-
-class InstructionFamilyPolicy(enum.Enum):
-    """Which instructions contribute DDG edges: the data-movement family
-    (MOV_FAMILY) only, or every instruction with operands."""
-
-    MOV_ONLY = "mov_only"
-    ALL_DATA_OPERANDS = "all_data_operands"
 
 
 # Condition codes used by j<cc>, cmov<cc>, set<cc>.

@@ -1,4 +1,5 @@
 import random
+import statistics
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,3 +177,17 @@ def test_five_number_summary():
     assert s["median"] == Fraction(51, 250)
     assert s["max"] == Fraction(27, 100)
     assert s["count"] == 3
+
+
+def test_five_number_summary_orders_values_that_round_to_one_float():
+    # all round to float(1/3); given largest first, so an order by the
+    # float alone would leave them as given
+    third = Fraction(1, 3)
+    vals = [third + Fraction(k, 10**18) for k in (3, 2, 1, 0, -1, -2)]
+    vals.append(Fraction(3333333333333333, 10**16))
+    assert len({float(v) for v in vals}) == 1
+    data = sorted(vals)
+    q1, med, q3 = statistics.quantiles(data, n=4, method="inclusive")
+    assert five_number_summary(vals) == {
+        "count": 7, "min": data[0], "q1": q1, "median": med, "q3": q3,
+        "max": data[-1]}

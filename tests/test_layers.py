@@ -17,9 +17,10 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 
 QUERY_LAYER = {"ddghash", "ddghash.cli", "ddghash.corpus", "ddghash.errors",
-               "ddghash.features", "ddghash.isa"}
+               "ddghash.features"}
 INGEST_ONLY = {"ddghash.disasm", "ddghash.blocks", "ddghash.ddg",
-               "ddghash.wlhash", "ddghash.tfidf", "hashlib", "csv", "statistics"}
+               "ddghash.wlhash", "ddghash.tfidf", "ddghash.isa", "hashlib",
+               "csv", "statistics"}
 # dataclasses and what it imports to generate each class's methods; the
 # records are plain slotted classes, so no command pays for these
 INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -17,8 +17,8 @@ from ddghash.corpus import FeatureFile, decode_feature_file, encode_feature_file
 from ddghash.ddg import DataDependencyGraph, DdgNode
 from ddghash.disasm import FunctionListing, Instruction, Operand, ParseReport
 from ddghash.errors import DdghashError
-from ddghash.features import FeatureParams, ProgramFeatureSet, SimilarityReport
-from ddghash.isa import InstructionFamilyPolicy, LabelMode
+from ddghash.features import (FeatureParams, InstructionFamilyPolicy,
+                              LabelMode, ProgramFeatureSet, SimilarityReport)
 from ddghash.tfidf import TermDictionary, TermDistribution
 
 RAX = Operand(kind="reg", base="rax", text="rax")
