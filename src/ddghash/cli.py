@@ -389,12 +389,12 @@ def run():
     and stderr are flushed.
 
     The cyclic collector stays paused for the whole command, and the
-    process ends with os._exit, which skips the interpreter's teardown and
-    so any atexit handler: every file a command writes is closed before
-    main returns. A SystemExit's code is kept as sys.exit would keep it.
-    When the reader of stdout has gone, the command says nothing more and
-    exits 1. Any other exception ends the process as usual, with a
-    traceback.
+    process ends at once through _exit, which skips the interpreter's
+    teardown and so any atexit handler: every file a command writes is
+    closed before main returns. A SystemExit's code is kept as sys.exit
+    would keep it. When the reader of stdout has gone, the command says
+    nothing more and exits 1. Any other exception ends the process as
+    usual, with a traceback.
     """
     gc.disable()
     try:
