@@ -63,6 +63,7 @@ def segment(listing: FunctionListing, first_id=0):
             else:
                 exit = DANGLING if lo <= address <= hi else EXTERNAL
         transfers[i] = (kind not in ("jump", "ret", "halt"), target, exit)
+    del addr_to_index  # as large as the function, and not needed again
 
     starts = sorted(leaders)
     ids = {start: first_id + n for n, start in enumerate(starts)}

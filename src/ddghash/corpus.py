@@ -51,7 +51,8 @@ class FeatureFile(LazyFields):
     def __init__(self, feature_set, term_counts, term_stems, source_digest,
                  toolkit_version=__version__, distinct_asm_texts=None):
         self.feature_set = feature_set
-        # block id -> tuple of per-stem counts, for every block
+        # block id -> tuple of per-stem counts, for every block; equal rows
+        # may share one tuple
         self.term_counts = term_counts
         self.term_stems = term_stems
         self.source_digest = source_digest
@@ -218,6 +219,12 @@ def build_feature_file(text: str, program_id: str,
                        params: FeatureParams) -> FeatureFile:
     """Run the full pipeline on listing text: parse, segment, DDG, hash.
 
+    Functions are segmented one at a time, and each block's count row is
+    taken as make_feature_set takes the block. So besides the parsed
+    listing only one function's blocks are alive at once, and equal count
+    rows share one tuple. The text's digest is taken before the parse, so
+    its UTF-8 copy is gone before the parse's records are made.
+
     The cyclic garbage collector is paused for the build and restored as
     it was found, also when the build raises. The build makes no
     reference cycles, so reference counting frees all it drops, while
@@ -231,17 +238,25 @@ def build_feature_file(text: str, program_id: str,
     collecting = gc.isenabled()
     gc.disable()
     try:
+        source_digest = "sha256:" + sha256(text.encode("utf-8")).hexdigest()
         functions, report = parse_listing_with_report(text)
         dictionary = load_default_dictionary()
-        blocks = []
-        for fn in functions:
-            blocks.extend(segment(fn, first_id=len(blocks)))
+        term_counts = {}
+        distinct = {}  # row -> itself
+
+        def blocks():
+            for fn in functions:
+                for block in segment(fn, first_id=len(term_counts)):
+                    row = tf_vector(block, dictionary)
+                    term_counts[block.id] = distinct.setdefault(row, row)
+                    yield block
+
         return FeatureFile(
-            feature_set=make_feature_set(program_id, blocks, params,
+            feature_set=make_feature_set(program_id, blocks(), params,
                                          report.as_dict()),
-            term_counts={b.id: tf_vector(b, dictionary) for b in blocks},
+            term_counts=term_counts,
             term_stems=dictionary.stems,
-            source_digest="sha256:" + sha256(text.encode("utf-8")).hexdigest(),
+            source_digest=source_digest,
             distinct_asm_texts=report.distinct_asm_texts,
         )
     finally:

@@ -98,11 +98,12 @@ class ParseReport(Record):
 # address and ":", an optional opcode-bytes field (hex pairs up to the first
 # tab), then the assembly text up to the first "<" or "#". Where no opcode
 # field matched, a text made only of hex pairs is a byte continuation, and
-# the line does not match.
+# the line does not match. The bytes field starts with a pair, so a failed
+# match never backs up onto its last pair.
 _LINE_RE = re.compile(r"""
     [0-9a-fA-F]+\s+<(?P<name>.+)>:\s*$
   | \s+(?P<address>[0-9a-fA-F]+):\s*
-    (?: (?:[0-9a-f]{2}[^\S\t]+)*[0-9a-f]{2}[^\S\t]*\t\s*
+    (?: [0-9a-f]{2}(?:[^\S\t]+[0-9a-f]{2})*[^\S\t]*\t\s*
       | (?!(?:[0-9a-f]{2}\s+)*[0-9a-f]{2}\s*(?:[<#]|$)) )
     (?P<asm>[^\s<#][^<#]*)
 """, re.VERBOSE)

@@ -8,6 +8,7 @@ ints and coefficients Fractions, so inclusion-exclusion holds to the bit.
 
 import enum
 from fractions import Fraction
+from itertools import repeat
 
 from . import FrozenRecord, Record, lazy_names
 from .errors import IncompatibleCorpora
@@ -196,14 +197,17 @@ def ratio(frac: Fraction) -> str:
 
 def make_feature_set(program_id, blocks, params,
                      diagnostics) -> ProgramFeatureSet:
-    """Hash each block's DDG and assemble the feature set.
+    """Hash each block's DDG and assemble the feature set, in one pass
+    over `blocks`, which may be any iterable of blocks.
 
-    Each DDG is built, hashed and dropped. Blocks whose DDG is empty are
-    left out of the block map (and counted); the order edges are the
-    blocks' successor links whose ends both map to a hash. A digest is a
-    pure function of the node labels by id and the edges, so each
-    distinct (labels, edges) key is hashed once. The diagnostics gain the
-    block, hash, edge and exit counts.
+    Each DDG is built, hashed and dropped, and no block is kept, so a
+    caller that makes blocks as they are taken holds only those it has
+    not yet handed over. Blocks whose DDG is empty are left out of the
+    block map (and counted); the order edges are the blocks' successor
+    links whose ends both map to a hash. A digest is a pure function of
+    the node labels by id and the edges, so each distinct (labels, edges)
+    key is hashed once. The diagnostics gain the block, hash, edge and
+    exit counts.
     """
     _bind_pipeline()
     # the diagnostics member that counts each kind of block exit
@@ -213,7 +217,12 @@ def make_feature_set(program_id, blocks, params,
     diag.update(dict.fromkeys(exit_counts.values(), 0))
     block_map = {}
     digests = {}  # (((node id, label), ...), edges) -> digest
-    for block in blocks:
+    # the successor links of hashed blocks; a link from any other block is
+    # dropped, so it is only counted
+    edges = []
+    blocks_seen = links = 0
+    for blocks_seen, block in enumerate(blocks, 1):
+        links += len(block.successors)
         if block.exit is not None:
             diag[exit_counts[block.exit]] += 1
         graph = build_ddg(block, params.policy, params.label_mode)
@@ -224,15 +233,13 @@ def make_feature_set(program_id, blocks, params,
         if digest is None:
             digest = digests[key] = wl_hash(graph, params.wl_iterations)
         block_map[block.id] = digest
-    edges = [(block.id, succ) for block in blocks for succ in block.successors]
-    kept_edges = frozenset(
-        (a, b) for a, b in edges if a in block_map and b in block_map
-    )
-    diag["blocks"] = len(blocks)
-    diag["empty_ddgs"] = len(blocks) - len(block_map)
+        edges.extend(zip(repeat(block.id), block.successors))
+    kept_edges = frozenset((a, b) for a, b in edges if b in block_map)
+    diag["blocks"] = blocks_seen
+    diag["empty_ddgs"] = blocks_seen - len(block_map)
     hashes = frozenset(block_map.values())
     diag["duplicate_hashes"] = len(block_map) - len(hashes)
-    diag["dropped_order_edges"] = len(edges) - len(kept_edges)
+    diag["dropped_order_edges"] = links - len(kept_edges)
     return ProgramFeatureSet(
         program_id=program_id,
         params=params,
@@ -264,9 +271,9 @@ def compare(a: ProgramFeatureSet, b: ProgramFeatureSet) -> SimilarityReport:
 
 
 def five_number_summary(values):
-    """min/q1/median/q3/max over similarity coefficients (exact input ok)."""
-    import statistics
-
+    """min/q1/median/q3/max over similarity coefficients (exact input ok).
+    The quartiles are statistics.quantiles(data, n=4, method="inclusive"),
+    read off the one sorted list."""
     # float is monotone on exact values, so this is sorted(values)'s order,
     # with the exact comparison run only where two values round to one float
     data = sorted(values, key=lambda v: (float(v), v))
@@ -275,7 +282,7 @@ def five_number_summary(values):
     if len(data) == 1:
         q1, med, q3 = data[0], data[0], data[0]
     else:
-        q1, med, q3 = statistics.quantiles(data, n=4, method="inclusive")
+        q1, med, q3 = (_quartile(data, i) for i in (1, 2, 3))
     return {
         "count": len(data),
         "min": data[0],
@@ -284,3 +291,10 @@ def five_number_summary(values):
         "q3": q3,
         "max": data[-1],
     }
+
+
+def _quartile(data, i):
+    """The i-th inclusive quartile of sorted data, as statistics.quantiles
+    interpolates it."""
+    j, delta = divmod(i * (len(data) - 1), 4)
+    return (data[j] * (4 - delta) + data[j + 1] * delta) / 4

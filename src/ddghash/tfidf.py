@@ -10,7 +10,8 @@ smoothed idf so no stem weight is ever zero.
 import math
 from fractions import Fraction
 from importlib import resources
-from operator import itemgetter
+from itertools import repeat
+from operator import gt, itemgetter
 
 from . import FrozenRecord
 from .errors import EmptyCorpus, ZeroVector
@@ -86,11 +87,8 @@ def idf(rows) -> tuple:
     if not rows:
         raise EmptyCorpus("idf needs at least one block")
     n = len(rows)
-    df = [0] * len(rows[0])
-    for row in rows:
-        for i, c in enumerate(row):
-            if c > 0:
-                df[i] += 1
+    # each stem's document frequency, counted over its column in C
+    df = [sum(map(gt, column, repeat(0))) for column in zip(*rows)]
     return tuple(math.log((1 + n) / (1 + d)) + 1.0 for d in df)
 
 

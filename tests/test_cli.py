@@ -220,17 +220,17 @@ def test_ingest_json_reports_work_done_outside_the_file(tmp_path, capsys):
 # json.loads, plus a newline
 PINNED_DOCUMENTS = {
     (): {
-        "true_att": "a3719e416622c8cb63746855faf98e2a7fa31ed1f4fd7ef02713414429beb0a2",
+        "true_att": "67f5127254e96e5606bbcc5ea4d32077320dd82944e136c8c5b15544b43958ed",
         "true_intel": "24e445c008084801d317d0c654be894d35b77200d8751b30b805a1e8b6b62858",
         "false_intel": "44d00b6b9d92e2e0e96a97991bd8269913de835efbc9de6dd16c4e92212975d3",
     },
     ("--mode", "literal", "--policy", "all_data_operands"): {
-        "true_att": "953c7243993673473b1db2ceba23fade26d5c69332e6a987fee95f84a59d72a6",
+        "true_att": "f4b1f4a5a08371bb6541d0c11ea607c8ad5fdf596f11308b62f00e929c3a0359",
         "true_intel": "18cc5666e010077dfad6c032843b00b4c37d4d0ed161c4d7efdfb568d8a381ff",
         "false_intel": "c786ec636817a309a22ebc8fbf892ddb8d9e91a490dd7cd8445fe9e00ded3c66",
     },
     ("--mode", "unlabeled", "--iters", "2"): {
-        "true_att": "318ec38535afeed121cc01159e0903088fea979f97488ddad1fdc34ba57c61ce",
+        "true_att": "1ef1b81917e84e9565d0de5e36f21e23b5580670cbefb9ea3399f77d638747bf",
         "true_intel": "0d965e3554f0d6aaaa411aebb9c72a6c001a89a46a0141bc087387a7d2eaabfb",
         "false_intel": "2e138ed32e2446e6809389e5f9cbdfafbf211bd8e62057ce4a95529d60f5a7b1",
     },
@@ -239,17 +239,17 @@ PINNED_DOCUMENTS = {
 # sha256 of the same files' bytes
 PINNED_FILES = {
     (): {
-        "true_att": "c01824e469ca49f7fbc7fff7e98ca399288b6a6822f43adc3975c961c2f9ad25",
+        "true_att": "7ba4d32c565b0dea1a0409df2c0fb41390aeeaf7a39b8680f45cfe8375e8a577",
         "true_intel": "3c9435f33df1e8b897066b8fedd6b455ceb39e8a603c66635878b1e48f9c29aa",
         "false_intel": "aa6966ee00e4b1ac3f28e1d7b88a3e6090879c332d3f1a91f4aa8264bc9a7c62",
     },
     ("--mode", "literal", "--policy", "all_data_operands"): {
-        "true_att": "1b2608926989599a32840069fb8834ab7d442bc427aba81a4c4e047ca0e95eb6",
+        "true_att": "01cc5483a9dadc91935c8e18466fd9939a1f50483685da6ccca405e4fc6045cf",
         "true_intel": "d24a27f7b5ce39558f63ad0c5f37ab2d202818b0ea53ab3ecc7f582cd463d33b",
         "false_intel": "0ee340abf7b85869cd1b79c43da7c9164bd267911426a3f8a5c86baefcbb01e5",
     },
     ("--mode", "unlabeled", "--iters", "2"): {
-        "true_att": "36959b75cef27946e513650e278ee953be81e0a2f08a8ec4ac9b09160fbd8e3c",
+        "true_att": "ea9a1e806e09cdc66daecf823ea571975528c6109a5fb670d7b550244abe2c38",
         "true_intel": "fdb2324ea2ac32b1058095acac4303459edef8606f7c091d32b6f4713f608ba2",
         "false_intel": "d72b991dc80897d3fcd33bafbf7cc8b56a01128fca2a716bb250f034aa16eacc",
     },

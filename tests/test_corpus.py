@@ -188,6 +188,13 @@ def test_build_makes_no_cyclic_garbage(params, listing):
     assert gc.collect() == 0
 
 
+def test_build_shares_one_tuple_per_distinct_count_row():
+    ff = build_feature_file((DATA / "true_att.objdump").read_text(), "true_att",
+                            PARAMS)
+    rows = list(ff.term_counts.values())
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
+
 def test_unknown_program(tmp_path):
     corpus = Corpus(tmp_path)
     with pytest.raises(UnknownProgram):

@@ -281,6 +281,24 @@ def test_few_malformed_lines_tolerated():
     assert len(fns[0].instructions) == 20
 
 
+def test_source_line_shaped_like_a_hex_label_is_one_malformed_line():
+    # an `objdump -S` source line can read as an instruction at address
+    # beef; it fails on its operand and changes no other count
+    lines = (DATA / "true_att.objdump").read_text().splitlines()
+    line_no = lines.index("  beef: x = 1;") + 1
+    fns, report = parse_listing_with_report("\n".join(lines))
+    del lines[line_no - 1]
+    clean_fns, clean = parse_listing_with_report("\n".join(lines))
+    assert report.malformed == [(line_no, "cannot parse operand '= 1;'",
+                                 "  beef: x = 1;")]
+    assert clean.malformed == []
+    assert report.instruction_shaped == clean.instruction_shaped + 1
+    for count in ("syntax", "functions", "instructions", "skipped_lines",
+                  "distinct_asm_texts"):
+        assert getattr(report, count) == getattr(clean, count), count
+    assert fns == clean_fns
+
+
 def test_byte_continuation_and_data_lines_skipped():
     text = (
         "0000000000001000 <f>:\n"
@@ -563,3 +581,27 @@ def test_line_pattern_classifies_as_the_reference_scanner():
     # both kinds of line, and lines of neither, are in the table
     kinds = {(_classify(line) or ("neither",))[0] for line in _ODD_LINES}
     assert kinds == {"header", "instruction", "neither"}
+
+
+# the opcode-bytes field as it was written before it began with a pair: the
+# same language, with more backtracking
+_OLD_BYTES_FIELD = r"(?:[0-9a-f]{2}[^\S\t]+)*[0-9a-f]{2}[^\S\t]*\t\s*"
+_BYTES_FIELD = r"[0-9a-f]{2}(?:[^\S\t]+[0-9a-f]{2})*[^\S\t]*\t\s*"
+_TEXT_PIECES = ["ab", "AB", " ", "\t", "<", ">", "#", ":", "<f>:", "1000",
+                "mov", "x = 1;", "%rax"]
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(["", "  beef:", "  beef: ", "  beef:\t"]),
+       st.lists(st.tuples(st.sampled_from(["ab", "0f", "AB", "a"]),
+                          st.sampled_from(["", " ", "  ", "\t", " \t", "\t ", "\u00a0"])),
+                max_size=5),
+       st.lists(st.sampled_from(_TEXT_PIECES), max_size=5))
+def test_bytes_field_matches_as_the_backtracking_form(address, pairs, text):
+    # lines of an address, hex pairs and separators, then any text
+    assert _BYTES_FIELD in _LINE_RE.pattern
+    old = re.compile(_LINE_RE.pattern.replace(_BYTES_FIELD, _OLD_BYTES_FIELD),
+                     re.VERBOSE)
+    line = address + "".join(p + sep for p, sep in pairs) + "".join(text)
+    new_match, old_match = _LINE_RE.match(line), old.match(line)
+    assert (new_match and new_match.groups()) == (old_match and old_match.groups())

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ddghash import features
 from ddghash.blocks import segment
@@ -139,6 +141,8 @@ def test_make_feature_set_order_edges_and_exits():
     assert (diag["indirect_transfers"], diag["external_targets"],
             diag["dangling_targets"]) == (1, 1, 1)
     assert diag["blocks"] == 5 and diag["empty_ddgs"] == 1
+    # one pass over any iterable: an iterator gives the list's feature set
+    assert make_feature_set("p", iter(blocks), PARAMS, {}) == fs
 
 
 @pytest.mark.parametrize("policy", list(InstructionFamilyPolicy))
@@ -191,3 +195,12 @@ def test_five_number_summary_orders_values_that_round_to_one_float():
     assert five_number_summary(vals) == {
         "count": 7, "min": data[0], "q1": q1, "median": med, "q3": q3,
         "max": data[-1]}
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=6),
+                min_size=2, max_size=60))
+def test_five_number_summary_quartiles_are_statistics_quantiles(vals):
+    # denominators up to 6 draw few distinct values, so most lists hold ties
+    q1, med, q3 = statistics.quantiles(sorted(vals), n=4, method="inclusive")
+    s = five_number_summary(vals)
+    assert (s["q1"], s["median"], s["q3"]) == (q1, med, q3)

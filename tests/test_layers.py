@@ -64,7 +64,7 @@ def test_queries_load_only_the_query_layer(corpus, tmp_path):
         (["nearest", "true_att"], set()),
         (["contain"], set()),
         (["matrix", "--all"], set()),
-        (["matrix", "--all", "--stats"], {"statistics"}),
+        (["matrix", "--all", "--stats"], set()),
         (["--format", "csv", "compare", "true_att", "false_intel"], {"csv"}),
         (["tfstats", "true_att"], {"ddghash.tfidf"}),
     ]

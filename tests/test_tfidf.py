@@ -131,9 +131,30 @@ def test_idf_monotonic_in_document_frequency():
     assert w[2] > w[1] > w[0]
 
 
+def _reference_idf(rows):
+    # the definition, one count at a time
+    n = len(rows)
+    df = [0] * len(rows[0])
+    for row in rows:
+        for i, c in enumerate(row):
+            if c > 0:
+                df[i] += 1
+    return tuple(math.log((1 + n) / (1 + d)) + 1.0 for d in df)
+
+
+def test_idf_equals_the_definition_bit_for_bit():
+    rng = random.Random(17)
+    for _ in range(200):
+        rows = [tuple(rng.choice((0, 0, 0, 1, 2, 7)) for _ in range(32))
+                for _ in range(rng.randint(1, 40))]
+        assert idf(iter(rows)) == _reference_idf(rows)
+
+
 def test_idf_empty_corpus():
     with pytest.raises(EmptyCorpus):
         idf([])
+    with pytest.raises(EmptyCorpus):
+        idf(iter(()))
 
 
 def _distribution(block):
