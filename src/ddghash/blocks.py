@@ -8,7 +8,8 @@ transfer can only ever sit in the final slot of its block.
 
 from . import FrozenRecord, isa
 from .disasm import FunctionListing
-from .isa import DANGLING, EXTERNAL, IMMEDIATE, INDIRECT
+from .features import DANGLING, EXTERNAL, INDIRECT
+from .isa import IMMEDIATE
 
 
 class BasicBlock(FrozenRecord):
@@ -20,7 +21,9 @@ class BasicBlock(FrozenRecord):
         object.__setattr__(self, "instructions", instructions)  # tuple
         # ids of the blocks control passes to next, as a frozenset
         object.__setattr__(self, "successors", successors)
-        # INDIRECT, EXTERNAL, DANGLING or None
+        # None, or the kind of jump that reaches no block of the function:
+        # features.INDIRECT, EXTERNAL or DANGLING, each the name of the
+        # diagnostics count it feeds
         object.__setattr__(self, "exit", exit)
 
 

@@ -36,10 +36,6 @@ __getattr__, _bind_tfidf = lazy_names(globals(), {
     "distribution_from_vectors": "tfidf", "corpus_idf": "tfidf.idf"})
 
 
-def _corpus_dir(args):
-    return args.corpus or os.environ.get("DDGHASH_CORPUS") or "corpus"
-
-
 def positive_int(text):
     value = int(text)
     if value < 1:
@@ -92,8 +88,7 @@ def _emit_json(doc):
     print(json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2))
 
 
-def cmd_ingest(args):
-    corpus = Corpus(_corpus_dir(args))
+def cmd_ingest(args, corpus):
     params = FeatureParams(label_mode=LabelMode(args.mode),
                            policy=InstructionFamilyPolicy(args.policy),
                            wl_iterations=args.iters)
@@ -138,8 +133,8 @@ def cmd_ingest(args):
             "distinct_asm_texts": ff.distinct_asm_texts,
             "distinct_graphs": fs.distinct_graphs,
         })
-    if results:
-        corpus.rebuild_index()
+    # the report comes first: a damaged file elsewhere in the corpus fails
+    # the index, not the listings saved
     if args.format == "json":
         _emit_json(results)
     else:
@@ -153,6 +148,8 @@ def cmd_ingest(args):
                   f"{r['hashed_blocks']} hashed ({r['empty_ddgs']} empty DDGs), "
                   f"{r['distinct_hashes']} distinct hashes -> {r['file']}"
                   f"{extra}")
+    if results:
+        corpus.rebuild_index()
     return 1 if failures else 0
 
 
@@ -176,18 +173,16 @@ def _print_report(rep, fmt):
               f"{ratio(rep.containment_b_in_a)} = {decimal3(rep.containment_b_in_a)}")
 
 
-def cmd_compare(args):
-    corpus = Corpus(_corpus_dir(args))
+def cmd_compare(args, corpus):
     _print_report(corpus.compare(args.id_a, args.id_b), args.format)
     return 0
 
 
-def cmd_matrix(args):
+def cmd_matrix(args, corpus):
     if args.all and args.ids:
         args.usage_error("--all takes no ids")
     if args.pairs_out and not args.stats:
         args.usage_error("--pairs-out requires --stats")
-    corpus = Corpus(_corpus_dir(args))
     ids = corpus.ids() if args.all else args.ids
     if len(set(ids)) < len(ids):
         args.usage_error("an id may appear only once")
@@ -195,15 +190,17 @@ def cmd_matrix(args):
         print("matrix needs at least two programs", file=sys.stderr)
         return 1
     reports = corpus.pairwise_matrix(ids)
-    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
 
-    def jac(a, b):
-        return Fraction(1) if a == b else reports[(a, b)].jaccard
+    def jac(a, b):  # a grid cell, read off the pair's one report
+        if a == b:
+            return Fraction(1)
+        return (reports.get((a, b)) or reports[(b, a)]).jaccard
 
     if args.stats:
-        summary = five_number_summary([reports[pair].jaccard for pair in pairs])
+        jaccards = [rep.jaccard for rep in reports.values()]
+        summary = five_number_summary(jaccards)
         shown = {k: v if k == "count" else decimal3(v) for k, v in summary.items()}
-        pair_rows = [[a, b, decimal3(reports[(a, b)].jaccard)] for a, b in pairs]
+        pair_rows = [[a, b, decimal3(j)] for (a, b), j in zip(reports, jaccards)]
         if args.pairs_out:
             with open(args.pairs_out, "w", newline="") as fh:
                 _emit_csv(pair_rows, ["id_a", "id_b", "jaccard"], fh)
@@ -225,7 +222,7 @@ def cmd_matrix(args):
         doc = {
             "ids": ids,
             "jaccard_matrix": [[decimal3(jac(a, b)) for b in ids] for a in ids],
-            "reports": [reports[pair].as_dict() for pair in pairs],
+            "reports": [rep.as_dict() for rep in reports.values()],
         }
         _emit_json(doc)
     elif args.format == "csv":
@@ -240,8 +237,7 @@ def cmd_matrix(args):
     return 0
 
 
-def cmd_nearest(args):
-    corpus = Corpus(_corpus_dir(args))
+def cmd_nearest(args, corpus):
     ranked = corpus.nearest(args.id, args.k)
     if args.format == "json":
         _emit_json([r.as_dict() for _, r in ranked])
@@ -258,8 +254,7 @@ def cmd_nearest(args):
     return 0
 
 
-def cmd_contain(args):
-    corpus = Corpus(_corpus_dir(args))
+def cmd_contain(args, corpus):
     rows = corpus.find_containments(args.threshold)
     if args.format == "json":
         _emit_json([{"inner": i, "outer": o, "containment": decimal3(c)}
@@ -275,9 +270,8 @@ def cmd_contain(args):
     return 0
 
 
-def cmd_tfstats(args):
+def cmd_tfstats(args, corpus):
     _bind_tfidf()
-    corpus = Corpus(_corpus_dir(args))
     ff = corpus.load(args.id)
     counts = [c for _, c in sorted(ff.term_counts.items())]
     dist = distribution_from_vectors(counts, ff.term_stems)
@@ -374,8 +368,9 @@ def main(argv=None):
     --version raise SystemExit, as argparse does."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    corpus = Corpus(args.corpus or os.environ.get("DDGHASH_CORPUS") or "corpus")
     try:
-        return args.func(args)
+        return args.func(args, corpus)
     except BrokenPipeError:
         raise  # the reader of our output has gone: see run()
     except (DdghashError, OSError) as exc:

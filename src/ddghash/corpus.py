@@ -315,15 +315,12 @@ class Corpus:
         return compare(self.load(a_id).feature_set, self.load(b_id).feature_set)
 
     def pairwise_matrix(self, ids):
-        """All pairwise reports keyed (a, b) for a != b; loads each set once."""
+        """One report per unordered pair, keyed (a, b) with a before b in
+        ids, in the order of ids. The report of (b, a) would be the same
+        with its sides swapped, so it is not made. Loads each set once."""
         sets = {pid: self.load(pid).feature_set for pid in ids}
-        out = {}
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                rep = compare(sets[a], sets[b])
-                out[(a, b)] = rep
-                out[(b, a)] = rep.swapped()
-        return out
+        return {(a, b): compare(sets[a], sets[b])
+                for i, a in enumerate(ids) for b in ids[i + 1:]}
 
     def nearest(self, query_id, k):
         """Top-k neighbors by jaccard; ties break on how much of the
@@ -342,9 +339,10 @@ class Corpus:
         """Ordered pairs (inner, outer, containment) with
         |inner ∩ outer| / |inner| >= threshold > 0, sorted descending.
         Read off pairwise_matrix, so mixed settings raise IncompatibleCorpora."""
-        rows = [(inner, outer, rep.containment_a_in_b)
-                for (inner, outer), rep in self.pairwise_matrix(self.ids()).items()
-                if rep.containment_a_in_b >= threshold]
+        rows = [row for (a, b), rep in self.pairwise_matrix(self.ids()).items()
+                for row in ((a, b, rep.containment_a_in_b),
+                            (b, a, rep.containment_b_in_a))
+                if row[2] >= threshold]
         rows.sort(key=lambda r: (-r[2], r[0], r[1]))
         return rows
 

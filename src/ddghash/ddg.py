@@ -47,54 +47,38 @@ class DataDependencyGraph(FrozenRecord):
         return len(self.nodes)
 
 
-class _Builder:
-    def __init__(self, block_id, mode):
-        self.block_id = block_id
-        self.mode = mode
-        self.ids = {}
-        self.nodes = []
-        self.edges = set()
-
-    def node(self, operand):
-        nid = self.ids.get(operand.text)
-        if nid is None:
-            nid = len(self.nodes)
-            self.ids[operand.text] = nid
-            self.nodes.append(DdgNode(nid, operand.text, node_label(operand, self.mode)))
-        return nid
-
-    def edge(self, src, dst):
-        s, d = self.node(src), self.node(dst)
-        if s == d:
-            return  # self-moves keep the node but carry no dependency
-        self.edges.add((s, d))
-
-    def finish(self):
-        return DataDependencyGraph(
-            block_id=self.block_id,
-            nodes=tuple(self.nodes),
-            edges=frozenset(self.edges),
-        )
-
-
 def build_ddg(block, policy=InstructionFamilyPolicy.MOV_ONLY,
               mode=LabelMode.OPERAND_CLASS):
     """Build the block's DDG; blocks without contributing instructions
-    yield an empty graph that downstream hashing skips."""
-    b = _Builder(block.id, mode)
+    yield an empty graph that downstream hashing skips. Node ids number
+    the distinct operand texts in order of first use, the source of an
+    edge before its destination."""
     all_data = policy is InstructionFamilyPolicy.ALL_DATA_OPERANDS
+    ids = {}  # operand text -> node id
+    nodes = []
+    edges = set()
     for ins in block.instructions:
+        operands = ins.operands
         if ins.mnemonic in isa.MOV_FAMILY:
-            if len(ins.operands) != 2:
+            if len(operands) != 2:
                 continue
-            dst, src = ins.operands
-            b.edge(src, dst)
+            dst, src = operands
+            flows = ((src, dst),)
             if ins.mnemonic == "xchg":
-                b.edge(dst, src)
-        elif all_data and ins.operands:
-            dst = ins.operands[0]
-            if len(ins.operands) == 1:
-                b.node(dst)
-            for src in ins.operands[1:]:
-                b.edge(src, dst)
-    return b.finish()
+                flows += ((dst, src),)
+        elif all_data and operands:
+            dst = operands[0]
+            # a lone operand is a node with no edge, as a self-move is
+            flows = [(src, dst) for src in operands[1:]] or ((dst, dst),)
+        else:
+            continue
+        for flow in flows:
+            for operand in flow:
+                if operand.text not in ids:
+                    ids[operand.text] = len(nodes)
+                    nodes.append(DdgNode(len(nodes), operand.text,
+                                         node_label(operand, mode)))
+            s, d = ids[flow[0].text], ids[flow[1].text]
+            if s != d:  # a self-move keeps its node but carries no dependency
+                edges.add((s, d))
+    return DataDependencyGraph(block.id, tuple(nodes), frozenset(edges))

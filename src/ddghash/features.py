@@ -14,13 +14,17 @@ from . import FrozenRecord, Record, lazy_names
 from .errors import IncompatibleCorpora
 
 # the DDG builder and hasher load when make_feature_set first runs, or when
-# the names are first read from outside (where a tracer may wrap them); so
-# do the block exit kinds, which only an ingest meets
+# the names are first read from outside (where a tracer may wrap them)
 __getattr__, _bind_pipeline = lazy_names(globals(), {
-    "build_ddg": "ddg", "wl_hash": "wlhash",
-    "INDIRECT": "isa", "EXTERNAL": "isa", "DANGLING": "isa"})
+    "build_ddg": "ddg", "wl_hash": "wlhash"})
 
 DIGEST_BITS = 128  # the only WL digest width: 32 hex characters
+
+# BasicBlock.exit, a block's unresolved exit: a jump that reaches no block
+# of its function, named by the diagnostics count it feeds
+INDIRECT = "indirect_transfers"  # no direct target
+EXTERNAL = "external_targets"  # a target outside the function
+DANGLING = "dangling_targets"  # a target inside the function, mid-instruction
 
 
 class LabelMode(enum.Enum):
@@ -181,11 +185,6 @@ class SimilarityReport(FrozenRecord):
             "containment_b_in_a_exact": ratio(self.containment_b_in_a),
         }
 
-    def swapped(self) -> "SimilarityReport":
-        """The report compare(b, a) would give, by swapping fields."""
-        return SimilarityReport(self.b_id, self.a_id, self.size_b, self.size_a,
-                                self.intersection)
-
 
 def decimal3(value) -> str:
     return f"{float(value):.3f}"
@@ -210,11 +209,8 @@ def make_feature_set(program_id, blocks, params,
     exit counts.
     """
     _bind_pipeline()
-    # the diagnostics member that counts each kind of block exit
-    exit_counts = {INDIRECT: "indirect_transfers",
-                   EXTERNAL: "external_targets", DANGLING: "dangling_targets"}
     diag = dict(diagnostics)
-    diag.update(dict.fromkeys(exit_counts.values(), 0))
+    diag.update(dict.fromkeys((INDIRECT, EXTERNAL, DANGLING), 0))
     block_map = {}
     digests = {}  # (((node id, label), ...), edges) -> digest
     # the successor links of hashed blocks; a link from any other block is
@@ -224,7 +220,7 @@ def make_feature_set(program_id, blocks, params,
     for blocks_seen, block in enumerate(blocks, 1):
         links += len(block.successors)
         if block.exit is not None:
-            diag[exit_counts[block.exit]] += 1
+            diag[block.exit] += 1
         graph = build_ddg(block, params.policy, params.label_mode)
         if len(graph) == 0:
             continue

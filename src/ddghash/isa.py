@@ -1,8 +1,8 @@
-"""x86/64 mnemonic and register tables, and the operand and block exit
-kinds the pipeline names.
+"""x86/64 mnemonic and register tables, and the operand kinds the
+pipeline names.
 
-Everything here is plain data consulted by the parser, segmenter, DDG
-builder and feature sets. The tables cover the common integer/SSE subset
+Everything here is plain data consulted by the parser, segmenter and
+DDG builder. The tables cover the common integer/SSE subset
 produced by objdump on typical binaries; unknown mnemonics pass through
 untouched and stem to "other" downstream.
 """
@@ -11,12 +11,6 @@ untouched and stem to "other" downstream.
 REGISTER = "register"
 MEMORY = "memory"
 IMMEDIATE = "immediate"
-
-# BasicBlock.exit, a block's unresolved exit: a jump that reaches no block
-# of its function
-INDIRECT = "indirect"  # no direct target
-EXTERNAL = "external"  # a target outside the function
-DANGLING = "dangling"  # a target inside the function, mid-instruction
 
 
 # Condition codes used by j<cc>, cmov<cc>, set<cc>.

@@ -178,6 +178,29 @@ def test_keep_going_continues(tmp_path, capsys):
     assert "ok:" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_damaged_file_elsewhere_fails_the_index_not_the_ingest(tmp_path, capsys, fmt):
+    corpus = tmp_path / "corpus"
+    assert main(["-C", str(corpus), "ingest", str(DATA / "true_att.objdump")]) == 0
+    junk = corpus / "junk.features.json"
+    junk.write_text('{"x": 1}')
+    code, out, err = run(capsys, "-C", str(corpus), "--format", fmt, "ingest",
+                         str(DATA / "true_intel.objdump"))
+    assert code == 1
+    assert err == f"error: {junk}: member 'block_map': missing or out of order\n"
+    saved = corpus / "true_intel.features.json"
+    assert saved.is_file()
+    if fmt == "json":
+        result, = json.loads(out)["results"]
+        assert (result["program_id"], result["file"]) == ("true_intel", str(saved))
+    else:
+        assert out.startswith("true_intel: 40 functions, 2534 instructions")
+        assert f" -> {saved} " in out and out.count("\n") == 1
+    # the index was not rewritten, so it still lists only the first program
+    index = json.loads((corpus / "index.json").read_text())
+    assert list(index["programs"]) == ["true_att"]
+
+
 def test_ingest_refreshes_index(tmp_path, capsys):
     _seed_corpus(tmp_path, {"a": range(1, 5)})
     # no id names these files, an editor's lock file among them, so they
@@ -408,6 +431,8 @@ def test_matrix_csv_diagonal(tmp_path, capsys):
     assert len(rows) == 4
     for i in range(3):
         assert rows[i + 1][i + 1] == "1.000"
+    # each pair's one report fills both of its cells
+    assert [row[1:] for row in rows[1:]] == [list(col) for col in zip(*rows[1:])][1:]
 
 
 def test_matrix_stats_summary(tmp_path, capsys):
@@ -441,6 +466,13 @@ def test_matrix_stats_pairs_out(tmp_path, capsys):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("argv", [["matrix", "a"], ["matrix", "--all"]])
+def test_matrix_needs_two_programs(tmp_path, capsys, argv):
+    corpus = _seed_corpus(tmp_path, {"a": range(1, 5)})
+    code, out, err = run(capsys, "-C", corpus, *argv)
+    assert (code, out, err) == (1, "", "matrix needs at least two programs\n")
+
+
 def test_nearest_ranking(tmp_path, capsys):
     corpus = _seed_corpus(tmp_path, {
         "query": range(1, 41),
@@ -452,6 +484,12 @@ def test_nearest_ranking(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("1. same")
     assert "jaccard=1.000" in lines[0]
+    code, out, _ = run(capsys, "-C", corpus, "--format", "csv",
+                       "nearest", "query", "-k", "2")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[:2] == [["program_id", "jaccard", "containment_in_query"],
+                        ["same", "1.000", "1.000"]]
 
 
 def test_contain_threshold(tmp_path, capsys):
@@ -462,6 +500,11 @@ def test_contain_threshold(tmp_path, capsys):
     code, out, _ = run(capsys, "-C", corpus, "contain", "--threshold", "1.0")
     assert code == 0
     assert out.strip() == "inner contained in outer: 1.000"
+    code, out, _ = run(capsys, "-C", corpus, "--format", "csv",
+                       "contain", "--threshold", "1.0")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["inner", "outer", "containment"], ["inner", "outer", "1.000"]]
 
 
 def test_queries_refuse_mixed_settings(tmp_path, capsys):
@@ -485,6 +528,11 @@ def test_tfstats_modal_stem(tmp_path, capsys):
     assert code == 0
     assert "modal stem mov" in out
     assert "0.400" in out
+    code, out, _ = run(capsys, "-C", corpus, "--format", "csv", "tfstats", "sample")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[:2] == [["stem", "count"], ["mov", "4"]]
+    assert len(rows) == 33  # header + one row per stem
 
 
 def test_tfstats_vectors_csv(tmp_path, capsys):

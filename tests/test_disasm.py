@@ -255,6 +255,18 @@ def test_addresses_strictly_increasing():
     assert addrs == sorted(set(addrs))
 
 
+def test_instructions_before_any_header_form_one_unnamed_function():
+    text = make_listing([("f", ["mov    eax, ebx", "add    eax, 1", "ret"])],
+                        start=0x4a0)
+    headerless = "\n".join(line for line in text.splitlines()
+                           if not line.endswith("<f>:"))
+    fns, report = parse_listing_with_report(headerless)
+    assert [(fn.name, fn.addresses) for fn in fns] == [
+        ("unnamed_4a0", (0x4a0, 0x4a4, 0x4a8))]
+    assert fns[0].instructions == parse_listing(text)[0].instructions
+    assert (report.functions, report.instructions) == (1, 3)
+
+
 def test_non_monotonic_address_counts_malformed():
     text = make_listing([("f", ["mov eax, ebx"] * 15)])
     lines = text.splitlines()
