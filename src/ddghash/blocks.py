@@ -13,11 +13,12 @@ from .isa import IMMEDIATE
 
 
 class BasicBlock(FrozenRecord):
-    __slots__ = ("id", "start_address", "instructions", "successors", "exit")
+    """Instructions entered only at the first; addresses live in the listing."""
 
-    def __init__(self, id, start_address, instructions, successors, exit):
+    __slots__ = ("id", "instructions", "successors", "exit")
+
+    def __init__(self, id, instructions, successors, exit):
         object.__setattr__(self, "id", id)
-        object.__setattr__(self, "start_address", start_address)
         object.__setattr__(self, "instructions", instructions)  # tuple
         # ids of the blocks control passes to next, as a frozenset
         object.__setattr__(self, "successors", successors)
@@ -79,7 +80,6 @@ def segment(listing: FunctionListing, first_id=0):
         blocks.append(
             BasicBlock(
                 id=ids[start],
-                start_address=addresses[start],
                 instructions=tuple(instrs[start:end]),
                 successors=frozenset(successors),
                 exit=exit,

@@ -114,7 +114,7 @@ def cmd_ingest(args, corpus):
             failures += 1
             print(f"{path}: {exc}", file=sys.stderr)
             if not args.keep_going:
-                return 1
+                break  # the listings saved are still reported and indexed
             continue
         fs = ff.feature_set
         diag = fs.diagnostics
@@ -274,7 +274,6 @@ def cmd_tfstats(args, corpus):
     _bind_tfidf()
     ff = corpus.load(args.id)
     counts = [c for _, c in sorted(ff.term_counts.items())]
-    dist = distribution_from_vectors(counts, ff.term_stems)
     if args.vectors:
         weights = corpus_idf(counts)
         rows = [[f"{c * w:.6g}" for c, w in zip(row, weights)]
@@ -284,6 +283,7 @@ def cmd_tfstats(args, corpus):
         else:
             _emit_csv(rows, list(ff.term_stems))
         return 0
+    dist = distribution_from_vectors(counts, ff.term_stems)
     if args.format == "json":
         _emit_json({
             "program_id": args.id,

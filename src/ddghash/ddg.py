@@ -11,17 +11,14 @@ operand to its first (destination) operand.
 
 from . import FrozenRecord, isa
 from .features import InstructionFamilyPolicy, LabelMode
-from .isa import MEMORY, REGISTER
-
-
-_CLASS_LABELS = {REGISTER: "reg", MEMORY: "mem"}
 
 
 def node_label(operand, mode: LabelMode):
+    """The node's label: "*", the operand's kind (its class label) or text."""
     if mode is LabelMode.UNLABELED:
         return "*"
     if mode is LabelMode.OPERAND_CLASS:
-        return _CLASS_LABELS.get(operand.kind, "imm")
+        return operand.kind
     return operand.text
 
 

@@ -32,17 +32,12 @@ MAX_MALFORMED_RATIO = 0.10  # malformed share above which a listing is refused
 
 
 class Operand(FrozenRecord):
-    __slots__ = ("kind", "base", "index", "scale", "displacement", "value",
-                 "text")
+    __slots__ = ("kind", "value", "text")
 
-    def __init__(self, kind, base=None, index=None, scale=None,
-                 displacement=None, value=None, text=""):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "displacement", displacement)
-        object.__setattr__(self, "value", value)
+    def __init__(self, kind, value=None, text=""):
+        object.__setattr__(self, "kind", kind)  # isa.REGISTER, MEMORY or IMMEDIATE
+        object.__setattr__(self, "value", value)  # an immediate's int, else None
+        # the canonical text, the one home of a memory operand's parts
         object.__setattr__(self, "text", text)
 
 
@@ -168,12 +163,11 @@ def _memory_operand(base, index, scale, disp):
             text = str(disp)
         else:
             text += str(disp) if disp < 0 else f"+{disp}"
-    return Operand(kind=MEMORY, base=base, index=index, scale=scale,
-                   displacement=disp, text=f"[{text}]")
+    return Operand(kind=MEMORY, text=f"[{text}]")
 
 
 def _register_operand(name):
-    return Operand(kind=REGISTER, base=name, text=name)
+    return Operand(kind=REGISTER, text=name)
 
 
 def _immediate_operand(value):

@@ -7,10 +7,10 @@ produced by objdump on typical binaries; unknown mnemonics pass through
 untouched and stem to "other" downstream.
 """
 
-# Operand.kind
-REGISTER = "register"
-MEMORY = "memory"
-IMMEDIATE = "immediate"
+# Operand.kind, each the operand's class label in a DDG node
+REGISTER = "reg"
+MEMORY = "mem"
+IMMEDIATE = "imm"
 
 
 # Condition codes used by j<cc>, cmov<cc>, set<cc>.

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 from ddghash.blocks import DANGLING, EXTERNAL, INDIRECT, segment
 from ddghash.disasm import parse_listing
@@ -15,6 +16,13 @@ def _blocks_for(text):
 
 def _edges(blocks):
     return {(b.id, s) for b in blocks for s in b.successors}
+
+
+def _start_addresses(fn, blocks):
+    """The address of each block's first instruction: blocks partition fn
+    in order, so each starts after the instructions of those before it."""
+    sizes = [len(b.instructions) for b in blocks[:-1]]
+    return [fn.addresses[i] for i in accumulate(sizes, initial=0)]
 
 
 def test_sample_block_is_single_block():
@@ -39,8 +47,9 @@ def test_leader_rules():
         "mov    edx, esi",
         "ret",
     ])])
-    blocks = _blocks_for(text)
-    assert [b.start_address for b in blocks] == [0x1000, 0x1008, 0x100c]
+    fn = parse_listing(text)[0]
+    blocks = segment(fn)
+    assert _start_addresses(fn, blocks) == [0x1000, 0x1008, 0x100c]
     assert [len(b.instructions) for b in blocks] == [2, 1, 2]
 
 
@@ -166,9 +175,11 @@ def test_leader_soundness_random_functions():
     rng = random.Random(1234)
     for _ in range(30):
         text = _random_function_text(rng, rng.randint(2, 60))
-        blocks = segment(parse_listing(text)[0], first_id=7)
+        fn = parse_listing(text)[0]
+        blocks = segment(fn, first_id=7)
         assert [b.id for b in blocks] == list(range(7, 7 + len(blocks)))
-        block_at = {b.start_address: b.id for b in blocks}
+        block_at = {address: b.id
+                    for address, b in zip(_start_addresses(fn, blocks), blocks)}
         for pos, b in enumerate(blocks):
             last = b.instructions[-1]
             kind = control_kind(last.mnemonic)

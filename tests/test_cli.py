@@ -179,6 +179,31 @@ def test_keep_going_continues(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ingest_stops_at_a_failure_but_reports_and_indexes_what_it_saved(
+        tmp_path, capsys, fmt):
+    corpus = tmp_path / "c"
+    code, out, err = run(capsys, "-C", str(corpus), "--format", fmt, "ingest",
+                         str(DATA / "true_att.objdump"), "/no/such.objdump",
+                         str(DATA / "true_intel.objdump"))
+    assert code == 1
+    assert err == ("/no/such.objdump: [Errno 2] No such file or directory: "
+                   "'/no/such.objdump'\n")
+    saved = corpus / "true_att.features.json"
+    if fmt == "json":
+        result, = json.loads(out)["results"]
+        assert (result["program_id"], result["file"]) == ("true_att", str(saved))
+        assert (result["instructions"], result["distinct_hashes"]) == (2534, 97)
+    else:
+        assert out == (f"true_att: 40 functions, 2534 instructions, 778 blocks, "
+                       f"369 hashed (409 empty DDGs), 97 distinct hashes -> "
+                       f"{saved} [97 lines skipped, 1 malformed]\n")
+    index = json.loads((corpus / "index.json").read_text())
+    assert list(index["programs"]) == ["true_att"]
+    # no listing after the failing one is read
+    assert sorted(p.name for p in corpus.iterdir()) == ["index.json", saved.name]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_damaged_file_elsewhere_fails_the_index_not_the_ingest(tmp_path, capsys, fmt):
     corpus = tmp_path / "corpus"
     assert main(["-C", str(corpus), "ingest", str(DATA / "true_att.objdump")]) == 0
@@ -466,6 +491,31 @@ def test_matrix_stats_pairs_out(tmp_path, capsys):
     assert len(rows) == 2
 
 
+# the pairs of the tests/data corpus, in the order --stats lists them
+_DATA_PAIRS = [("false_intel", "true_att"), ("false_intel", "true_intel"),
+               ("true_att", "true_intel")]
+
+
+@pytest.mark.parametrize("setting, jaccards, quartiles", [
+    ((), ["1.000"] * 3, ["1.000"] * 5),
+    (("--mode", "literal", "--policy", "all_data_operands"),
+     ["0.838", "0.838", "1.000"], ["0.838", "0.838", "0.838", "0.919", "1.000"]),
+], ids=["default", "literal"])
+def test_matrix_stats_json_and_csv(tmp_path, capsys, setting, jaccards, quartiles):
+    corpus = str(tmp_path / "corpus")
+    assert main(["-C", corpus, "ingest", *setting, *(
+        str(DATA / f"{pid}.objdump") for pid in ("true_att", "true_intel", "false_intel"))]) == 0
+    code, out, _ = run(capsys, "-C", corpus, "--format", "json", "matrix", "--all", "--stats")
+    assert code == 0
+    assert json.loads(out)["pairs"] == [{"id_a": a, "id_b": b, "jaccard": j}
+                                        for (a, b), j in zip(_DATA_PAIRS, jaccards)]
+    code, out, _ = run(capsys, "-C", corpus, "--format", "csv", "matrix", "--all", "--stats")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["statistic", "value"], ["count", "3"],
+        *map(list, zip(["min", "q1", "median", "q3", "max"], quartiles))]
+
+
 @pytest.mark.parametrize("argv", [["matrix", "a"], ["matrix", "--all"]])
 def test_matrix_needs_two_programs(tmp_path, capsys, argv):
     corpus = _seed_corpus(tmp_path, {"a": range(1, 5)})
@@ -674,8 +724,13 @@ _QUERIES = (["compare", "true_att", "true_intel"],
     # diagnostics are checked at every load
     (lambda text: re.sub(r'("diagnostics":\s*\{\s*"blocks":\s*)\d+', r'\1"x"',
                          text, count=1), _QUERIES),
+    # only tfstats reads on to the end of the document
+    (lambda text: text + "{}", [["tfstats", "true_att"], ["tfstats", "true_att", "--vectors"]]),
+    (lambda text: text.replace('"hashes":[', '"hashes":[1,', 1), _QUERIES),
+    (lambda text: re.sub(r'"term_stems":\[[^]]*\]', '"term_stems":[]', text, count=1),
+     [["tfstats", "true_att"], ["tfstats", "true_att", "--vectors"]]),
 ], ids=["truncated", "missing_member", "not_utf8", "count_not_int", "deep_nesting",
-        "blocks_not_int"])
+        "blocks_not_int", "text_after_document", "hash_not_str", "no_stems"])
 def test_corrupt_feature_file_fails_cleanly(tmp_path, capsys, mutate, queries):
     corpus, path = _corrupt_corpus(tmp_path, mutate)
     for argv in queries:
@@ -716,6 +771,16 @@ def test_feature_files_decode_as_utf8_under_an_ascii_locale(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {path}: 'utf-8' codec can't decode "
                                   "byte 0xff in position 0"), proc.stderr
+
+
+def test_tfstats_on_a_file_without_count_rows_fails_cleanly(tmp_path, capsys):
+    corpus, _ = _corrupt_corpus(
+        tmp_path, lambda text: re.sub(r'"term_counts":\{[^}]*\}', '"term_counts":{}',
+                                      text, count=1))
+    for argv, message in [((), "no blocks to aggregate"),
+                          (("--vectors",), "idf needs at least one block")]:
+        assert run(capsys, "-C", corpus, "tfstats", "true_att", *argv) == (
+            1, "", f"error: {message}\n")
 
 
 def test_queries_leave_term_counts_undecoded(tmp_path, capsys):

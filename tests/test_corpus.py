@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddghash import corpus as corpus_module
+from ddghash.cli import main
 from ddghash.corpus import (Corpus, FeatureFile, build_feature_file,
                             decode_feature_file, encode_feature_file)
 from ddghash.ddg import InstructionFamilyPolicy, LabelMode
@@ -345,6 +346,22 @@ def test_concurrent_writers_use_separate_temp_files(tmp_path, monkeypatch):
     assert len(temps) == 2 and temps[0] != temps[1]
     assert path.read_text() == encode_feature_file(first)
     assert [p.name for p in corpus.root.iterdir()] == [f"{pid}.features.json"]
+
+
+def test_failed_replace_removes_its_temp_file(tmp_path, capsys):
+    corpus = Corpus(tmp_path / "corpus")
+    target = corpus._path("p")
+    target.mkdir(parents=True)  # os.replace cannot put a file over a directory
+    with pytest.raises(IsADirectoryError):
+        corpus.ingest(star_program([1, 2]), "p", PARAMS)
+    assert list(corpus.root.iterdir()) == [target]
+    listing = tmp_path / "p.objdump"
+    listing.write_text(star_program([1, 2]))
+    assert main(["-C", str(corpus.root), "ingest", str(listing)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{listing}: [Errno 21] Is a directory: ")
+    assert "Traceback" not in err
+    assert list(corpus.root.iterdir()) == [target]
 
 
 def _reference_encoding(ff):

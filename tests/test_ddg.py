@@ -1,5 +1,6 @@
 import random
 
+from ddghash import isa
 from ddghash.blocks import segment
 from ddghash.ddg import (InstructionFamilyPolicy, LabelMode, build_ddg,
                          node_label)
@@ -49,6 +50,14 @@ def test_block_without_family_instructions_is_empty():
     assert len(g.edges) == 0
 
 
+def test_data_movement_without_two_operands_contributes_nothing():
+    # the parser keeps any operand count; a move needs a source and a destination
+    text = make_listing([("f", ["mov eax", "movzx", "xchg eax, ebx, ecx"])])
+    for policy in (MOV_ONLY, ALL_DATA):
+        g = build_ddg(_block(text), policy, LabelMode.LITERAL)
+        assert (g.nodes, g.edges) == ((), frozenset())
+
+
 def test_xchg_adds_both_directions():
     g = build_ddg(_block(make_listing([("f", ["xchg eax, ebx"])])), MOV_ONLY,
                   LabelMode.LITERAL)
@@ -63,6 +72,10 @@ def test_node_label_modes():
     assert node_label(reg, LabelMode.LITERAL) == "ecx"
     assert node_label(imm, LabelMode.OPERAND_CLASS) == "imm"
     assert node_label(reg, LabelMode.UNLABELED) == "*"
+    # an operand's kind is its class label
+    for op in (mem, reg, imm):
+        assert node_label(op, LabelMode.OPERAND_CLASS) == op.kind
+    assert {isa.REGISTER, isa.MEMORY, isa.IMMEDIATE} == {"reg", "mem", "imm"}
 
 
 def test_determinism_and_first_appearance_order():

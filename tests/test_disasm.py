@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddghash import isa
+from ddghash.cli import main
 from ddghash.disasm import (_LINE_RE, IMMEDIATE, MEMORY, REGISTER, Operand,
                             _parse_instruction, _split_operands, detect_syntax,
                             parse_listing, parse_listing_with_report,
@@ -105,8 +106,7 @@ def test_att_and_intel_renderings_agree():
 
 def test_parse_operand_bracketless_memory():
     op = parse_operand("rbp - 44", "intel")
-    assert op == Operand(kind=MEMORY, base="rbp", displacement=-44,
-                         text="[rbp-44]")
+    assert op == Operand(kind=MEMORY, text="[rbp-44]")
 
 
 def test_parse_operand_zero_immediate():
@@ -118,18 +118,17 @@ def test_parse_operand_zero_immediate():
 
 def test_parse_operand_att_hex_displacement():
     op = parse_operand("-0x2c(%rbp)", "att")
-    assert op.kind == MEMORY
-    assert op.base == "rbp"
-    assert op.displacement == -44
+    assert (op.kind, op.value, op.text) == (MEMORY, None, "[rbp-44]")
 
 
 def test_parse_operand_registers_and_sib():
-    assert parse_operand("ecx", "intel") == Operand(kind=REGISTER, base="ecx",
-                                                    text="ecx")
+    assert parse_operand("ecx", "intel") == Operand(kind=REGISTER, text="ecx")
     op = parse_operand("[rax+rbx*4+8]", "intel")
-    assert (op.base, op.index, op.scale, op.displacement) == ("rax", "rbx", 4, 8)
+    assert op == Operand(kind=MEMORY, text="[rax+rbx*4+8]")
     att = parse_operand("0x8(%rax,%rbx,4)", "att")
     assert att == op
+    # an AT&T index without a scale has scale 1
+    assert parse_operand("(%rax,%rbx)", "att") == Operand(kind=MEMORY, text="[rax+rbx]")
     # commas inside parens or brackets, nested or not, split nothing
     for text, parts in [
         ("0x8(%rax,%rbx,4),%rcx", ["0x8(%rax,%rbx,4)", "%rcx"]),
@@ -171,6 +170,52 @@ def test_parse_operand_unparsable():
                 "mov    %,%eax"):
         with pytest.raises(UnparsableOperand):
             _parse_instruction(asm, "att")
+
+
+# (syntax, asm text) of instructions the parser rejects, one per reason
+_REJECTED = [
+    ("att", "mov    (),%eax"),                 # no base, index or displacement
+    ("intel", "mov    eax, [2*4]"),            # a scaled term with no register
+    ("intel", "mov    eax, [rax*2+rbx*2]"),    # two scaled indexes
+    ("intel", "mov    eax, [rax+rbx*3]"),      # a scale not 1, 2, 4 or 8
+    ("intel", "mov    eax, [rax+rbx+rcx]"),    # three registers
+    ("intel", "mov    eax, []"),               # an empty expression
+    ("intel", "mov    eax, [rax+]"),           # a sign with no term after it
+    ("att", "mov    $x,%eax"),                 # an immediate that is no number
+    ("att", "mov    (%a,%b,%c,%d),%eax"),      # four fields in parentheses
+    ("att", "mov    (%rax,%rbx,3),%eax"),      # an AT&T scale not 1, 2, 4 or 8
+    ("att", "mov    x(%rax),%eax"),            # a displacement that is no number
+    ("intel", "mov    eax, imm:x"),            # canonical immediate text, no number
+    ("intel", "MOV!   eax, ebx"),              # a mnemonic with punctuation
+    ("intel", "vblendvps xmm0, xmm1, xmm2, xmm3"),  # four operands
+]
+
+
+@pytest.mark.parametrize("syntax, asm", _REJECTED, ids=[asm for _, asm in _REJECTED])
+def test_rejected_instructions_raise_and_fail_ingest(tmp_path, capsys, syntax, asm):
+    with pytest.raises(UnparsableOperand):
+        _parse_instruction(asm, syntax)
+    # a listing of that one line is all malformed, so ingest refuses it
+    listing = tmp_path / "p.objdump"
+    listing.write_text(make_listing([("f", [asm])]))
+    assert detect_syntax(listing.read_text()) == syntax
+    corpus = tmp_path / "corpus"
+    assert main(["-C", str(corpus), "ingest", str(listing)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"{listing}: 1 of 1 instruction-shaped lines "
+                              "are malformed\n")
+    assert not corpus.exists() or not any(corpus.iterdir())
+
+
+def test_listing_of_data_and_undecodable_bytes_has_no_instructions(tmp_path, capsys):
+    text = make_listing([("f", [".byte  0x90", "(bad)", ".byte  0xff"])])
+    with pytest.raises(NoInstructionsFound):
+        parse_listing(text)
+    listing = tmp_path / "p.objdump"
+    listing.write_text(text)
+    assert main(["-C", str(tmp_path / "corpus"), "ingest", str(listing)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{listing}: no instruction lines in input")
 
 
 def test_operand_canonical_text_reparses_equal():

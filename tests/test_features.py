@@ -183,6 +183,11 @@ def test_five_number_summary():
     assert s["count"] == 3
 
 
+def test_five_number_summary_of_no_values():
+    with pytest.raises(ValueError, match="^no values to summarize$"):
+        five_number_summary([])
+
+
 def test_five_number_summary_orders_values_that_round_to_one_float():
     # all round to float(1/3); given largest first, so an order by the
     # float alone would leave them as given

@@ -140,5 +140,8 @@ def test_tracer_still_sees_every_ingest_layer(tmp_path):
             "tfidf.tf_vector", "tfidf.load_default_dictionary",
             "ddg.build_ddg", "wlhash.wl_hash"} <= names
     assert counts["disasm.instructions"] > 0 and counts["wlhash.distinct"] > 0
+    names, _ = spans("tfstats", "true_att")
+    assert "tfidf.distribution_from_vectors" in names
+    # --vectors prints weighted rows, not the totals
     names, _ = spans("tfstats", "--vectors", "true_att")
-    assert {"tfidf.distribution_from_vectors", "tfidf.idf"} <= names
+    assert "tfidf.idf" in names and "tfidf.distribution_from_vectors" not in names

@@ -4,6 +4,7 @@ import random
 
 import ddghash
 from ddghash.corpus import build_feature_file
+from ddghash import isa
 from ddghash.disasm import IMMEDIATE, MEMORY, REGISTER, parse_listing
 from ddghash.features import FeatureParams
 from ddghash.wlhash import wl_refine
@@ -85,15 +86,14 @@ def test_operand_field_invariants_on_generated_corpus():
             assert 0 <= len(ins.operands) <= 3
             for op in ins.operands:
                 if op.kind == REGISTER:
-                    assert op.base and not any(
-                        (op.index, op.scale, op.displacement, op.value))
+                    assert op.text in isa.REGISTERS and op.value is None
                 elif op.kind == IMMEDIATE:
-                    assert op.value is not None
-                    assert not any((op.base, op.index, op.scale,
-                                    op.displacement))
+                    assert type(op.value) is int
+                    assert op.text == f"imm:{op.value}"
                 else:
-                    assert op.kind == MEMORY
-                    assert op.base or op.index or op.displacement is not None
+                    assert op.kind == MEMORY and op.value is None
+                    assert op.text.startswith("[") and op.text.endswith("]")
+                    assert len(op.text) > 2
 
 
 def test_att_listing_and_intel_listing_hash_identically():

@@ -21,7 +21,7 @@ from ddghash.features import (FeatureParams, InstructionFamilyPolicy,
                               LabelMode, ProgramFeatureSet, SimilarityReport)
 from ddghash.tfidf import TermDictionary, TermDistribution
 
-RAX = Operand(kind="reg", base="rax", text="rax")
+RAX = Operand(kind="reg", text="rax")
 MOV = Instruction(mnemonic="mov", operands=(RAX,), raw_text="mov    %rax")
 HASH = "0123456789abcdef" * 2
 
@@ -35,9 +35,8 @@ def _feature_set_fields():
 # (class, a function giving fresh fields in declaration order, a field to
 # change and its other value); fields are fresh because some are mutable
 RECORDS = [
-    (Operand, lambda: dict(kind="mem", base="rbp", index="rax", scale=4,
-                           displacement=-8, value=None, text="[rbp+rax*4-8]"),
-     "displacement", 8),
+    (Operand, lambda: dict(kind="mem", value=None, text="[rbp+rax*4-8]"),
+     "text", "[rbp+rax*4+8]"),
     (Instruction, lambda: dict(mnemonic="mov", operands=(RAX,),
                                raw_text="lock mov %rax", prefixes=("lock",)),
      "mnemonic", "movq"),
@@ -48,7 +47,7 @@ RECORDS = [
                                skipped_lines=3, instruction_shaped=4,
                                malformed=[(5, "bad", "x")], distinct_asm_texts=2),
      "skipped_lines", 0),
-    (BasicBlock, lambda: dict(id=0, start_address=4096, instructions=(MOV,),
+    (BasicBlock, lambda: dict(id=0, instructions=(MOV,),
                               successors=frozenset({1}), exit=None),
      "exit", "indirect"),
     (DdgNode, lambda: dict(id=0, text="rax", label="reg"), "label", "mem"),
@@ -187,7 +186,7 @@ def test_in_memory_counts_are_not_compared(cls):
 
 
 def test_defaults():
-    assert Operand("imm", value=1) == Operand("imm", None, None, None, None, 1, "")
+    assert Operand("imm", value=1) == Operand("imm", 1, "")
     assert Instruction("nop", (), "nop").prefixes == ()
     assert FeatureParams() == FeatureParams(
         LabelMode.OPERAND_CLASS, InstructionFamilyPolicy.MOV_ONLY, 3)
