@@ -6,6 +6,8 @@ Blocks therefore partition the instruction stream in order, and a control
 transfer can only ever sit in the final slot of its block.
 """
 
+from bisect import bisect_left
+
 from . import FrozenRecord, isa
 from .disasm import FunctionListing
 from .features import DANGLING, EXTERNAL, INDIRECT
@@ -44,9 +46,8 @@ def segment(listing: FunctionListing, first_id=0):
     jump or conditional jump targets. A call's target gets no successor.
     A jump that resolves to no block is recorded as the block's exit.
     """
+    # the parser keeps a function's addresses strictly increasing
     instrs, addresses = listing.instructions, listing.addresses
-    addr_to_index = {address: i for i, address in enumerate(addresses)}
-    lo, hi = addresses[0], addresses[-1]
 
     leaders = {0}
     transfers = {}  # index -> (falls through, target index or None, exit)
@@ -61,13 +62,14 @@ def segment(listing: FunctionListing, first_id=0):
             address = _direct_target(ins)
             if address is None:
                 exit = INDIRECT
-            elif address in addr_to_index:
-                target = addr_to_index[address]
-                leaders.add(target)
             else:
-                exit = DANGLING if lo <= address <= hi else EXTERNAL
+                at = bisect_left(addresses, address)
+                if at < len(addresses) and addresses[at] == address:
+                    target = at
+                    leaders.add(target)
+                else:  # a miss inside the function's span dangles
+                    exit = DANGLING if 0 < at < len(addresses) else EXTERNAL
         transfers[i] = (kind not in ("jump", "ret", "halt"), target, exit)
-    del addr_to_index  # as large as the function, and not needed again
 
     starts = sorted(leaders)
     ids = {start: first_id + n for n, start in enumerate(starts)}

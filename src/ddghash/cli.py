@@ -88,6 +88,14 @@ def _emit_json(doc):
     print(json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2))
 
 
+# the fields of the ingest report, in the order json and csv print them;
+# those cmd_ingest does not name are the feature set's diagnostics counts
+INGEST_FIELDS = ("program_id", "file", "functions", "instructions",
+                 "skipped_lines", "malformed_lines", "blocks", "empty_ddgs",
+                 "hashed_blocks", "distinct_hashes", "duplicate_hashes",
+                 "distinct_asm_texts", "distinct_graphs")
+
+
 def cmd_ingest(args, corpus):
     params = FeatureParams(label_mode=LabelMode(args.mode),
                            policy=InstructionFamilyPolicy(args.policy),
@@ -117,26 +125,22 @@ def cmd_ingest(args, corpus):
                 break  # the listings saved are still reported and indexed
             continue
         fs = ff.feature_set
-        diag = fs.diagnostics
-        results.append({
+        own = {
             "program_id": program_id,
             "file": str(corpus._path(program_id)),
-            "functions": diag.get("functions"),
-            "instructions": diag.get("instructions"),
-            "skipped_lines": diag.get("skipped_lines"),
-            "malformed_lines": diag.get("malformed_lines"),
-            "blocks": diag.get("blocks"),
-            "empty_ddgs": diag.get("empty_ddgs"),
             "hashed_blocks": len(fs.block_map),
             "distinct_hashes": len(fs.hashes),
-            "duplicate_hashes": diag.get("duplicate_hashes"),
             "distinct_asm_texts": ff.distinct_asm_texts,
             "distinct_graphs": fs.distinct_graphs,
-        })
+        }
+        results.append({k: own[k] if k in own else fs.diagnostics.get(k)
+                        for k in INGEST_FIELDS})
     # the report comes first: a damaged file elsewhere in the corpus fails
     # the index, not the listings saved
     if args.format == "json":
         _emit_json(results)
+    elif args.format == "csv":
+        _emit_csv([r.values() for r in results], INGEST_FIELDS)
     else:
         for r in results:
             extra = ""
@@ -273,8 +277,8 @@ def cmd_contain(args, corpus):
 def cmd_tfstats(args, corpus):
     _bind_tfidf()
     ff = corpus.load(args.id)
-    counts = [c for _, c in sorted(ff.term_counts.items())]
     if args.vectors:
+        counts = [c for _, c in sorted(ff.term_counts.items())]
         weights = corpus_idf(counts)
         rows = [[f"{c * w:.6g}" for c, w in zip(row, weights)]
                 for row in counts]
@@ -283,22 +287,26 @@ def cmd_tfstats(args, corpus):
         else:
             _emit_csv(rows, list(ff.term_stems))
         return 0
-    dist = distribution_from_vectors(counts, ff.term_stems)
+    totals = distribution_from_vectors(ff.term_counts.values())
+    instructions = sum(totals)
+    # (stem, count) pairs, descending by count then stem
+    pairs = sorted(zip(ff.term_stems, totals), key=lambda kv: (-kv[1], kv[0]))
+    modal_stem, modal_count = pairs[0]
+    modal_share = Fraction(modal_count, instructions) if instructions else Fraction(0)
     if args.format == "json":
         _emit_json({
             "program_id": args.id,
-            "instructions": dist.instruction_count,
-            "modal_stem": dist.modal_stem,
-            "modal_share": decimal3(dist.modal_share),
-            "totals": [[s, c] for s, c in dist.totals],
+            "instructions": instructions,
+            "modal_stem": modal_stem,
+            "modal_share": decimal3(modal_share),
+            "totals": [[s, c] for s, c in pairs],
         })
     elif args.format == "csv":
-        _emit_csv([[s, c] for s, c in dist.totals], ["stem", "count"])
+        _emit_csv(pairs, ["stem", "count"])
     else:
-        print(f"{args.id}: {dist.instruction_count} instructions, "
-              f"modal stem {dist.modal_stem} "
-              f"(share {decimal3(dist.modal_share)})")
-        for s, c in dist.totals:
+        print(f"{args.id}: {instructions} instructions, "
+              f"modal stem {modal_stem} (share {decimal3(modal_share)})")
+        for s, c in pairs:
             if c:
                 print(f"  {s.ljust(8)} {c}")
     return 0

@@ -144,10 +144,12 @@ def _term_stems(stems):
     return tuple(stems)
 
 
-def _term_counts(counts, stems):
-    """Rows keyed by block id; each must hold one non-negative integer
-    count per stem. Equal rows share one tuple, and each distinct row is
-    checked once."""
+def _term_counts(counts, stems, blocks):
+    """Rows keyed by block id, one per block of the `blocks` count; each
+    must hold one non-negative integer count per stem. Equal rows share
+    one tuple, and each distinct row is checked once."""
+    if len(counts) != blocks:
+        raise ValueError(f"{len(counts)} rows for {blocks} blocks")
     distinct = {}  # row -> itself
     rows = {}
     for i, c in counts.items():
@@ -206,7 +208,8 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
         (digest, counts, stems, toolkit), _ = _walk(text, source, _MEMBERS[7:], pos)
         stems = _build(source, "term_stems", _term_stems, stems)
         return {
-            "term_counts": _build(source, "term_counts", _term_counts, counts, stems),
+            "term_counts": _build(source, "term_counts", _term_counts, counts, stems,
+                                  fs.diagnostics["blocks"]),
             "term_stems": stems,
             "source_digest": digest,
             "toolkit_version": toolkit,
@@ -350,7 +353,7 @@ class Corpus:
         """Derive index.json from the feature files (they stay the source
         of truth; the index is never read back for answers)."""
         programs = {}
-        inverted = {}
+        inverted = {}  # hash -> the ids that hold it, in id order as ids() is
         for pid in self.ids():
             fs = self.load(pid).feature_set
             programs[pid] = {
@@ -364,7 +367,7 @@ class Corpus:
         index = {
             "format_version": FORMAT_VERSION,
             "programs": programs,
-            "inverted": {h: sorted(ps) for h, ps in inverted.items()},
+            "inverted": inverted,
         }
         _write_atomic(self.root / "index.json", _dumps(index))
         return index

@@ -63,20 +63,23 @@ class FunctionListing(FrozenRecord):
 
 class ParseReport(Record):
     __slots__ = ("syntax", "functions", "instructions", "skipped_lines",
-                 "instruction_shaped", "malformed", "distinct_asm_texts")
+                 "malformed", "distinct_asm_texts")
 
     def __init__(self, syntax="intel", functions=0, instructions=0,
-                 skipped_lines=0, instruction_shaped=0, malformed=None,
-                 distinct_asm_texts=0):
+                 skipped_lines=0, malformed=None, distinct_asm_texts=0):
         self.syntax = syntax
         self.functions = functions
         self.instructions = instructions
         self.skipped_lines = skipped_lines
-        self.instruction_shaped = instruction_shaped
         # (line_no, reason, line) of each malformed line; a fresh list each
         self.malformed = [] if malformed is None else malformed
         # asm texts parsed once each; not in as_dict()
         self.distinct_asm_texts = distinct_asm_texts
+
+    @property
+    def instruction_shaped(self):
+        # each instruction-shaped line went into a function or is malformed
+        return self.instructions + len(self.malformed)
 
     def as_dict(self):
         return {
@@ -113,10 +116,11 @@ _SEGMENT_RE = re.compile(r"^%?(cs|ds|es|fs|gs|ss):")
 _OPERAND_PUNCT_RE = re.compile(r"[,()\[\]]")
 
 
-def _parse_int(token):
+# a token that spells no integer fails as the operand text it came from
+def _parse_int(token, operand):
     token = token.strip()
     if not _INT_RE.match(token):
-        raise ValueError(token)
+        raise UnparsableOperand(operand)
     return int(token, 16) if "0x" in token.lower() else int(token, 10)
 
 
@@ -191,7 +195,7 @@ def _parse_intel_memory_expr(inner):
             if index is not None:
                 raise UnparsableOperand(inner)
             index = reg
-            scale = _parse_int(num)
+            scale = _parse_int(num, inner)
             if scale not in (1, 2, 4, 8):
                 raise UnparsableOperand(inner)
         elif term in isa.REGISTERS:
@@ -203,10 +207,7 @@ def _parse_intel_memory_expr(inner):
             else:
                 raise UnparsableOperand(inner)
         else:
-            try:
-                disp = (disp or 0) + sign * _parse_int(term)
-            except ValueError:
-                raise UnparsableOperand(inner) from None
+            disp = (disp or 0) + sign * _parse_int(term, inner)
     return _memory_operand(base, index, scale, disp)
 
 
@@ -239,10 +240,7 @@ def _parse_att_operand(token, branch):
     if indirect:
         token = token[1:].strip()
     if token.startswith("$"):
-        try:
-            return _immediate_operand(_parse_int(token[1:]))
-        except ValueError:
-            raise UnparsableOperand(token) from None
+        return _immediate_operand(_parse_int(token[1:], token))
     token = _SEGMENT_RE.sub("", token).strip()
     if token.startswith("%"):
         name = token[1:].lower()
@@ -251,28 +249,25 @@ def _parse_att_operand(token, branch):
         return _register_operand(name)
     if "(" in token and token.endswith(")"):
         head, inner = token[:-1].split("(", 1)
-        try:
-            disp = _parse_int(head) if head.strip() else None
-            fields = [f.strip() for f in inner.split(",")]
-            if len(fields) > 3:
+        disp = _parse_int(head, token) if head.strip() else None
+        fields = [f.strip() for f in inner.split(",")]
+        if len(fields) > 3:
+            raise UnparsableOperand(token)
+        base = fields[0].lstrip("%").lower() or None
+        index = fields[1].lstrip("%").lower() or None if len(fields) >= 2 else None
+        if any(reg not in isa.REGISTERS for reg in (base, index) if reg):
+            raise UnparsableOperand(token)
+        scale = None
+        if len(fields) == 3 and fields[2]:
+            scale = _parse_int(fields[2], token)
+            if scale not in (1, 2, 4, 8):
                 raise UnparsableOperand(token)
-            base = fields[0].lstrip("%").lower() or None
-            index = fields[1].lstrip("%").lower() or None if len(fields) >= 2 else None
-            if any(reg not in isa.REGISTERS for reg in (base, index) if reg):
-                raise UnparsableOperand(token)
-            scale = None
-            if len(fields) == 3 and fields[2]:
-                scale = _parse_int(fields[2])
-                if scale not in (1, 2, 4, 8):
-                    raise UnparsableOperand(token)
-        except ValueError:
-            raise UnparsableOperand(token) from None
         return _memory_operand(base, index, scale, disp)
     if _HEX_TARGET_RE.match(token):
         if branch and not indirect:
             return _immediate_operand(int(token, 16))
         # bare number without $ is an absolute memory reference in AT&T
-        return _memory_operand(None, None, None, _parse_int(token))
+        return _memory_operand(None, None, None, _parse_int(token, token))
     raise UnparsableOperand(token)
 
 
@@ -284,17 +279,14 @@ def _parse_intel_operand(token, branch):
     if token.startswith("[") and token.endswith("]"):
         return _parse_intel_memory_expr(token[1:-1])
     if token.startswith("imm:"):
-        try:
-            return _immediate_operand(_parse_int(token[4:]))
-        except ValueError:
-            raise UnparsableOperand(token) from None
+        return _immediate_operand(_parse_int(token[4:], token))
     low = token.lower()
     if low in isa.REGISTERS:
         return _register_operand(low)
     if branch and _HEX_TARGET_RE.match(token):
         return _immediate_operand(int(token, 16))
     if _INT_RE.match(token):
-        value = _parse_int(token)
+        value = _parse_int(token, token)
         if had_segment:
             return _memory_operand(None, None, None, value)
         return _immediate_operand(value)
@@ -429,13 +421,12 @@ def parse_listing_with_report(text, syntax=None):
         if asm == "..." or asm.startswith(_NOT_INSTRUCTIONS):
             report.skipped_lines += 1
             continue
-        report.instruction_shaped += 1
         address = int(address, 16)
         instr = parsed.get(asm)
         if instr is None:
             try:
                 instr = parsed[asm] = _parse_instruction(asm, syntax)
-            except (UnparsableOperand, ValueError) as exc:
+            except UnparsableOperand as exc:
                 report.malformed.append((line_no, str(exc), raw.rstrip()))
                 continue
         if not pending:

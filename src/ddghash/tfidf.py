@@ -8,10 +8,9 @@ smoothed idf so no stem weight is ever zero.
 """
 
 import math
-from fractions import Fraction
 from importlib import resources
 from itertools import repeat
-from operator import gt, itemgetter
+from operator import gt
 
 from . import FrozenRecord
 from .errors import EmptyCorpus, ZeroVector
@@ -92,32 +91,12 @@ def idf(rows) -> tuple:
     return tuple(math.log((1 + n) / (1 + d)) + 1.0 for d in df)
 
 
-class TermDistribution(FrozenRecord):
-    __slots__ = ("totals", "instruction_count", "modal_stem", "modal_share")
-
-    def __init__(self, totals, instruction_count, modal_stem, modal_share):
-        # (stem, count) pairs, descending by count then stem
-        object.__setattr__(self, "totals", totals)
-        object.__setattr__(self, "instruction_count", instruction_count)
-        object.__setattr__(self, "modal_stem", modal_stem)
-        object.__setattr__(self, "modal_share", modal_share)  # a Fraction
-
-
-def distribution_from_vectors(rows, stems) -> TermDistribution:
-    """Per-stem totals over count rows that hold one count per stem."""
-    rows = list(rows)
-    if not rows:
+def distribution_from_vectors(rows) -> tuple:
+    """Per-stem totals: the column sums of count rows, in stem order."""
+    totals = tuple(map(sum, zip(*rows)))
+    if not totals:
         raise EmptyCorpus("no blocks to aggregate")
-    agg = [sum(map(itemgetter(i), rows)) for i in range(len(stems))]
-    pairs = sorted(zip(stems, agg), key=lambda kv: (-kv[1], kv[0]))
-    total = sum(agg)
-    modal_stem, modal_count = pairs[0]
-    return TermDistribution(
-        totals=tuple(pairs),
-        instruction_count=total,
-        modal_stem=modal_stem,
-        modal_share=Fraction(modal_count, total) if total else Fraction(0),
-    )
+    return totals
 
 
 def cosine_similarity(u, v, weights=None) -> float:

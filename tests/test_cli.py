@@ -12,8 +12,9 @@ import pytest
 
 from ddghash.cli import main
 
-from fixtures import (BASE64, CMOV_BLOCK_INTEL, member_span, nest_hashes,
-                      objdump_listings, replace_first_count, star_program)
+from fixtures import (BASE64, CMOV_BLOCK_INTEL, make_listing, member_span,
+                      nest_hashes, objdump_listings, replace_first_count,
+                      star_program)
 
 DATA = Path(__file__).parent / "data"
 
@@ -201,6 +202,34 @@ def test_ingest_stops_at_a_failure_but_reports_and_indexes_what_it_saved(
     assert list(index["programs"]) == ["true_att"]
     # no listing after the failing one is read
     assert sorted(p.name for p in corpus.iterdir()) == ["index.json", saved.name]
+
+
+INGEST_FIELDS = ["program_id", "file", "functions", "instructions", "skipped_lines",
+                 "malformed_lines", "blocks", "empty_ddgs", "hashed_blocks",
+                 "distinct_hashes", "duplicate_hashes", "distinct_asm_texts",
+                 "distinct_graphs"]
+
+
+@pytest.mark.parametrize("names, saved", [
+    (["true_att", "true_intel"], ["true_att", "true_intel"]),
+    (["true_att", "missing"], ["true_att"]),
+    (["missing", "true_att"], []),
+], ids=["both_saved", "second_fails", "first_fails"])
+def test_ingest_reports_each_listing_saved_in_every_format(tmp_path, capsys,
+                                                           names, saved):
+    corpus = tmp_path / "corpus"
+    argv = ["-C", str(corpus), "ingest", *(str(DATA / f"{n}.objdump") for n in names)]
+    out = {}
+    for fmt in ("text", "json", "csv"):
+        code, out[fmt], _ = run(capsys, "--format", fmt, *argv)
+        assert code == (0 if saved == names else 1)
+    results = json.loads(out["json"])["results"]
+    assert [r["program_id"] for r in results] == saved
+    assert all(list(r) == INGEST_FIELDS for r in results)
+    # csv: the json report's fields as the header, then one row per listing
+    rows = list(csv.reader(io.StringIO(out["csv"])))
+    assert rows == [INGEST_FIELDS] + [[str(v) for v in r.values()] for r in results]
+    assert [line.split(":")[0] for line in out["text"].splitlines()] == saved
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -585,6 +614,47 @@ def test_tfstats_modal_stem(tmp_path, capsys):
     assert len(rows) == 33  # header + one row per stem
 
 
+# tfstats --format json of true_att under the default settings
+TRUE_ATT_TFSTATS = {
+    "schema_version": 1, "program_id": "true_att", "instructions": 2534,
+    "modal_stem": "mov", "modal_share": "0.332",
+    "totals": [
+        ["mov", 841], ["jcc", 269], ["jmp", 188], ["cmp", 183], ["xor", 159],
+        ["lea", 143], ["nop", 137], ["call", 126], ["test", 100], ["push", 82],
+        ["other", 81], ["add", 55], ["pop", 41], ["and", 33], ["setcc", 30],
+        ["sub", 20], ["ret", 18], ["shr", 8], ["xchg", 8], ["cmov", 6],
+        ["shl", 3], ["or", 2], ["neg", 1], ["adc", 0], ["dec", 0], ["div", 0],
+        ["inc", 0], ["mul", 0], ["not", 0], ["rot", 0], ["sbb", 0], ["string", 0],
+    ],
+}
+
+
+def test_tfstats_json_of_true_att(tmp_path, capsys):
+    corpus = str(tmp_path / "corpus")
+    assert main(["-C", corpus, "ingest", str(DATA / "true_att.objdump")]) == 0
+    code, out, err = run(capsys, "-C", corpus, "--format", "json", "tfstats", "true_att")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == TRUE_ATT_TFSTATS
+
+
+def test_tfstats_breaks_a_tie_for_the_modal_stem_by_name(tmp_path, capsys):
+    # mov comes before add in stem order, but ties sort by stem name
+    src = tmp_path / "tie.objdump"
+    src.write_text(make_listing([("f", ["mov    eax, ebx", "add    eax, 1",
+                                        "mov    ebx, ecx", "add    ebx, 2",
+                                        "cmp    eax, ebx"])]))
+    corpus = str(tmp_path / "corpus")
+    assert main(["-C", corpus, "ingest", str(src)]) == 0
+    code, out, _ = run(capsys, "-C", corpus, "--format", "json", "tfstats", "tie")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["instructions"], doc["modal_stem"], doc["modal_share"]) == (5, "add", "0.400")
+    assert doc["totals"][:4] == [["add", 2], ["mov", 2], ["cmp", 1], ["adc", 0]]
+    code, out, _ = run(capsys, "-C", corpus, "tfstats", "tie")
+    assert out.splitlines() == ["tie: 5 instructions, modal stem add (share 0.400)",
+                                "  add      2", "  mov      2", "  cmp      1"]
+
+
 def test_tfstats_vectors_csv(tmp_path, capsys):
     src = tmp_path / "sample.objdump"
     src.write_text(CMOV_BLOCK_INTEL)
@@ -774,13 +844,14 @@ def test_feature_files_decode_as_utf8_under_an_ascii_locale(tmp_path):
 
 
 def test_tfstats_on_a_file_without_count_rows_fails_cleanly(tmp_path, capsys):
-    corpus, _ = _corrupt_corpus(
+    # the reader wants one count row per block, so no rows at all is named
+    corpus, path = _corrupt_corpus(
         tmp_path, lambda text: re.sub(r'"term_counts":\{[^}]*\}', '"term_counts":{}',
                                       text, count=1))
-    for argv, message in [((), "no blocks to aggregate"),
-                          (("--vectors",), "idf needs at least one block")]:
+    blocks = json.loads(path.read_text())["diagnostics"]["blocks"]
+    for argv in [(), ("--vectors",)]:
         assert run(capsys, "-C", corpus, "tfstats", "true_att", *argv) == (
-            1, "", f"error: {message}\n")
+            1, "", f"error: {path}: member 'term_counts': 0 rows for {blocks} blocks\n")
 
 
 def test_queries_leave_term_counts_undecoded(tmp_path, capsys):

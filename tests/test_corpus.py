@@ -440,6 +440,7 @@ def _writer_case(block_map=(), edges=(), term_counts=(), program_id="p",
     (_writer_case(term_counts={i: ((1, 0), (0, 2), (0, 0))[i % 3] for i in range(12)}),
      ['"10":[0,2],"11":[0,0],"2":[0,0]']),
     (_writer_case(program_id='dis"asm\\ \u00fc\n\u2028',
+                  term_counts={i: (0, 1) for i in range(3)},
                   diagnostics={"note": 'tab\t"q"', "blocks": 3, "\u00e9": None}),
      ['"diagnostics":{"blocks":3,"note":"tab\\t\\"q\\"","\\u00e9":null}',
       '"program_id":"dis\\"asm\\\\ \\u00fc\\n\\u2028"']),

@@ -188,7 +188,59 @@ _REJECTED = [
     ("intel", "mov    eax, imm:x"),            # canonical immediate text, no number
     ("intel", "MOV!   eax, ebx"),              # a mnemonic with punctuation
     ("intel", "vblendvps xmm0, xmm1, xmm2, xmm3"),  # four operands
+    ("att", "mov    abc,%rax"),                # an absolute address that is no number
+    ("att", "mov    1f,%rax"),                 # a local label, not a branch target
+    ("intel", "mov    eax, [rax*]"),           # a scale with no number
+    ("intel", "mov    eax, [rbx+rax*x]"),      # a scale that is no number
 ]
+
+# (syntax, operand, the text its error names) of operands with a number
+# missing or misspelt; an Intel memory error names the bracket's contents
+_NOT_NUMBERS = [
+    ("att", "abc", "abc"),
+    ("att", "1f", "1f"),
+    ("att", "$x", "$x"),
+    ("att", "x(%rax)", "x(%rax)"),
+    ("att", "(%rax,%rbx,z)", "(%rax,%rbx,z)"),
+    ("intel", "[rax*]", "rax*"),
+    ("intel", "[rbx+rax*x]", "rbx+rax*x"),
+    ("intel", "[rbx+y]", "rbx+y"),
+    ("intel", "imm:x", "imm:x"),
+]
+
+
+@pytest.mark.parametrize("syntax, operand, named", _NOT_NUMBERS,
+                         ids=[op for _, op, _ in _NOT_NUMBERS])
+def test_a_missing_number_names_the_whole_operand(syntax, operand, named):
+    with pytest.raises(UnparsableOperand) as info:
+        parse_operand(operand, syntax)
+    assert str(info.value) == f"cannot parse operand {named!r}"
+
+
+@pytest.mark.parametrize("att", [True, False], ids=["att", "intel"])
+def test_every_malformed_reason_is_an_operand_or_an_address(att):
+    # the bad lines of _NOT_NUMBERS and one good line, each after a random
+    # line and at its address, in a generated listing
+    rng = random.Random(11)
+    lines = render_listing(gen_instructions(rng, 80), att).splitlines()
+    syntax = "att" if att else "intel"
+    injected = [f"mov    {op},%rax" if att else f"mov    rax, {op}"
+                for s, op, _ in _NOT_NUMBERS if s == syntax] + ["nop"]
+    for asm in injected:
+        at = rng.choice([i for i, line in enumerate(lines) if line.startswith("    ")])
+        address = lines[at].split(":")[0]
+        lines.insert(at + 1, f"{address}:\t90\t{asm}")
+    try:
+        _, report = parse_listing_with_report("\n".join(lines))
+    except MalformedListing as exc:
+        report = exc.report
+    reasons = [reason for _, reason, _ in report.malformed]
+    assert len(reasons) == len(injected)
+    assert reasons.count("non-increasing address") == 1
+    assert all(r.startswith("cannot parse operand ") or r == "non-increasing address"
+               for r in reasons)
+    assert report.instruction_shaped == report.instructions + len(report.malformed)
+    assert report.instruction_shaped == 80 + len(injected)
 
 
 @pytest.mark.parametrize("syntax, asm", _REJECTED, ids=[asm for _, asm in _REJECTED])

@@ -19,7 +19,7 @@ from ddghash.disasm import FunctionListing, Instruction, Operand, ParseReport
 from ddghash.errors import DdghashError
 from ddghash.features import (FeatureParams, InstructionFamilyPolicy,
                               LabelMode, ProgramFeatureSet, SimilarityReport)
-from ddghash.tfidf import TermDictionary, TermDistribution
+from ddghash.tfidf import TermDictionary
 
 RAX = Operand(kind="reg", text="rax")
 MOV = Instruction(mnemonic="mov", operands=(RAX,), raw_text="mov    %rax")
@@ -44,8 +44,7 @@ RECORDS = [
                                    addresses=(4096,)),
      "addresses", (4097,)),
     (ParseReport, lambda: dict(syntax="att", functions=1, instructions=2,
-                               skipped_lines=3, instruction_shaped=4,
-                               malformed=[(5, "bad", "x")], distinct_asm_texts=2),
+                               skipped_lines=3, malformed=[(5, "bad", "x")], distinct_asm_texts=2),
      "skipped_lines", 0),
     (BasicBlock, lambda: dict(id=0, instructions=(MOV,),
                               successors=frozenset({1}), exit=None),
@@ -57,10 +56,6 @@ RECORDS = [
      "edges", frozenset({(0, 1)})),
     (TermDictionary, lambda: dict(stems=("mov", "other"), rules={"mov": "mov"}),
      "rules", {"mo": "mov"}),
-    (TermDistribution, lambda: dict(totals=(("mov", 2), ("other", 0)),
-                                    instruction_count=2, modal_stem="mov",
-                                    modal_share=Fraction(1)),
-     "instruction_count", 3),
     (FeatureParams, lambda: dict(label_mode=LabelMode.LITERAL,
                                  policy=InstructionFamilyPolicy.ALL_DATA_OPERANDS,
                                  wl_iterations=2),
@@ -193,6 +188,11 @@ def test_defaults():
     a, b = ParseReport(), ParseReport()
     a.malformed.append((1, "bad", "x"))
     assert b.malformed == []
+    # read off the lines parsed and those malformed, not kept as a field
+    assert "instruction_shaped" not in ParseReport._fields
+    assert (a.instruction_shaped, b.instruction_shaped) == (1, 0)
+    a.instructions = 4
+    assert a.instruction_shaped == 5
     fs = ProgramFeatureSet("p", FeatureParams(), {0: HASH, 1: HASH}, frozenset())
     assert fs.hashes == {HASH} and fs.diagnostics == {}
     assert fs.distinct_graphs is None
@@ -209,7 +209,9 @@ def test_decoded_feature_file_reads_its_own_fields():
 
 
 def test_decoded_equal_count_rows_share_one_tuple():
-    ff = FeatureFile(**dict(RECORDS[-1][1](), term_counts={0: (1, 0), 1: (1, 0)}))
+    fs = ProgramFeatureSet(**dict(_feature_set_fields(), diagnostics={"blocks": 2}))
+    ff = FeatureFile(**dict(RECORDS[-1][1](), feature_set=fs,
+                            term_counts={0: (1, 0), 1: (1, 0)}))
     rows = decode_feature_file(encode_feature_file(ff)).term_counts
     assert rows == {0: (1, 0), 1: (1, 0)} and rows[0] is rows[1]
 

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -157,23 +156,16 @@ def test_idf_empty_corpus():
         idf(iter(()))
 
 
-def _distribution(block):
-    return distribution_from_vectors([tf_vector(block, DICT)], DICT.stems)
-
-
-def test_term_distribution_sample_block():
-    d = _distribution(_block(CMOV_BLOCK_INTEL))
-    assert d.modal_stem == "mov"
-    assert d.modal_share == Fraction(4, 10)
-    assert d.totals[0] == ("mov", 4)
-
-
-def test_term_distribution_uniform():
-    text = make_listing([("f", ["mov eax, ebx", "add eax, 1", "cmp eax, 0"])])
-    d = _distribution(_block(text))
-    top = [c for _, c in d.totals[:3]]
-    assert top == [1, 1, 1]
-    assert d.modal_share == Fraction(1, 3)
+def test_term_totals_are_the_column_sums_of_count_rows():
+    rng = random.Random(23)
+    for _ in range(200):
+        rows = [tuple(rng.choice((0, 0, 0, 1, 2, 7)) for _ in range(32))
+                for _ in range(rng.randint(1, 40))]
+        assert distribution_from_vectors(iter(rows)) == tuple(map(sum, zip(*rows)))
+    with pytest.raises(EmptyCorpus):
+        distribution_from_vectors([])
+    with pytest.raises(EmptyCorpus):
+        distribution_from_vectors(iter(()))
 
 
 def test_cosine_similarity():
