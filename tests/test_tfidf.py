@@ -156,6 +156,26 @@ def test_idf_empty_corpus():
         idf(iter(()))
 
 
+def _totals(block):
+    return dict(zip(DICT.stems,
+                    distribution_from_vectors([tf_vector(block, DICT)])))
+
+
+def test_term_distribution_sample_block():
+    t = _totals(_block(CMOV_BLOCK_INTEL))
+    assert sum(t.values()) == 10
+    assert t["mov"] == 4
+    assert max(t.values()) == 4
+    assert [s for s, c in t.items() if c == 4] == ["mov"]
+
+
+def test_term_distribution_uniform():
+    text = make_listing([("f", ["mov eax, ebx", "add eax, 1", "cmp eax, 0"])])
+    t = _totals(_block(text))
+    assert {s: c for s, c in t.items() if c} == {"mov": 1, "add": 1, "cmp": 1}
+    assert sum(t.values()) == 3
+
+
 def test_term_totals_are_the_column_sums_of_count_rows():
     rng = random.Random(23)
     for _ in range(200):
