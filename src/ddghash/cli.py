@@ -44,10 +44,10 @@ def positive_int(text):
 
 
 def threshold(text):
-    """An exact fraction in (0, 1]; nan and inf are out of range."""
+    """The exact fraction the text spells, in (0, 1]; nan and inf are out."""
     value = float(text)
     if math.isfinite(value):
-        value = Fraction(value).limit_denominator(10**9)
+        value = Fraction(text)
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError("--threshold must be in (0, 1]")
     return value
@@ -128,7 +128,7 @@ def cmd_ingest(args, corpus):
         own = {
             "program_id": program_id,
             "file": str(corpus._path(program_id)),
-            "hashed_blocks": len(fs.block_map),
+            "hashed_blocks": fs.diagnostics["blocks"] - fs.diagnostics["empty_ddgs"],
             "distinct_hashes": len(fs.hashes),
             "distinct_asm_texts": ff.distinct_asm_texts,
             "distinct_graphs": fs.distinct_graphs,
@@ -278,16 +278,15 @@ def cmd_tfstats(args, corpus):
     _bind_tfidf()
     ff = corpus.load(args.id)
     if args.vectors:
-        counts = [c for _, c in sorted(ff.term_counts.items())]
-        weights = corpus_idf(counts)
+        weights = corpus_idf(ff.term_counts)
         rows = [[f"{c * w:.6g}" for c, w in zip(row, weights)]
-                for row in counts]
+                for row in ff.term_counts]
         if args.format == "json":
             _emit_json({"stems": list(ff.term_stems), "vectors": rows})
         else:
             _emit_csv(rows, list(ff.term_stems))
         return 0
-    totals = distribution_from_vectors(ff.term_counts.values())
+    totals = distribution_from_vectors(ff.term_counts)
     instructions = sum(totals)
     # (stem, count) pairs, descending by count then stem
     pairs = sorted(zip(ff.term_stems, totals), key=lambda kv: (-kv[1], kv[0]))

@@ -51,8 +51,8 @@ class FeatureFile(LazyFields):
     def __init__(self, feature_set, term_counts, term_stems, source_digest,
                  toolkit_version=__version__, distinct_asm_texts=None):
         self.feature_set = feature_set
-        # block id -> tuple of per-stem counts, for every block; equal rows
-        # may share one tuple
+        # a tuple of every block's row of per-stem counts, block i's at
+        # index i; equal rows may share one tuple
         self.term_counts = term_counts
         self.term_stems = term_stems
         self.source_digest = source_digest
@@ -74,7 +74,7 @@ def encode_feature_file(ff: FeatureFile) -> str:
         "params": fs.params.as_dict(),
         "program_id": fs.program_id,
         "source_digest": ff.source_digest,
-        "term_counts": {str(i): c for i, c in ff.term_counts.items()},
+        "term_counts": {str(i): c for i, c in enumerate(ff.term_counts)},
         "term_stems": ff.term_stems,
         "toolkit_version": ff.toolkit_version,
     })
@@ -145,20 +145,20 @@ def _term_stems(stems):
 
 
 def _term_counts(counts, stems, blocks):
-    """Rows keyed by block id, one per block of the `blocks` count; each
-    must hold one non-negative integer count per stem. Equal rows share
-    one tuple, and each distinct row is checked once."""
+    """The rows in a tuple in block order: the keys must be exactly the
+    block ids 0..blocks-1, and each row one non-negative integer count per
+    stem. Equal rows share one tuple, and each distinct row is checked once."""
     if len(counts) != blocks:
         raise ValueError(f"{len(counts)} rows for {blocks} blocks")
     distinct = {}  # row -> itself
-    rows = {}
-    for i, c in counts.items():
-        row = tuple(c)
-        rows[int(i)] = distinct.setdefault(row, row)
+    try:
+        rows = tuple([distinct.setdefault(row, row) for row in
+                      (tuple(counts[str(i)]) for i in range(blocks))])
+    except KeyError as exc:  # the count matched, so some key is no block id
+        raise ValueError(f"no row for block {exc.args[0]}") from None
     for row in distinct:
         if len(row) != len(stems) or not all(type(c) is int and c >= 0 for c in row):
-            block = next(i for i, r in rows.items() if r is row)
-            raise ValueError(f"block {block} does not hold {len(stems)} "
+            raise ValueError(f"block {rows.index(row)} does not hold {len(stems)} "
                              f"non-negative integer counts, one per stem")
     return rows
 
@@ -244,20 +244,20 @@ def build_feature_file(text: str, program_id: str,
         source_digest = "sha256:" + sha256(text.encode("utf-8")).hexdigest()
         functions, report = parse_listing_with_report(text)
         dictionary = load_default_dictionary()
-        term_counts = {}
+        term_counts = []  # block i's row at index i
         distinct = {}  # row -> itself
 
         def blocks():
             for fn in functions:
                 for block in segment(fn, first_id=len(term_counts)):
                     row = tf_vector(block, dictionary)
-                    term_counts[block.id] = distinct.setdefault(row, row)
+                    term_counts.append(distinct.setdefault(row, row))
                     yield block
 
         return FeatureFile(
             feature_set=make_feature_set(program_id, blocks(), params,
                                          report.as_dict()),
-            term_counts=term_counts,
+            term_counts=tuple(term_counts),
             term_stems=dictionary.stems,
             source_digest=source_digest,
             distinct_asm_texts=report.distinct_asm_texts,
@@ -282,10 +282,10 @@ class Corpus:
         return self.root / f"{program_id}.features.json"
 
     def ids(self):
-        """The programs of the corpus. A file whose name no id can address,
-        such as an editor's lock file, is not one of them."""
+        """The programs of the corpus. A directory, or a file whose name no
+        id can address, such as an editor's lock file, is not one of them."""
         stems = (p.name[: -len(".features.json")]
-                 for p in self.root.glob("*.features.json"))
+                 for p in self.root.glob("*.features.json") if p.is_file())
         return sorted(pid for pid in stems if _PROGRAM_ID.fullmatch(pid))
 
     def load(self, program_id) -> FeatureFile:

@@ -1,9 +1,9 @@
 """Data dependency graph construction, one graph per basic block.
 
-Nodes are canonical operand texts; a directed edge s -> d records data
-flowing from a source operand into a destination operand. Under the
-default mov_only policy only the data-movement family contributes
-(mov/movzx/movsx/movabs/cmov*/xchg, with xchg adding both directions).
+A node is a canonical operand text, kept as its id and label; a directed
+edge s -> d records data flowing from a source operand into a destination
+operand. Under the default mov_only policy only the data-movement family
+contributes (mov/movzx/movsx/movabs/cmov*/xchg, xchg in both directions).
 The all_data_operands policy additionally lets every other instruction
 with two or more operands contribute edges from each source-position
 operand to its first (destination) operand.
@@ -23,19 +23,17 @@ def node_label(operand, mode: LabelMode):
 
 
 class DdgNode(FrozenRecord):
-    __slots__ = ("id", "text", "label")
+    __slots__ = ("id", "label")
 
-    def __init__(self, id, text, label):
+    def __init__(self, id, label):
         object.__setattr__(self, "id", id)
-        object.__setattr__(self, "text", text)
         object.__setattr__(self, "label", label)
 
 
 class DataDependencyGraph(FrozenRecord):
-    __slots__ = ("block_id", "nodes", "edges")
+    __slots__ = ("nodes", "edges")
 
-    def __init__(self, block_id, nodes, edges):
-        object.__setattr__(self, "block_id", block_id)
+    def __init__(self, nodes, edges):
         object.__setattr__(self, "nodes", nodes)  # tuple of DdgNode
         # (src node id, dst node id) pairs, as a frozenset
         object.__setattr__(self, "edges", edges)
@@ -47,9 +45,9 @@ class DataDependencyGraph(FrozenRecord):
 def build_ddg(block, policy=InstructionFamilyPolicy.MOV_ONLY,
               mode=LabelMode.OPERAND_CLASS):
     """Build the block's DDG; blocks without contributing instructions
-    yield an empty graph that downstream hashing skips. Node ids number
-    the distinct operand texts in order of first use, the source of an
-    edge before its destination."""
+    yield an empty graph that downstream hashing skips. Nodes, in id order,
+    number the distinct operand texts 0..n-1 in order of first use, the
+    source of an edge before its destination."""
     all_data = policy is InstructionFamilyPolicy.ALL_DATA_OPERANDS
     ids = {}  # operand text -> node id
     nodes = []
@@ -73,9 +71,8 @@ def build_ddg(block, policy=InstructionFamilyPolicy.MOV_ONLY,
             for operand in flow:
                 if operand.text not in ids:
                     ids[operand.text] = len(nodes)
-                    nodes.append(DdgNode(len(nodes), operand.text,
-                                         node_label(operand, mode)))
+                    nodes.append(DdgNode(len(nodes), node_label(operand, mode)))
             s, d = ids[flow[0].text], ids[flow[1].text]
             if s != d:  # a self-move keeps its node but carries no dependency
                 edges.add((s, d))
-    return DataDependencyGraph(block.id, tuple(nodes), frozenset(edges))
+    return DataDependencyGraph(tuple(nodes), frozenset(edges))

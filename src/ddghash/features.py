@@ -204,15 +204,15 @@ def make_feature_set(program_id, blocks, params,
     not yet handed over. Blocks whose DDG is empty are left out of the
     block map (and counted); the order edges are the blocks' successor
     links whose ends both map to a hash. A digest is a pure function of
-    the node labels by id and the edges, so each distinct (labels, edges)
-    key is hashed once. The diagnostics gain the block, hash, edge and
-    exit counts.
+    the node labels by id and the edges, and build_ddg numbers nodes
+    0..n-1 in order, so each distinct (labels in node order, edges) key is
+    hashed once. The diagnostics gain the block, hash, edge and exit counts.
     """
     _bind_pipeline()
     diag = dict(diagnostics)
     diag.update(dict.fromkeys((INDIRECT, EXTERNAL, DANGLING), 0))
     block_map = {}
-    digests = {}  # (((node id, label), ...), edges) -> digest
+    digests = {}  # ((label, ...), edges) -> digest
     # the successor links of hashed blocks; a link from any other block is
     # dropped, so it is only counted
     edges = []
@@ -224,7 +224,7 @@ def make_feature_set(program_id, blocks, params,
         graph = build_ddg(block, params.policy, params.label_mode)
         if len(graph) == 0:
             continue
-        key = (tuple((node.id, node.label) for node in graph.nodes), graph.edges)
+        key = (tuple([node.label for node in graph.nodes]), graph.edges)
         digest = digests.get(key)
         if digest is None:
             digest = digests[key] = wl_hash(graph, params.wl_iterations)
@@ -275,22 +275,20 @@ def five_number_summary(values):
     data = sorted(values, key=lambda v: (float(v), v))
     if not data:
         raise ValueError("no values to summarize")
-    if len(data) == 1:
-        q1, med, q3 = data[0], data[0], data[0]
-    else:
-        q1, med, q3 = (_quartile(data, i) for i in (1, 2, 3))
     return {
         "count": len(data),
         "min": data[0],
-        "q1": q1,
-        "median": med,
-        "q3": q3,
+        "q1": _quartile(data, 1),
+        "median": _quartile(data, 2),
+        "q3": _quartile(data, 3),
         "max": data[-1],
     }
 
 
 def _quartile(data, i):
     """The i-th inclusive quartile of sorted data, as statistics.quantiles
-    interpolates it."""
+    interpolates it; a position that lands on an element is that element."""
     j, delta = divmod(i * (len(data) - 1), 4)
+    if not delta:
+        return data[j]
     return (data[j] * (4 - delta) + data[j + 1] * delta) / 4

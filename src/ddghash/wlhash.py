@@ -80,7 +80,7 @@ def wl_hash(graph, iterations=3) -> str:
     relabeling/permutation of nodes produces the same value.
     """
     if not graph.nodes:
-        raise EmptyGraph(f"block {graph.block_id} has an empty graph")
+        raise EmptyGraph("a graph with no nodes has no digest")
     adjacency = _adjacency(graph)
     labels = [node.label for node in graph.nodes]
     parts = [

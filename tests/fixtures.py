@@ -99,24 +99,21 @@ def star_program(class_ids, start=0x1000):
 
 # --- direct graph construction -------------------------------------------
 
-def make_graph(n, edges, labels=None, block_id=0):
+def make_graph(n, edges, labels=None):
     if labels is None:
         labels = ["*"] * n
-    nodes = tuple(DdgNode(i, f"n{i}", labels[i]) for i in range(n))
-    return DataDependencyGraph(block_id=block_id, nodes=nodes,
-                               edges=frozenset(edges))
+    nodes = tuple(DdgNode(i, labels[i]) for i in range(n))
+    return DataDependencyGraph(nodes=nodes, edges=frozenset(edges))
 
 
 def permute_graph(graph, perm):
     """Relabel node ids by perm and shuffle the node tuple ordering."""
     nodes = sorted(
-        (DdgNode(perm[node.id], f"n{perm[node.id]}", node.label)
-         for node in graph.nodes),
+        (DdgNode(perm[node.id], node.label) for node in graph.nodes),
         key=lambda nd: nd.id,
     )
     edges = frozenset((perm[u], perm[v]) for u, v in graph.edges)
-    return DataDependencyGraph(block_id=graph.block_id, nodes=tuple(nodes),
-                               edges=edges)
+    return DataDependencyGraph(nodes=tuple(nodes), edges=edges)
 
 
 def random_graph(rng, max_nodes=12, edge_prob=0.3, label_pool=("reg", "mem", "imm")):

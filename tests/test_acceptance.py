@@ -246,8 +246,8 @@ def criterion_8_persistence(tmp_path):
                 order_edges=frozenset(edges),
                 diagnostics={"blocks": n_blocks},
             ),
-            term_counts={i: tuple(rng.randrange(4) for _ in range(32))
-                         for i in range(n_blocks)},
+            term_counts=tuple(tuple(rng.randrange(4) for _ in range(32))
+                              for _ in range(n_blocks)),
             term_stems=tuple(load_default_dictionary().stems),
             source_digest=f"sha256:{rng.randrange(1 << 64):064x}",
         )

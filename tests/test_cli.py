@@ -6,11 +6,12 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ddghash.cli import main
+from ddghash.cli import main, threshold
 
 from fixtures import (BASE64, CMOV_BLOCK_INTEL, make_listing, member_span,
                       nest_hashes, objdump_listings, replace_first_count,
@@ -52,6 +53,7 @@ def test_usage_error_exit_2(tmp_path, capsys, monkeypatch):
                  ["contain", "--threshold", "nan"],
                  ["contain", "--threshold", "inf"],
                  ["contain", "--threshold", "0"],
+                 ["contain", "--threshold", "1.5"],
                  ["nearest", "x", "-k", "0"],
                  ["nearest", "x", "-k", "-1"],
                  ["matrix", "a", "b", "a"],
@@ -350,6 +352,31 @@ def test_feature_file_bytes_are_pinned(tmp_path, capsys, setting, listing):
             == PINNED_DOCUMENTS[setting][listing])
 
 
+# hashed_blocks and distinct_graphs of ingest --format json for each
+# tests/data listing under each setting
+PINNED_GRAPH_COUNTS = {
+    (): {"true_att": (369, 107), "true_intel": (369, 107), "false_intel": (371, 107)},
+    ("--mode", "literal", "--policy", "all_data_operands"): {
+        "true_att": (772, 649), "true_intel": (772, 649), "false_intel": (772, 649)},
+    ("--mode", "unlabeled", "--iters", "2"): {
+        "true_att": (369, 57), "true_intel": (369, 57), "false_intel": (371, 57)},
+}
+
+
+@pytest.mark.parametrize("setting", list(PINNED_GRAPH_COUNTS),
+                         ids=["default", "literal", "unlabeled"])
+def test_ingest_report_graph_counts_are_pinned(tmp_path, capsys, setting):
+    """hashed_blocks is read off the diagnostics and distinct_graphs counts
+    the digest memo's keys: neither may move with what a DDG holds."""
+    code, out, err = run(capsys, "-C", str(tmp_path / "corpus"), "--format", "json",
+                         "ingest", *setting, *(str(DATA / f"{pid}.objdump")
+                                               for pid in PINNED_GRAPH_COUNTS[()]))
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert {r["program_id"]: (r["hashed_blocks"], r["distinct_graphs"])
+            for r in results} == PINNED_GRAPH_COUNTS[setting]
+
+
 def _ingest_in_a_new_process(corpus, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
@@ -584,6 +611,47 @@ def test_contain_threshold(tmp_path, capsys):
     assert code == 0
     assert list(csv.reader(io.StringIO(out))) == [
         ["inner", "outer", "containment"], ["inner", "outer", "1.000"]]
+
+
+def test_threshold_is_read_exactly(capsys):
+    assert threshold("0.1") == Fraction(1, 10)
+    assert threshold("1e-10") == Fraction(1, 10**10)
+    assert threshold("1") == threshold("1.0") == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["contain", "--threshold", "abc"])
+    assert exc.value.code == 2
+    assert "argument --threshold: invalid threshold value: 'abc'" in capsys.readouterr().err
+
+
+def test_contain_at_a_tiny_threshold_lists_every_pair_that_shares_a_hash(tmp_path, capsys):
+    corpus = _seed_corpus(tmp_path, {"a": range(1, 5), "b": range(3, 9),
+                                     "c": range(4, 6), "d": range(20, 24)})
+    hashes = {p.name.split(".")[0]: set(json.loads(p.read_text())["hashes"])
+              for p in Path(corpus).glob("*.features.json")}
+    expected = sorted(
+        ((i, o, Fraction(len(hashes[i] & hashes[o]), len(hashes[i])))
+         for i in hashes for o in hashes if i != o and hashes[i] & hashes[o]),
+        key=lambda r: (-r[2], r[0], r[1]))
+    assert {i for i, _, _ in expected} == {"a", "b", "c"}  # d shares nothing
+    code, out, err = run(capsys, "-C", corpus, "--format", "csv",
+                         "contain", "--threshold", "1e-10")
+    assert (code, err) == (0, "")
+    assert list(csv.reader(io.StringIO(out)))[1:] == [
+        [i, o, f"{float(c):.3f}"] for i, o, c in expected]
+
+
+def test_a_directory_named_like_a_feature_file_is_no_program(tmp_path, capsys):
+    corpus = _seed_corpus(tmp_path, {"a": range(1, 5), "b": range(3, 9)})
+    queries = (["matrix", "--all"], ["nearest", "a"], ["contain"])
+    before = [run(capsys, "-C", corpus, *argv) for argv in queries]
+    index = (Path(corpus) / "index.json").read_bytes()
+    (Path(corpus) / "zz.features.json").mkdir()
+    # a re-ingest rebuilds the index over the corpus's programs
+    (tmp_path / "b.objdump").write_text(star_program(range(3, 9)))
+    assert run(capsys, "-C", corpus, "ingest", str(tmp_path / "b.objdump"))[0] == 0
+    assert (Path(corpus) / "index.json").read_bytes() == index
+    assert [run(capsys, "-C", corpus, *argv) for argv in queries] == before
+    assert all(code == 0 for code, _, _ in before)
 
 
 def test_queries_refuse_mixed_settings(tmp_path, capsys):
@@ -864,3 +932,29 @@ def test_queries_leave_term_counts_undecoded(tmp_path, capsys):
     code, _, err = run(capsys, "-C", corpus, "tfstats", "true_att")
     assert code == 1
     assert err.startswith(f"error: {path}: member 'term_counts': ")
+
+
+def _rekey_count_row(key):
+    """A mutation that moves block 1's count row to `key` (None drops it)."""
+    def mutate(text):
+        doc = json.loads(text)
+        row = doc["term_counts"].pop("1")
+        if key is not None:
+            doc["term_counts"][key(doc["diagnostics"]["blocks"])] = row
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return mutate
+
+
+@pytest.mark.parametrize("key", [
+    None, lambda blocks: str(blocks), lambda blocks: "-1", lambda blocks: "x",
+    lambda blocks: "00",
+], ids=["missing", "blocks", "minus_one", "not_an_int", "second_spelling_of_0"])
+def test_tfstats_refuses_count_rows_not_keyed_by_the_block_ids(tmp_path, capsys, key):
+    corpus, path = _corrupt_corpus(tmp_path, _rekey_count_row(key))
+    blocks = json.loads(path.read_text())["diagnostics"]["blocks"]
+    why = f"{blocks - 1} rows for {blocks} blocks" if key is None else "no row for block 1"
+    for argv in [(), ("--vectors",)]:
+        assert run(capsys, "-C", corpus, "tfstats", "true_att", *argv) == (
+            1, "", f"error: {path}: member 'term_counts': {why}\n")
+    # the set queries never read term_counts
+    assert run(capsys, "-C", corpus, "compare", "true_att", "true_intel")[0] == 0

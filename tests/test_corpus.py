@@ -11,14 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddghash import corpus as corpus_module
+from ddghash.blocks import segment
 from ddghash.cli import main
 from ddghash.corpus import (Corpus, FeatureFile, build_feature_file,
                             decode_feature_file, encode_feature_file)
 from ddghash.ddg import InstructionFamilyPolicy, LabelMode
+from ddghash.disasm import parse_listing
 from ddghash.errors import (DdghashError, MalformedListing,
                             NoInstructionsFound, UnknownProgram)
 from ddghash.features import (FeatureParams, ProgramFeatureSet, compare,
                               make_feature_set)
+from ddghash.tfidf import load_default_dictionary, tf_vector
 
 from fixtures import nest_hashes, replace_first_count, star_program
 
@@ -37,9 +40,9 @@ def _random_feature_file(rng):
     for _ in range(rng.randint(0, 20)):
         if len(ids) >= 2:
             edges.add((rng.choice(ids), rng.choice(ids)))
-    term_counts = {
-        i: tuple(rng.randrange(5) for _ in range(32)) for i in range(n_blocks)
-    }
+    term_counts = tuple(
+        tuple(rng.randrange(5) for _ in range(32)) for _ in range(n_blocks)
+    )
     fs = ProgramFeatureSet(
         program_id=f"prog{rng.randrange(10**6)}",
         params=PARAMS,
@@ -192,8 +195,24 @@ def test_build_makes_no_cyclic_garbage(params, listing):
 def test_build_shares_one_tuple_per_distinct_count_row():
     ff = build_feature_file((DATA / "true_att.objdump").read_text(), "true_att",
                             PARAMS)
-    rows = list(ff.term_counts.values())
+    rows = ff.term_counts
     assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
+
+@pytest.mark.parametrize("listing", ["true_att", "false_intel"])
+def test_term_counts_are_one_tuple_in_block_order(listing):
+    text = (DATA / f"{listing}.objdump").read_text()
+    built = build_feature_file(text, listing, PARAMS)
+    decoded = decode_feature_file(encode_feature_file(built))
+    dictionary = load_default_dictionary()
+    blocks = []
+    for fn in parse_listing(text):
+        blocks.extend(segment(fn, first_id=len(blocks)))
+    assert [b.id for b in blocks] == list(range(len(blocks)))
+    for ff in (built, decoded):
+        assert type(ff.term_counts) is tuple
+        assert len(ff.term_counts) == ff.feature_set.diagnostics["blocks"] == len(blocks)
+        assert ff.term_counts == tuple(tf_vector(b, dictionary) for b in blocks)
 
 
 def test_unknown_program(tmp_path):
@@ -377,7 +396,7 @@ def _reference_encoding(ff):
         "order_edges": sorted([a, b] for a, b in fs.order_edges),
         "diagnostics": fs.diagnostics,
         "term_stems": list(ff.term_stems),
-        "term_counts": {str(i): list(c) for i, c in ff.term_counts.items()},
+        "term_counts": {str(i): list(c) for i, c in enumerate(ff.term_counts)},
         "source_digest": ff.source_digest,
         "toolkit_version": ff.toolkit_version,
     }
@@ -406,7 +425,7 @@ def _feature_files(draw):
     )
     return FeatureFile(
         feature_set=fs,
-        term_counts=draw(st.dictionaries(block_ids, st.sampled_from(rows), max_size=30)),
+        term_counts=tuple(draw(st.lists(st.sampled_from(rows), max_size=30))),
         term_stems=tuple(draw(st.lists(_TEXT, max_size=4))),
         source_digest=draw(_TEXT),
         toolkit_version=draw(_TEXT),
@@ -424,7 +443,7 @@ def _writer_case(block_map=(), edges=(), term_counts=(), program_id="p",
     fs = ProgramFeatureSet(program_id=program_id, params=PARAMS,
                            block_map=dict(block_map), order_edges=frozenset(edges),
                            diagnostics=diagnostics or {"blocks": len(term_counts)})
-    return FeatureFile(feature_set=fs, term_counts=dict(term_counts),
+    return FeatureFile(feature_set=fs, term_counts=tuple(term_counts),
                        term_stems=("mov", "other"), source_digest="sha256:00")
 
 
@@ -434,13 +453,13 @@ def _writer_case(block_map=(), edges=(), term_counts=(), program_id="p",
                       '"term_counts":{}']),
     (_writer_case(block_map={i: f"{i:032x}" for i in (2, 10, 100, 3)},
                   edges={(10, 2), (2, 10), (100, 3)},
-                  term_counts={i: (i, 0) for i in (2, 10, 100, 3)}),
+                  term_counts=[(i, 0) for i in range(101)]),
      ['"10":"', '"100":"', '"2":"', '"3":"',
       '"order_edges":[[2,10],[10,2],[100,3]]', '"10":[10,0],"100":[']),
-    (_writer_case(term_counts={i: ((1, 0), (0, 2), (0, 0))[i % 3] for i in range(12)}),
+    (_writer_case(term_counts=[((1, 0), (0, 2), (0, 0))[i % 3] for i in range(12)]),
      ['"10":[0,2],"11":[0,0],"2":[0,0]']),
     (_writer_case(program_id='dis"asm\\ \u00fc\n\u2028',
-                  term_counts={i: (0, 1) for i in range(3)},
+                  term_counts=[(0, 1)] * 3,
                   diagnostics={"note": 'tab\t"q"', "blocks": 3, "\u00e9": None}),
      ['"diagnostics":{"blocks":3,"note":"tab\\t\\"q\\"","\\u00e9":null}',
       '"program_id":"dis\\"asm\\\\ \\u00fc\\n\\u2028"']),

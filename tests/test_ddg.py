@@ -1,12 +1,15 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ddghash import isa
 from ddghash.blocks import segment
 from ddghash.ddg import (InstructionFamilyPolicy, LabelMode, build_ddg,
                          node_label)
 from ddghash.disasm import parse_listing, parse_operand
 
-from fixtures import CMOV_BLOCK_INTEL, make_listing
+from fixtures import CMOV_BLOCK_INTEL, gen_instructions, make_listing, render_listing
 
 MOV_ONLY = InstructionFamilyPolicy.MOV_ONLY
 ALL_DATA = InstructionFamilyPolicy.ALL_DATA_OPERANDS
@@ -17,13 +20,14 @@ def _block(text):
 
 
 def _edge_texts(graph):
-    by_id = {n.id: n.text for n in graph.nodes}
+    # a graph built under LabelMode.LITERAL, whose labels are operand texts
+    by_id = {n.id: n.label for n in graph.nodes}
     return {(by_id[a], by_id[b]) for a, b in graph.edges}
 
 
 def test_sample_block_mov_only_literal():
     g = build_ddg(_block(CMOV_BLOCK_INTEL), MOV_ONLY, LabelMode.LITERAL)
-    assert {n.text for n in g.nodes} == {"[rbp-44]", "ecx", "eax",
+    assert {n.label for n in g.nodes} == {"[rbp-44]", "ecx", "eax",
                                          "[rip+180]", "imm:0"}
     assert _edge_texts(g) == {
         ("[rbp-44]", "ecx"),
@@ -83,7 +87,7 @@ def test_determinism_and_first_appearance_order():
     g1 = build_ddg(block, MOV_ONLY, LabelMode.LITERAL)
     g2 = build_ddg(block, MOV_ONLY, LabelMode.LITERAL)
     assert g1 == g2
-    assert [n.text for n in g1.nodes] == ["[rbp-44]", "ecx", "eax", "imm:0",
+    assert [n.label for n in g1.nodes] == ["[rbp-44]", "ecx", "eax", "imm:0",
                                           "[rip+180]"]
 
 
@@ -116,7 +120,7 @@ def test_all_data_operands_is_superset_of_mov_only():
         g_mov = build_ddg(block, MOV_ONLY, LabelMode.LITERAL)
         g_all = build_ddg(block, ALL_DATA, LabelMode.LITERAL)
         assert _edge_texts(g_all) >= _edge_texts(g_mov)
-        assert {n.text for n in g_all.nodes} >= {n.text for n in g_mov.nodes}
+        assert {n.label for n in g_all.nodes} >= {n.label for n in g_mov.nodes}
 
 
 def test_edge_count_bounded_by_family_instructions():
@@ -140,13 +144,28 @@ def test_nodes_are_exactly_referenced_operands():
         for ins in block.instructions:
             if ins.mnemonic in ("mov", "cmovne", "xchg") and len(ins.operands) == 2:
                 expected.update(op.text for op in ins.operands)
-        assert {n.text for n in g.nodes} == expected
-        texts = [n.text for n in g.nodes]
+        assert {n.label for n in g.nodes} == expected
+        texts = [n.label for n in g.nodes]
         assert len(texts) == len(set(texts))
 
 
 def test_all_data_single_operand_instructions_contribute_nodes():
     g = build_ddg(_block(make_listing([("f", ["inc eax", "push rbx"])])),
                   ALL_DATA, LabelMode.LITERAL)
-    assert {n.text for n in g.nodes} == {"eax", "rbx"}
+    assert {n.label for n in g.nodes} == {"eax", "rbx"}
     assert len(g.edges) == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
+def test_node_ids_count_from_zero_in_node_order(seed, count, att):
+    # make_feature_set keys its digest memo on the labels in node order,
+    # which is sound only while node i is the node with id i
+    specs = gen_instructions(random.Random(seed), count)
+    for fn in parse_listing(render_listing(specs, att=att, seed=seed)):
+        for block in segment(fn):
+            for mode in LabelMode:
+                for policy in InstructionFamilyPolicy:
+                    g = build_ddg(block, policy, mode)
+                    assert [n.id for n in g.nodes] == list(range(len(g.nodes)))
+                    assert all(0 <= v < len(g.nodes) for edge in g.edges for v in edge)

@@ -127,7 +127,7 @@ def test_modal_stem_is_data_movement():
     ff = build_feature_file(INTEL, "true", FeatureParams())
     dictionary = load_default_dictionary()
     totals = [0] * len(dictionary.stems)
-    for counts in ff.term_counts.values():
+    for counts in ff.term_counts:
         for i, c in enumerate(counts):
             totals[i] += c
     ranked = sorted(zip(dictionary.stems, totals), key=lambda kv: -kv[1])

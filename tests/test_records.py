@@ -49,10 +49,9 @@ RECORDS = [
     (BasicBlock, lambda: dict(id=0, instructions=(MOV,),
                               successors=frozenset({1}), exit=None),
      "exit", "indirect"),
-    (DdgNode, lambda: dict(id=0, text="rax", label="reg"), "label", "mem"),
+    (DdgNode, lambda: dict(id=0, label="reg"), "label", "mem"),
     (DataDependencyGraph, lambda: dict(
-        block_id=0, nodes=(DdgNode(0, "rax", "reg"), DdgNode(1, "rbx", "reg")),
-        edges=frozenset({(1, 0)})),
+        nodes=(DdgNode(0, "reg"), DdgNode(1, "reg")), edges=frozenset({(1, 0)})),
      "edges", frozenset({(0, 1)})),
     (TermDictionary, lambda: dict(stems=("mov", "other"), rules={"mov": "mov"}),
      "rules", {"mo": "mov"}),
@@ -65,7 +64,7 @@ RECORDS = [
                                     intersection=2),
      "intersection", 1),
     (FeatureFile, lambda: dict(feature_set=ProgramFeatureSet(**_feature_set_fields()),
-                               term_counts={0: (1, 0)}, term_stems=("mov", "other"),
+                               term_counts=((1, 0),), term_stems=("mov", "other"),
                                source_digest="sha256:" + "0" * 64,
                                toolkit_version="0.0.1", distinct_asm_texts=1),
      "source_digest", "sha256:" + "1" * 64),
@@ -211,9 +210,9 @@ def test_decoded_feature_file_reads_its_own_fields():
 def test_decoded_equal_count_rows_share_one_tuple():
     fs = ProgramFeatureSet(**dict(_feature_set_fields(), diagnostics={"blocks": 2}))
     ff = FeatureFile(**dict(RECORDS[-1][1](), feature_set=fs,
-                            term_counts={0: (1, 0), 1: (1, 0)}))
+                            term_counts=((1, 0), (1, 0))))
     rows = decode_feature_file(encode_feature_file(ff)).term_counts
-    assert rows == {0: (1, 0), 1: (1, 0)} and rows[0] is rows[1]
+    assert rows == ((1, 0), (1, 0)) and rows[0] is rows[1]
 
 
 def test_decoded_file_lets_go_of_its_text_once_read():
