@@ -1,9 +1,9 @@
 """ddghash: per-block data dependency graph hashing for program comparison.
 
 Pipeline: objdump-style listing -> basic blocks -> per-block data
-dependency graphs -> Weisfeiler-Lehman hashes -> deduplicated hash set
-with CFG partial order, compared by exact Jaccard/containment set
-algebra, with a 32-stem opcode tf-idf baseline alongside.
+dependency graphs -> Weisfeiler-Lehman hashes -> deduplicated hash set,
+compared by exact Jaccard/containment set algebra, with a 32-stem opcode
+tf-idf baseline alongside.
 
 Every public name below loads its module on first access, so a corpus
 query never imports the ingest pipeline (disasm, blocks, ddg, wlhash,

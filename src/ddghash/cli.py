@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,11 +45,12 @@ def positive_int(text):
 
 
 def threshold(text):
-    """The exact fraction the text spells, in (0, 1]; nan and inf are out."""
+    """The text's exact value as a Decimal, in (0, 1]: nan and inf are out."""
+    # an exponent too large for a Decimal reads as NaN, which is out too
     value = float(text)
     if math.isfinite(value):
-        value = Fraction(text)
-    if not 0 < value <= 1:
+        value = Decimal(text, Context(traps=[]))
+    if value != value or not 0 < value <= 1:
         raise argparse.ArgumentTypeError("--threshold must be in (0, 1]")
     return value
 

@@ -13,11 +13,12 @@ and decode members in file order only as far as a caller reads.
 import json
 import os
 import re
+from itertools import chain
 from pathlib import Path
 
-from . import __version__, lazy_names
+from . import Record, __version__, lazy_names
 from .errors import DdghashError, InvalidProgramId, UnknownProgram
-from .features import (FeatureParams, LazyFields, ProgramFeatureSet, compare,
+from .features import (FeatureParams, ProgramFeatureSet, compare,
                        make_feature_set)
 
 # the ingest pipeline loads when build_feature_file first runs, or when the
@@ -36,21 +37,39 @@ _MEMBERS = ("block_map", "diagnostics", "format_version", "hashes",
            "order_edges", "params", "program_id", "source_digest",
            "term_counts", "term_stems", "toolkit_version")
 
-_DECODER = json.JSONDecoder()
+
+def _not_an_integer(text):
+    raise ValueError(f"expected an integer, not {text}")
+
+
+# every number of a feature file is an integer
+_DECODER = json.JSONDecoder(parse_float=_not_an_integer,
+                            parse_constant=_not_an_integer)
 _WHITESPACE = json.decoder.WHITESPACE.match
 
 
-class FeatureFile(LazyFields):
-    """distinct_asm_texts, the number of asm texts build_feature_file
+class FeatureFile(Record):
+    """A program's feature set and the members only its file keeps. One
+    made by decode_feature_file holds a fill function in their place: on
+    the first read of any of them, fill() returns a dict of them all,
+    which the file keeps. The function is dropped once it has returned,
+    and kept when it raises, so each later read raises again. Equality
+    and repr read every field, so they fill the file. A field has no
+    class-level default, which lookup would find before __getattr__.
+    distinct_asm_texts, the number of asm texts build_feature_file
     parsed, is in memory only: never in a file, and not part of equality."""
 
-    __slots__ = ("feature_set", "term_counts", "term_stems", "source_digest",
-                 "toolkit_version", "distinct_asm_texts")
+    __slots__ = ("feature_set", "block_map", "order_edges", "term_counts",
+                 "term_stems", "source_digest", "toolkit_version",
+                 "distinct_asm_texts", "_fill")
     _uncompared = ("distinct_asm_texts",)
 
-    def __init__(self, feature_set, term_counts, term_stems, source_digest,
-                 toolkit_version=__version__, distinct_asm_texts=None):
+    def __init__(self, feature_set, block_map, order_edges, term_counts,
+                 term_stems, source_digest, toolkit_version=__version__,
+                 distinct_asm_texts=None):
         self.feature_set = feature_set
+        self.block_map = block_map  # block index -> 32-hex hash, in block order
+        self.order_edges = order_edges  # frozenset of (block index, block index)
         # a tuple of every block's row of per-stem counts, block i's at
         # index i; equal rows may share one tuple
         self.term_counts = term_counts
@@ -59,6 +78,16 @@ class FeatureFile(LazyFields):
         self.toolkit_version = toolkit_version
         self.distinct_asm_texts = distinct_asm_texts
 
+    def __getattr__(self, name):  # reached only for fields not yet set
+        # a built file, or one already filled, has no _fill
+        fill = None if name == "_fill" else getattr(self, "_fill", None)
+        if fill is None or name not in self._fields:
+            raise AttributeError(name)
+        for field, value in fill().items():
+            setattr(self, field, value)
+        del self._fill
+        return getattr(self, name)
+
 
 def encode_feature_file(ff: FeatureFile) -> str:
     """The canonical text of a feature file: the document that maps each
@@ -66,11 +95,11 @@ def encode_feature_file(ff: FeatureFile) -> str:
     `hashes` and `order_edges` sorted), written by _dumps."""
     fs = ff.feature_set
     return _dumps({
-        "block_map": {str(i): h for i, h in fs.block_map.items()},
+        "block_map": {str(i): h for i, h in ff.block_map.items()},
         "diagnostics": fs.diagnostics,
         "format_version": FORMAT_VERSION,
         "hashes": sorted(fs.hashes),
-        "order_edges": sorted(fs.order_edges),
+        "order_edges": sorted(ff.order_edges),
         "params": fs.params.as_dict(),
         "program_id": fs.program_id,
         "source_digest": ff.source_digest,
@@ -144,78 +173,81 @@ def _term_stems(stems):
     return tuple(stems)
 
 
-def _term_counts(counts, stems, blocks):
+def _term_counts(counts, stems, blocks, maybe_bools):
     """The rows in a tuple in block order: the keys must be exactly the
     block ids 0..blocks-1, and each row one non-negative integer count per
-    stem. Equal rows share one tuple, and each distinct row is checked once."""
+    stem. Equal rows share one tuple, and each distinct row is checked
+    once. true and false equal 1 and 0, so they share an integer row's
+    tuple: every count's type is checked too, unless maybe_bools is false."""
     if len(counts) != blocks:
         raise ValueError(f"{len(counts)} rows for {blocks} blocks")
-    distinct = {}  # row -> itself
     try:
-        rows = tuple([distinct.setdefault(row, row) for row in
-                      (tuple(counts[str(i)]) for i in range(blocks))])
+        raw = [counts[str(i)] for i in range(blocks)]
     except KeyError as exc:  # the count matched, so some key is no block id
         raise ValueError(f"no row for block {exc.args[0]}") from None
-    for row in distinct:
-        if len(row) != len(stems) or not all(type(c) is int and c >= 0 for c in row):
-            raise ValueError(f"block {rows.index(row)} does not hold {len(stems)} "
-                             f"non-negative integer counts, one per stem")
+    distinct = {}  # row -> itself
+    rows = tuple([distinct.setdefault(row, row) for row in map(tuple, raw)])
+    bad = next((rows.index(row) for row in distinct if len(row) != len(stems)
+                or not all(type(c) is int and c >= 0 for c in row)), None)
+    if bad is None and maybe_bools and bool in set(map(type, chain.from_iterable(raw))):
+        bad = next(i for i, row in enumerate(raw) if bool in map(type, row))
+    if bad is not None:
+        raise ValueError(f"block {bad} does not hold {len(stems)} "
+                         f"non-negative integer counts, one per stem")
     return rows
 
 
 def _diagnostics(diag):
-    if not isinstance(diag.get("blocks"), int):
-        raise TypeError("expected an integer 'blocks' count")
+    if type(diag.get("blocks")) is not int or diag["blocks"] < 0:
+        raise ValueError("expected a non-negative integer 'blocks' count")
     return diag
 
 
 def decode_feature_file(text: str, source="feature file") -> FeatureFile:
     """Decode a feature file; DdghashError names `source` and the member.
 
-    The members are walked in file order through program_id, and
-    program_id, params, hashes and diagnostics, which queries read, are
-    built here. block_map and order_edges are built together on the first
-    read of either. The members after program_id, which only tfstats
-    reads, are walked and built together on the first read of any of
-    them, so a query never parses term_counts. Only that last step holds
-    the text, which is released once it has run.
+    The members are walked in file order through program_id, and the
+    feature set, all that queries read, is built here. The file's six
+    other members are built together on the first read of any: block_map
+    and order_edges from the values walked here, and the members after
+    program_id, which only tfstats reads, walked then, so a query never
+    parses term_counts. Only that step holds the text and the values
+    walked past, and they go once it has run, or with the file.
     """
     (block_map, diagnostics, version), pos = _walk(text, source, _MEMBERS[:3], 0)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise DdghashError(
             f"{source}: unsupported feature file format version {version!r}")
     (hashes, order_edges, params, program_id), pos = _walk(
         text, source, _MEMBERS[3:7], pos)
-
-    def fill_order():
-        return {
-            "block_map": _build(source, "block_map", lambda m: dict(
-                sorted((int(i), h) for i, h in m.items())), block_map),
-            "order_edges": _build(source, "order_edges", lambda edges: frozenset(
-                (a, b) for a, b in edges), order_edges),
-        }
-
-    fs = ProgramFeatureSet.deferred(
-        fill_order,
-        program_id=program_id,
-        params=_build(source, "params", FeatureParams.from_dict, params),
-        diagnostics=_build(source, "diagnostics", _diagnostics, diagnostics),
-        hashes=_build(source, "hashes", lambda h: frozenset(_strings(h)), hashes),
-        distinct_graphs=None,
+    fs = ProgramFeatureSet(
+        program_id,
+        _build(source, "params", FeatureParams.from_dict, params),
+        _build(source, "diagnostics", _diagnostics, diagnostics),
+        _build(source, "hashes", lambda h: frozenset(_strings(h)), hashes),
     )
 
-    def fill_tail():
+    def fill():
         (digest, counts, stems, toolkit), _ = _walk(text, source, _MEMBERS[7:], pos)
         stems = _build(source, "term_stems", _term_stems, stems)
-        return {
-            "term_counts": _build(source, "term_counts", _term_counts, counts, stems,
-                                  fs.diagnostics["blocks"]),
-            "term_stems": stems,
-            "source_digest": digest,
-            "toolkit_version": toolkit,
-        }
+        # term_counts is built, and its JSON let go, before block_map and
+        # order_edges are, so the fill's peak holds one of the two, not
+        # both. A JSON bool is the literal true or false: where neither is
+        # in the text after program_id, no count is one.
+        counts = _build(source, "term_counts", _term_counts, counts, stems,
+                        fs.diagnostics["blocks"],
+                        text.find("true", pos) >= 0 or text.find("false", pos) >= 0)
+        return dict(
+            block_map=_build(source, "block_map", lambda m: dict(
+                sorted((int(i), h) for i, h in m.items())), block_map),
+            order_edges=_build(source, "order_edges", lambda edges: frozenset(
+                (a, b) for a, b in edges), order_edges),
+            term_counts=counts, term_stems=stems, source_digest=digest,
+            toolkit_version=toolkit)
 
-    return FeatureFile.deferred(fill_tail, feature_set=fs, distinct_asm_texts=None)
+    ff = FeatureFile.__new__(FeatureFile)  # the other fields wait for fill()
+    ff.feature_set, ff.distinct_asm_texts, ff._fill = fs, None, fill
+    return ff
 
 
 def build_feature_file(text: str, program_id: str,
@@ -254,14 +286,11 @@ def build_feature_file(text: str, program_id: str,
                     term_counts.append(distinct.setdefault(row, row))
                     yield block
 
-        return FeatureFile(
-            feature_set=make_feature_set(program_id, blocks(), params,
-                                         report.as_dict()),
-            term_counts=tuple(term_counts),
-            term_stems=dictionary.stems,
-            source_digest=source_digest,
-            distinct_asm_texts=report.distinct_asm_texts,
-        )
+        fs, block_map, order_edges = make_feature_set(
+            program_id, blocks(), params, report.as_dict())
+        return FeatureFile(fs, block_map, order_edges, tuple(term_counts),
+                           dictionary.stems, source_digest,
+                           distinct_asm_texts=report.distinct_asm_texts)
     finally:
         if collecting:
             gc.enable()

@@ -1,9 +1,10 @@
 """Program feature sets and their set algebra.
 
-A program is a deduplicated set of block-DDG hashes plus the block-index
-to hash mapping it was deduplicated from and the CFG edge pairs that give
-the set its partial order. All similarity arithmetic is exact: sizes are
-ints and coefficients Fractions, so inclusion-exclusion holds to the bit.
+A program is a deduplicated set of block-DDG hashes. make_feature_set
+also gives the block-index to hash mapping the set was deduplicated from
+and the CFG edge pairs that give it its partial order, which only a
+feature file keeps. All similarity arithmetic is exact: sizes are ints
+and coefficients Fractions, so inclusion-exclusion holds to the bit.
 """
 
 import enum
@@ -51,9 +52,9 @@ class FeatureParams(FrozenRecord):
 
     def __init__(self, label_mode=LabelMode.OPERAND_CLASS,
                  policy=InstructionFamilyPolicy.MOV_ONLY, wl_iterations=3):
-        if wl_iterations < 1:
+        if type(wl_iterations) is not int or wl_iterations < 1:
             raise ValueError(
-                f"wl_iterations must be >= 1, not {wl_iterations!r}")
+                f"wl_iterations must be an integer >= 1, not {wl_iterations!r}")
         object.__setattr__(self, "label_mode", label_mode)
         object.__setattr__(self, "policy", policy)
         object.__setattr__(self, "wl_iterations", wl_iterations)
@@ -69,7 +70,7 @@ class FeatureParams(FrozenRecord):
     @classmethod
     def from_dict(cls, p):
         """The inverse of as_dict, for a feature file's params member."""
-        if p["digest_bits"] != DIGEST_BITS:
+        if type(p["digest_bits"]) is not int or p["digest_bits"] != DIGEST_BITS:
             raise ValueError(f"unsupported digest_bits {p['digest_bits']!r}")
         return cls(
             label_mode=LabelMode(p["label_mode"]),
@@ -78,54 +79,22 @@ class FeatureParams(FrozenRecord):
         )
 
 
-class LazyFields(Record):
-    """Base of records decoded from a file. One made by `deferred` is given
-    some fields and a fill function for the rest: on the first read of a
-    field not given, fill() returns a dict of every such field, which the
-    record keeps. The fill function is dropped once it has returned, and a
-    fill that raises is kept, so each later read raises again. Equality and
-    repr read every field, so they fill the record. A field is a slot and
-    has no class-level default, which attribute lookup would find before
-    __getattr__ and so never fill the record."""
+class ProgramFeatureSet(Record):
+    """What a query reads of a program: its settings, diagnostics counts
+    and deduplicated hash set. distinct_graphs, the number of graphs
+    make_feature_set hashed, is in memory only: never in a file, and not
+    part of equality."""
 
-    __slots__ = ("_fill",)
-
-    @classmethod
-    def deferred(cls, fill, **fields):
-        obj = cls.__new__(cls)
-        for name, value in fields.items():
-            setattr(obj, name, value)
-        obj._fill = fill
-        return obj
-
-    def __getattr__(self, name):  # reached only for fields not yet set
-        # a record not made by deferred, or already filled, has no _fill
-        fill = None if name == "_fill" else getattr(self, "_fill", None)
-        if fill is None or name not in self._fields:
-            raise AttributeError(name)
-        for field, value in fill().items():
-            setattr(self, field, value)
-        del self._fill
-        return getattr(self, name)
-
-
-class ProgramFeatureSet(LazyFields):
-    """distinct_graphs, the number of graphs make_feature_set hashed, is
-    in memory only: never in a file, and not part of equality."""
-
-    __slots__ = ("program_id", "params", "block_map", "order_edges",
-                 "diagnostics", "hashes", "distinct_graphs")
+    __slots__ = ("program_id", "params", "diagnostics", "hashes",
+                 "distinct_graphs")
     _uncompared = ("distinct_graphs",)
 
-    def __init__(self, program_id, params, block_map, order_edges,
-                 diagnostics=None, hashes=None, distinct_graphs=None):
+    def __init__(self, program_id, params, diagnostics, hashes,
+                 distinct_graphs=None):
         self.program_id = program_id
         self.params = params
-        self.block_map = block_map  # block index -> 32-hex hash, insertion-ordered
-        self.order_edges = order_edges  # frozenset of (block index, block index)
-        self.diagnostics = {} if diagnostics is None else diagnostics
-        # the distinct block_map values, computed once
-        self.hashes = frozenset(block_map.values()) if hashes is None else hashes
+        self.diagnostics = diagnostics
+        self.hashes = hashes  # frozenset of 32-hex digests
         self.distinct_graphs = distinct_graphs
 
 
@@ -194,10 +163,11 @@ def ratio(frac: Fraction) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def make_feature_set(program_id, blocks, params,
-                     diagnostics) -> ProgramFeatureSet:
+def make_feature_set(program_id, blocks, params, diagnostics):
     """Hash each block's DDG and assemble the feature set, in one pass
-    over `blocks`, which may be any iterable of blocks.
+    over `blocks`, which may be any iterable of blocks. Returns the
+    ProgramFeatureSet, the block map (block index -> hash, in block order)
+    and the order edges (a frozenset of (block index, block index)).
 
     Each DDG is built, hashed and dropped, and no block is kept, so a
     caller that makes blocks as they are taken holds only those it has
@@ -236,15 +206,8 @@ def make_feature_set(program_id, blocks, params,
     hashes = frozenset(block_map.values())
     diag["duplicate_hashes"] = len(block_map) - len(hashes)
     diag["dropped_order_edges"] = links - len(kept_edges)
-    return ProgramFeatureSet(
-        program_id=program_id,
-        params=params,
-        block_map=block_map,
-        order_edges=kept_edges,
-        diagnostics=diag,
-        hashes=hashes,
-        distinct_graphs=len(digests),
-    )
+    fs = ProgramFeatureSet(program_id, params, diag, hashes, len(digests))
+    return fs, block_map, kept_edges
 
 
 def _require_compatible(a: ProgramFeatureSet, b: ProgramFeatureSet):

@@ -87,11 +87,8 @@ def criterion_2_wl_conditional_completeness():
 # 3 ------------------------------------------------------------------------
 
 def _fake_set(pid, hashes):
-    return ProgramFeatureSet(
-        program_id=pid, params=PARAMS,
-        block_map={i: h for i, h in enumerate(sorted(hashes))},
-        order_edges=frozenset(), diagnostics={},
-    )
+    return ProgramFeatureSet(program_id=pid, params=PARAMS, diagnostics={},
+                             hashes=frozenset(hashes))
 
 
 def criterion_3_set_algebra_identities():
@@ -165,9 +162,9 @@ def criterion_5_dedup_contract():
         ("b0", ["mov eax, ebx", "ret"]),
         ("b1", ["mov eax, ebx", "ret"]),
     ])
-    fs = build_feature_file(text, "dup", PARAMS).feature_set
-    assert len(fs.block_map) == 2
-    assert len(fs.hashes) == 1
+    ff = build_feature_file(text, "dup", PARAMS)
+    assert len(ff.block_map) == 2
+    assert len(ff.feature_set.hashes) == 1
 
 
 # 6 ------------------------------------------------------------------------
@@ -242,10 +239,11 @@ def criterion_8_persistence(tmp_path):
                     label_mode=rng.choice(list(LabelMode)),
                     policy=rng.choice(list(InstructionFamilyPolicy)),
                 ),
-                block_map=block_map,
-                order_edges=frozenset(edges),
                 diagnostics={"blocks": n_blocks},
+                hashes=frozenset(block_map.values()),
             ),
+            block_map=block_map,
+            order_edges=frozenset(edges),
             term_counts=tuple(tuple(rng.randrange(4) for _ in range(32))
                               for _ in range(n_blocks)),
             term_stems=tuple(load_default_dictionary().stems),

@@ -640,6 +640,30 @@ def test_contain_at_a_tiny_threshold_lists_every_pair_that_shares_a_hash(tmp_pat
         [i, o, f"{float(c):.3f}"] for i, o, c in expected]
 
 
+def test_threshold_reads_an_exponent_of_any_size_at_once(tmp_path):
+    # a float of 1e-100000000 underflows to 0.0 but is finite; an exact
+    # fraction of it would be built from 10**100000000
+    corpus = tmp_path / "corpus"
+    for pid in ("true_att", "false_intel"):
+        assert main(["-C", str(corpus), "ingest", str(DATA / f"{pid}.objdump")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    outputs = [subprocess.run(
+        [sys.executable, "-m", "ddghash", "-C", str(corpus), "--format", "csv",
+         "contain", "--threshold", value],
+        capture_output=True, text=True, env=env, timeout=60)
+        for value in ("1e-10", "1e-100000000", "1e-999999999999999999")]
+    assert outputs[0].returncode == 0 and outputs[0].stdout.count("\n") > 1
+    assert [(p.returncode, p.stdout, p.stderr) for p in outputs[1:]] == [
+        (0, outputs[0].stdout, "")] * 2
+    # beyond a Decimal's exponents the value reads as NaN, which is out
+    beyond = subprocess.run(
+        [sys.executable, "-m", "ddghash", "-C", str(corpus), "contain",
+         "--threshold", "1e-9999999999999999999999999"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert beyond.returncode == 2
+    assert "--threshold must be in (0, 1]" in beyond.stderr
+
+
 def test_a_directory_named_like_a_feature_file_is_no_program(tmp_path, capsys):
     corpus = _seed_corpus(tmp_path, {"a": range(1, 5), "b": range(3, 9)})
     queries = (["matrix", "--all"], ["nearest", "a"], ["contain"])
@@ -958,3 +982,56 @@ def test_tfstats_refuses_count_rows_not_keyed_by_the_block_ids(tmp_path, capsys,
             1, "", f"error: {path}: member 'term_counts': {why}\n")
     # the set queries never read term_counts
     assert run(capsys, "-C", corpus, "compare", "true_att", "true_intel")[0] == 0
+
+
+def _redo_member(key, change):
+    """A mutation that applies change to one member's JSON value in place."""
+    def mutate(text):
+        doc = json.loads(text)
+        change(doc[key])
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return mutate
+
+
+def _count_rows(first, second):
+    """Rows 0 and 1 of term_counts replaced: 1 or its stand-in, then 0s."""
+    def change(counts):
+        counts["0"], counts["1"] = ([value] + [0] * (len(counts["0"]) - 1)
+                                    for value in (first, second))
+    return _redo_member("term_counts", change)
+
+
+@pytest.mark.parametrize("mutate, key, queries", [
+    (_redo_member("params", lambda p: p.update(wl_iterations=3.0)), "params", _QUERIES),
+    (_redo_member("params", lambda p: p.update(digest_bits=128.0)), "params", _QUERIES),
+    (_redo_member("params", lambda p: p.update(wl_iterations=True)), "params", _QUERIES),
+    (_redo_member("params", lambda p: p.update(wl_iterations=float("nan"))), "params",
+     _QUERIES),
+    (_redo_member("diagnostics", lambda d: d.update(blocks=True)), "diagnostics",
+     _QUERIES),
+    (_redo_member("diagnostics", lambda d: d.update(blocks=-1)), "diagnostics",
+     _QUERIES),
+    # a bool equals 1, so after an equal integer row it shares that row's tuple
+    (_count_rows(True, 1), "term_counts", [["tfstats", "true_att"]]),
+    (_count_rows(1, True), "term_counts", [["tfstats", "true_att"]]),
+    (_count_rows(1.0, 1), "term_counts", [["tfstats", "true_att"]]),
+    (_count_rows(1, 1.0), "term_counts", [["tfstats", "true_att"]]),
+], ids=["wl_iterations_float", "digest_bits_float", "wl_iterations_bool",
+        "wl_iterations_nan", "blocks_bool", "blocks_negative", "count_bool_first",
+        "count_bool_after_int", "count_float_first", "count_float_after_int"])
+def test_every_integer_of_a_feature_file_is_an_int(tmp_path, capsys, mutate, key,
+                                                   queries):
+    corpus, path = _corrupt_corpus(tmp_path, mutate)
+    for argv in [*queries, ["tfstats", "true_att", "--vectors"]]:
+        code, out, err = run(capsys, "-C", corpus, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"error: {path}: member '{key}': "), err
+    if key == "term_counts":  # the set queries never read term_counts
+        assert run(capsys, "-C", corpus, "compare", "true_att", "true_intel")[0] == 0
+
+
+def test_a_format_version_of_true_is_refused(tmp_path, capsys):
+    corpus, path = _corrupt_corpus(
+        tmp_path, lambda text: text.replace('"format_version":1', '"format_version":true'))
+    assert run(capsys, "-C", corpus, "compare", "true_att", "true_intel") == (
+        1, "", f"error: {path}: unsupported feature file format version True\n")

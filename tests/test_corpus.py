@@ -46,12 +46,13 @@ def _random_feature_file(rng):
     fs = ProgramFeatureSet(
         program_id=f"prog{rng.randrange(10**6)}",
         params=PARAMS,
-        block_map=block_map,
-        order_edges=frozenset(edges),
         diagnostics={"blocks": n_blocks, "empty_ddgs": n_blocks - len(block_map)},
+        hashes=frozenset(block_map.values()),
     )
     return FeatureFile(
         feature_set=fs,
+        block_map=block_map,
+        order_edges=frozenset(edges),
         term_counts=term_counts,
         term_stems=tuple(f"s{i}" for i in range(32)),
         source_digest=f"sha256:{rng.randrange(1 << 64):064x}",
@@ -113,7 +114,7 @@ def test_ingest_dedup_counts(tmp_path):
     corpus = Corpus(tmp_path / "corpus")
     ff = corpus.ingest(star_program(class_ids), "prog", PARAMS)
     fs = ff.feature_set
-    assert len(fs.block_map) == 300
+    assert len(ff.block_map) == 300
     assert len(fs.hashes) == 234
     assert fs.diagnostics["duplicate_hashes"] == 66
 
@@ -339,9 +340,10 @@ def test_index_consistency(tmp_path):
 
 def test_decoded_hashes_are_stored_once(tmp_path):
     corpus = _build_corpus(tmp_path, {"a": range(1, 21)})
-    fs = corpus.load("a").feature_set
+    ff = corpus.load("a")
+    fs = ff.feature_set
     assert fs.hashes is fs.hashes
-    assert fs.hashes == frozenset(fs.block_map.values())
+    assert fs.hashes == frozenset(ff.block_map.values())
 
 
 def test_concurrent_writers_use_separate_temp_files(tmp_path, monkeypatch):
@@ -391,9 +393,9 @@ def _reference_encoding(ff):
         "format_version": 1,
         "program_id": fs.program_id,
         "params": fs.params.as_dict(),
-        "block_map": {str(i): h for i, h in fs.block_map.items()},
+        "block_map": {str(i): h for i, h in ff.block_map.items()},
         "hashes": sorted(fs.hashes),
-        "order_edges": sorted([a, b] for a, b in fs.order_edges),
+        "order_edges": sorted([a, b] for a, b in ff.order_edges),
         "diagnostics": fs.diagnostics,
         "term_stems": list(ff.term_stems),
         "term_counts": {str(i): list(c) for i, c in enumerate(ff.term_counts)},
@@ -418,13 +420,14 @@ def _feature_files(draw):
             label_mode=draw(st.sampled_from(LabelMode)),
             policy=draw(st.sampled_from(InstructionFamilyPolicy)),
             wl_iterations=draw(st.integers(1, 5))),
-        block_map=draw(st.dictionaries(block_ids, digests | _TEXT, max_size=30)),
-        order_edges=draw(st.frozensets(st.tuples(block_ids, block_ids), max_size=12)),
         diagnostics=draw(st.dictionaries(
             _TEXT, st.integers() | _TEXT | st.booleans() | st.none(), max_size=5)),
+        hashes=draw(st.frozensets(digests | _TEXT, max_size=30)),
     )
     return FeatureFile(
         feature_set=fs,
+        block_map=draw(st.dictionaries(block_ids, digests | _TEXT, max_size=30)),
+        order_edges=draw(st.frozensets(st.tuples(block_ids, block_ids), max_size=12)),
         term_counts=tuple(draw(st.lists(st.sampled_from(rows), max_size=30))),
         term_stems=tuple(draw(st.lists(_TEXT, max_size=4))),
         source_digest=draw(_TEXT),
@@ -441,9 +444,10 @@ def test_writer_matches_json_dumps(ff):
 def _writer_case(block_map=(), edges=(), term_counts=(), program_id="p",
                  diagnostics=None):
     fs = ProgramFeatureSet(program_id=program_id, params=PARAMS,
-                           block_map=dict(block_map), order_edges=frozenset(edges),
-                           diagnostics=diagnostics or {"blocks": len(term_counts)})
-    return FeatureFile(feature_set=fs, term_counts=tuple(term_counts),
+                           diagnostics=diagnostics or {"blocks": len(term_counts)},
+                           hashes=frozenset(dict(block_map).values()))
+    return FeatureFile(feature_set=fs, block_map=dict(block_map),
+                       order_edges=frozenset(edges), term_counts=tuple(term_counts),
                        term_stems=("mov", "other"), source_digest="sha256:00")
 
 

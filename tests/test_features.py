@@ -22,16 +22,9 @@ DATA = Path(__file__).parent / "data"
 PARAMS = FeatureParams()
 
 
-def fake_set(program_id, hashes, params=PARAMS, edges=(), block_map=None):
-    if block_map is None:
-        block_map = {i: h for i, h in enumerate(sorted(hashes))}
-    return ProgramFeatureSet(
-        program_id=program_id,
-        params=params,
-        block_map=block_map,
-        order_edges=frozenset(edges),
-        diagnostics={},
-    )
+def fake_set(program_id, hashes, params=PARAMS):
+    return ProgramFeatureSet(program_id=program_id, params=params,
+                             diagnostics={}, hashes=frozenset(hashes))
 
 
 def _h(i):
@@ -109,8 +102,9 @@ def test_make_feature_set_dedup_and_empty_blocks():
         ("f2", ["mov eax, ebx", "ret"]),
         ("f3", ["add eax, 1", "ret"]),  # empty DDG
     ])
-    fs = make_feature_set("p", _segment_all(text), PARAMS, {"functions": 3})
-    assert len(fs.block_map) == 2
+    fs, block_map, _ = make_feature_set("p", _segment_all(text), PARAMS,
+                                        {"functions": 3})
+    assert len(block_map) == 2
     assert len(fs.hashes) == 1
     assert fs.diagnostics["functions"] == 3
     assert fs.diagnostics["empty_ddgs"] == 1
@@ -132,9 +126,10 @@ def test_make_feature_set_order_edges_and_exits():
     ])])
     blocks = _segment_all(text)
     assert blocks[0].successors == frozenset({1})
-    fs = make_feature_set("p", blocks, PARAMS, {})
-    assert sorted(fs.block_map) == [0, 1, 3, 4]
-    assert fs.order_edges == {(0, 1), (3, 4)}
+    made = make_feature_set("p", blocks, PARAMS, {})
+    fs, block_map, order_edges = made
+    assert sorted(block_map) == [0, 1, 3, 4]
+    assert order_edges == {(0, 1), (3, 4)}
     diag = fs.diagnostics
     # the jump and the fall-through of block 0 are one pair; nothing is dropped
     assert diag["dropped_order_edges"] == 0
@@ -142,7 +137,7 @@ def test_make_feature_set_order_edges_and_exits():
             diag["dangling_targets"]) == (1, 1, 1)
     assert diag["blocks"] == 5 and diag["empty_ddgs"] == 1
     # one pass over any iterable: an iterator gives the list's feature set
-    assert make_feature_set("p", iter(blocks), PARAMS, {}) == fs
+    assert make_feature_set("p", iter(blocks), PARAMS, {}) == made
 
 
 @pytest.mark.parametrize("policy", list(InstructionFamilyPolicy))
@@ -159,16 +154,17 @@ def test_block_map_holds_each_graphs_own_hash(mode, policy, monkeypatch):
     for name in ("true_att", "true_intel"):
         blocks = _segment_all((DATA / f"{name}.objdump").read_text())
         calls.clear()
-        fs = make_feature_set(name, blocks, params, {})
+        fs, block_map, _ = make_feature_set(name, blocks, params, {})
         graphs = [(b, build_ddg(b, policy, mode)) for b in blocks]
-        assert fs.block_map == {b.id: wl_hash(g, params.wl_iterations)
-                                for b, g in graphs if len(g)}
+        assert block_map == {b.id: wl_hash(g, params.wl_iterations)
+                             for b, g in graphs if len(g)}
+        assert fs.hashes == frozenset(block_map.values())
         # one hash per distinct (labels, edges) key, not one per block
-        assert len(calls) == fs.distinct_graphs < len(fs.block_map)
+        assert len(calls) == fs.distinct_graphs < len(block_map)
 
 
 def test_zero_nonempty_ddgs_is_valid():
-    fs = fake_set("empty", set(), block_map={})
+    fs = fake_set("empty", set())
     assert fs.hashes == frozenset()
     rep = compare(fs, fake_set("other", {_h(1)}))
     assert rep.jaccard == 0

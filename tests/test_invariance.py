@@ -65,8 +65,8 @@ def _features(syntax, lines, mode, policy):
     splits it."""
     fn, = parse_listing(make_listing([("f", lines)], start=1 << 40), syntax=syntax)
     block, = segment(fn)
-    fs = make_feature_set("p", [block], FeatureParams(mode, policy), {})
-    return fs.block_map.get(block.id), tf_vector(block, DICTIONARY)
+    _, block_map, _ = make_feature_set("p", [block], FeatureParams(mode, policy), {})
+    return block_map.get(block.id), tf_vector(block, DICTIONARY)
 
 
 @settings(deadline=None, max_examples=60)

@@ -32,15 +32,14 @@ def test_block_ids_are_global_across_functions():
         ]),
     ])
     ff = build_feature_file(text, "two", PARAMS)
-    fs = ff.feature_set
     # first: blocks 0 [mov,je], 1 [mov], 2 [mov,ret]; second: 3 [mov,jne], 4 [ret]
-    assert set(fs.block_map) <= {0, 1, 2, 3, 4}
+    assert set(ff.block_map) <= {0, 1, 2, 3, 4}
     assert len(ff.term_counts) == 5
-    assert (0, 2) in fs.order_edges
-    assert (0, 1) in fs.order_edges
-    assert (3, 3) in fs.order_edges
+    assert (0, 2) in ff.order_edges
+    assert (0, 1) in ff.order_edges
+    assert (3, 3) in ff.order_edges
     # block 4 is a bare ret: empty DDG, so no order edge may touch it
-    assert all(4 not in edge for edge in fs.order_edges)
+    assert all(4 not in edge for edge in ff.order_edges)
 
 
 def test_order_edges_dropped_with_empty_ddg_endpoints():
@@ -53,11 +52,11 @@ def test_order_edges_dropped_with_empty_ddg_endpoints():
             "ret",
         ]),
     ])
-    fs = build_feature_file(text, "p", PARAMS).feature_set
-    assert fs.diagnostics["empty_ddgs"] == 1
-    assert fs.diagnostics["dropped_order_edges"] >= 1
-    for a, b in fs.order_edges:
-        assert a in fs.block_map and b in fs.block_map
+    ff = build_feature_file(text, "p", PARAMS)
+    assert ff.feature_set.diagnostics["empty_ddgs"] == 1
+    assert ff.feature_set.diagnostics["dropped_order_edges"] >= 1
+    for a, b in ff.order_edges:
+        assert a in ff.block_map and b in ff.block_map
 
 
 def test_every_exported_name_resolves():
@@ -101,5 +100,5 @@ def test_att_listing_and_intel_listing_hash_identically():
     specs = gen_instructions(rng, 200)
     fa = build_feature_file(render_listing(specs, att=True, seed=3), "p", PARAMS)
     fb = build_feature_file(render_listing(specs, att=False, seed=4), "p", PARAMS)
-    assert fa.feature_set.block_map == fb.feature_set.block_map
+    assert fa.block_map == fb.block_map
     assert fa.term_counts == fb.term_counts

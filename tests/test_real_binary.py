@@ -76,9 +76,9 @@ def test_demangled_listing_reads_like_the_plain_one():
     assert report.malformed == []
     assert [f.instructions for f in fns] == [f.instructions for f in plain_fns]
     assert [f.addresses for f in fns] == [f.addresses for f in plain_fns]
-    a, b = (build_feature_file(text, "apt-cache", FeatureParams()).feature_set
+    a, b = (build_feature_file(text, "apt-cache", FeatureParams())
             for text in (plain, demangled))
-    assert (a.block_map, a.hashes) == (b.block_map, b.hashes)
+    assert (a.block_map, a.feature_set.hashes) == (b.block_map, b.feature_set.hashes)
 
 
 _LINE_RE = re.compile(r"^ *([0-9a-f]+):\t(.*)$", re.MULTILINE)
@@ -114,13 +114,13 @@ def test_base64_listing_shares_one_record_per_text(base64_listings):
 
 
 def test_feature_sets_agree_across_syntaxes():
-    fa = build_feature_file(ATT, "true", FeatureParams()).feature_set
-    fb = build_feature_file(INTEL, "true", FeatureParams()).feature_set
+    fa = build_feature_file(ATT, "true", FeatureParams())
+    fb = build_feature_file(INTEL, "true", FeatureParams())
     assert fa.block_map == fb.block_map
     assert fa.order_edges == fb.order_edges
-    rep = compare(fa, fb)
+    rep = compare(fa.feature_set, fb.feature_set)
     assert rep.jaccard == 1
-    assert len(fa.hashes) <= len(fa.block_map)
+    assert len(fa.feature_set.hashes) <= len(fa.block_map)
 
 
 def test_modal_stem_is_data_movement():

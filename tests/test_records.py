@@ -27,9 +27,22 @@ HASH = "0123456789abcdef" * 2
 
 
 def _feature_set_fields():
-    return dict(program_id="p", params=FeatureParams(), block_map={0: HASH},
-                order_edges=frozenset({(0, 0)}), diagnostics={"blocks": 1},
+    return dict(program_id="p", params=FeatureParams(), diagnostics={"blocks": 1},
                 hashes=frozenset({HASH}), distinct_graphs=1)
+
+
+def _feature_file_fields():
+    return dict(feature_set=ProgramFeatureSet(**_feature_set_fields()),
+                block_map={0: HASH}, order_edges=frozenset({(0, 0)}),
+                term_counts=((1, 0),), term_stems=("mov", "other"),
+                source_digest="sha256:" + "0" * 64, toolkit_version="0.0.1",
+                distinct_asm_texts=1)
+
+
+# the members of a FeatureFile that only its file keeps: a decoded file
+# builds them on the first read of any one of them
+FILE_ONLY = ("block_map", "order_edges", "term_counts", "term_stems",
+             "source_digest", "toolkit_version")
 
 
 # (class, a function giving fresh fields in declaration order, a field to
@@ -63,11 +76,7 @@ RECORDS = [
     (SimilarityReport, lambda: dict(a_id="a", b_id="b", size_a=3, size_b=4,
                                     intersection=2),
      "intersection", 1),
-    (FeatureFile, lambda: dict(feature_set=ProgramFeatureSet(**_feature_set_fields()),
-                               term_counts=((1, 0),), term_stems=("mov", "other"),
-                               source_digest="sha256:" + "0" * 64,
-                               toolkit_version="0.0.1", distinct_asm_texts=1),
-     "source_digest", "sha256:" + "1" * 64),
+    (FeatureFile, _feature_file_fields, "source_digest", "sha256:" + "1" * 64),
 ]
 MUTABLE = {ParseReport, ProgramFeatureSet, FeatureFile}
 UNHASHABLE = MUTABLE | {TermDictionary}  # a TermDictionary's rules are a dict
@@ -132,7 +141,7 @@ def test_every_record_class_is_tested():
     while todo:
         for sub in todo.pop().__subclasses__():
             todo.append(sub)
-            # the bases FrozenRecord and LazyFields have no fields
+            # the base FrozenRecord has no fields
             if sub.__module__.startswith("ddghash") and sub._fields:
                 found.add(sub)
     assert found == {cls for cls, *_ in RECORDS}
@@ -192,13 +201,12 @@ def test_defaults():
     assert (a.instruction_shaped, b.instruction_shaped) == (1, 0)
     a.instructions = 4
     assert a.instruction_shaped == 5
-    fs = ProgramFeatureSet("p", FeatureParams(), {0: HASH, 1: HASH}, frozenset())
-    assert fs.hashes == {HASH} and fs.diagnostics == {}
+    fs = ProgramFeatureSet("p", FeatureParams(), {}, frozenset({HASH}))
     assert fs.distinct_graphs is None
 
 
 def test_decoded_feature_file_reads_its_own_fields():
-    ff = FeatureFile(**dict(RECORDS[-1][1](), toolkit_version="9.9.9",
+    ff = FeatureFile(**dict(_feature_file_fields(), toolkit_version="9.9.9",
                             distinct_asm_texts=None))
     decoded = decode_feature_file(encode_feature_file(ff))
     assert decoded.toolkit_version == "9.9.9"
@@ -209,29 +217,64 @@ def test_decoded_feature_file_reads_its_own_fields():
 
 def test_decoded_equal_count_rows_share_one_tuple():
     fs = ProgramFeatureSet(**dict(_feature_set_fields(), diagnostics={"blocks": 2}))
-    ff = FeatureFile(**dict(RECORDS[-1][1](), feature_set=fs,
+    ff = FeatureFile(**dict(_feature_file_fields(), feature_set=fs,
                             term_counts=((1, 0), (1, 0))))
     rows = decode_feature_file(encode_feature_file(ff)).term_counts
     assert rows == ((1, 0), (1, 0)) and rows[0] is rows[1]
 
 
 def test_decoded_file_lets_go_of_its_text_once_read():
-    text = encode_feature_file(FeatureFile(**RECORDS[-1][1]()))
+    text = encode_feature_file(FeatureFile(**_feature_file_fields()))
     before = sys.getrefcount(text)
     ff = decode_feature_file(text)
-    ff.feature_set.block_map
-    assert sys.getrefcount(text) == before + 1  # held for the members after program_id
+    assert sys.getrefcount(text) == before + 1  # held for the file-only members
     assert ff.source_digest == "sha256:" + "0" * 64
     assert sys.getrefcount(text) == before
 
 
+def test_a_query_lets_go_of_the_text_with_the_file():
+    text = encode_feature_file(FeatureFile(**_feature_file_fields()))
+    before = sys.getrefcount(text)
+    fs = decode_feature_file(text).feature_set
+    assert sys.getrefcount(text) == before
+    assert fs == ProgramFeatureSet(**_feature_set_fields())
+
+
+def test_decoded_feature_set_is_a_plain_record():
+    fs = decode_feature_file(encode_feature_file(FeatureFile(**_feature_file_fields()))
+                             ).feature_set
+    assert not hasattr(fs, "_fill")
+    assert ProgramFeatureSet._fields == ("program_id", "params", "diagnostics",
+                                         "hashes", "distinct_graphs")
+
+
+@pytest.mark.parametrize("first", FILE_ONLY)
+def test_first_read_of_a_file_only_member_fills_all_of_them_once(first, monkeypatch):
+    import ddghash.corpus as corpus_module
+
+    calls = []
+    walk = corpus_module._walk
+    monkeypatch.setattr(corpus_module, "_walk",
+                        lambda *args: calls.append(args[2]) or walk(*args))
+    expected = FeatureFile(**_feature_file_fields())
+    ff = decode_feature_file(encode_feature_file(expected))
+    assert len(calls) == 2  # the two walks up to program_id
+    assert getattr(ff, first) == getattr(expected, first)
+    assert len(calls) == 3 and not hasattr(ff, "_fill")
+    for name in FILE_ONLY:
+        assert object.__getattribute__(ff, name) == getattr(expected, name)
+    assert ff == expected and len(calls) == 3
+
+
 def test_damaged_block_map_leaves_the_query_members_readable():
-    text = encode_feature_file(FeatureFile(**RECORDS[-1][1]()))
-    fs = decode_feature_file(text.replace('"block_map":{"0":', '"block_map":{"x":'),
-                             "f").feature_set
+    text = encode_feature_file(FeatureFile(**_feature_file_fields()))
+    ff = decode_feature_file(text.replace('"block_map":{"0":', '"block_map":{"x":'),
+                             "f")
+    fs = ff.feature_set
     assert fs.program_id == "p"
     assert fs.params == FeatureParams()
     assert fs.hashes == {HASH}
-    for name in ("block_map", "block_map", "order_edges"):
+    assert fs.diagnostics == {"blocks": 1}
+    for name in (*FILE_ONLY, "block_map"):  # the fill is kept, so each read raises
         with pytest.raises(DdghashError, match="^f: member 'block_map': "):
-            getattr(fs, name)
+            getattr(ff, name)
