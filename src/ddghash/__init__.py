@@ -103,8 +103,8 @@ _HOMES = {
     "DataDependencyGraph": "ddg", "InstructionFamilyPolicy": "features",
     "LabelMode": "features", "build_ddg": "ddg", "node_label": "ddg",
     "FunctionListing": "disasm", "Instruction": "disasm", "Operand": "disasm",
-    "detect_syntax": "disasm", "parse_listing": "disasm",
-    "parse_listing_with_report": "disasm", "parse_operand": "disasm",
+    "detect_syntax": "disasm", "parse_listing_with_report": "disasm",
+    "parse_operand": "disasm",
     "DdghashError": "errors", "EmptyCorpus": "errors", "EmptyGraph": "errors",
     "IncompatibleCorpora": "errors", "MalformedListing": "errors",
     "NoInstructionsFound": "errors", "UnknownProgram": "errors",

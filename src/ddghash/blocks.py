@@ -9,7 +9,6 @@ transfer can only ever sit in the final slot of its block.
 from bisect import bisect_left
 
 from . import FrozenRecord, isa
-from .disasm import FunctionListing
 from .features import DANGLING, EXTERNAL, INDIRECT
 from .isa import IMMEDIATE
 
@@ -37,8 +36,8 @@ def _direct_target(instr):
     return None
 
 
-def segment(listing: FunctionListing, first_id=0):
-    """Split a function into basic blocks numbered from first_id.
+def segment(listing, first_id=0):
+    """Split a FunctionListing into basic blocks numbered from first_id.
 
     A block passes control to the block after it (fall-through, the
     return of a call, the resumption after a trap) unless it ends in an

@@ -246,16 +246,16 @@ def cmd_matrix(args, corpus):
 def cmd_nearest(args, corpus):
     ranked = corpus.nearest(args.id, args.k)
     if args.format == "json":
-        _emit_json([r.as_dict() for _, r in ranked])
+        _emit_json([r.as_dict() for r in ranked])
     elif args.format == "csv":
         _emit_csv(
-            [[pid, decimal3(r.jaccard), decimal3(r.containment_b_in_a)]
-             for pid, r in ranked],
+            [[r.b_id, decimal3(r.jaccard), decimal3(r.containment_b_in_a)]
+             for r in ranked],
             ["program_id", "jaccard", "containment_in_query"],
         )
     else:
-        for rank, (pid, r) in enumerate(ranked, 1):
-            print(f"{rank}. {pid}  jaccard={decimal3(r.jaccard)}  "
+        for rank, r in enumerate(ranked, 1):
+            print(f"{rank}. {r.b_id}  jaccard={decimal3(r.jaccard)}  "
                   f"containment_in_query={decimal3(r.containment_b_in_a)}")
     return 0
 
@@ -331,11 +331,12 @@ def build_parser():
     p.add_argument("--id", help="program id (single input only; "
                    "defaults to the file stem); a letter or digit, then "
                    "letters, digits, '.', '_' or '-'")
+    defaults = FeatureParams()
     p.add_argument("--mode", choices=[m.value for m in LabelMode],
-                   default=LabelMode.OPERAND_CLASS.value)
+                   default=defaults.label_mode.value)
     p.add_argument("--policy", choices=[p.value for p in InstructionFamilyPolicy],
-                   default=InstructionFamilyPolicy.MOV_ONLY.value)
-    p.add_argument("--iters", type=positive_int, default=3)
+                   default=defaults.policy.value)
+    p.add_argument("--iters", type=positive_int, default=defaults.wl_iterations)
     p.add_argument("--keep-going", action="store_true",
                    help="continue past per-file failures")
     # checks across arguments exit through the same usage error as argparse's

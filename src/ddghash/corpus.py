@@ -355,16 +355,13 @@ class Corpus:
                 for i, a in enumerate(ids) for b in ids[i + 1:]}
 
     def nearest(self, query_id, k):
-        """Top-k neighbors by jaccard; ties break on how much of the
-        candidate sits inside the query, then on id."""
+        """The reports of the query against its top-k neighbors, each
+        neighbor the report's b_id, by jaccard; ties break on how much of
+        the neighbor sits inside the query, then on id."""
         query = self.load(query_id).feature_set
-        ranked = []
-        for pid in self.ids():
-            if pid == query_id:
-                continue
-            rep = compare(query, self.load(pid).feature_set)
-            ranked.append((pid, rep))
-        ranked.sort(key=lambda x: (-x[1].jaccard, -x[1].containment_b_in_a, x[0]))
+        ranked = [compare(query, self.load(pid).feature_set)
+                  for pid in self.ids() if pid != query_id]
+        ranked.sort(key=lambda r: (-r.jaccard, -r.containment_b_in_a, r.b_id))
         return ranked[:k]
 
     def find_containments(self, threshold):

@@ -42,8 +42,7 @@ class DataDependencyGraph(FrozenRecord):
         return len(self.nodes)
 
 
-def build_ddg(block, policy=InstructionFamilyPolicy.MOV_ONLY,
-              mode=LabelMode.OPERAND_CLASS):
+def build_ddg(block, policy: InstructionFamilyPolicy, mode: LabelMode):
     """Build the block's DDG; blocks without contributing instructions
     yield an empty graph that downstream hashing skips. Nodes, in id order,
     number the distinct operand texts 0..n-1 in order of first use, the

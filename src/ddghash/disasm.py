@@ -449,9 +449,3 @@ def parse_listing_with_report(text, syntax=None):
     if len(report.malformed) > MAX_MALFORMED_RATIO * report.instruction_shaped:
         raise MalformedListing(report)
     return functions, report
-
-
-def parse_listing(text, syntax=None):
-    """Parse a listing into FunctionListings (see parse_listing_with_report)."""
-    functions, _ = parse_listing_with_report(text, syntax=syntax)
-    return functions

@@ -28,7 +28,6 @@ class MalformedListing(DdghashError):
 
 class UnparsableOperand(DdghashError):
     def __init__(self, token):
-        self.token = token
         super().__init__(f"cannot parse operand {token!r}")
 
 
@@ -50,7 +49,6 @@ class ZeroVector(DdghashError):
 
 class UnknownProgram(DdghashError):
     def __init__(self, program_id):
-        self.program_id = program_id
         super().__init__(f"no program {program_id!r} in corpus")
 
 
@@ -59,7 +57,6 @@ class InvalidProgramId(DdghashError):
     outside the corpus."""
 
     def __init__(self, program_id):
-        self.program_id = program_id
         super().__init__(
             f"invalid program id {program_id!r}: use a letter or digit, "
             "then letters, digits, '.', '_' or '-'"

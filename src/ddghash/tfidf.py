@@ -21,18 +21,17 @@ OTHER = "other"
 class TermDictionary(FrozenRecord):
     """Frozen, but unhashable: its rules are a dict."""
 
-    __slots__ = ("stems", "rules", "_index", "_max_len", "_slots")
+    __slots__ = ("stems", "rules", "_index", "_slots")
 
     def __init__(self, stems, rules):
         assert len(stems) == len(set(stems))
         object.__setattr__(self, "stems", stems)  # 32 stems, fixed order
         object.__setattr__(self, "rules", rules)  # prefix pattern -> stem
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(stems)})
-        object.__setattr__(self, "_max_len", max(map(len, rules)))
         object.__setattr__(self, "_slots", {})  # mnemonic -> stem index
 
     def stem(self, mnemonic: str) -> str:
-        for length in range(min(len(mnemonic), self._max_len), 0, -1):
+        for length in range(len(mnemonic), 0, -1):
             hit = self.rules.get(mnemonic[:length])
             if hit is not None:
                 return hit

@@ -24,7 +24,7 @@ from ddghash.blocks import segment
 from ddghash.corpus import Corpus, FeatureFile, build_feature_file, \
     decode_feature_file, encode_feature_file
 from ddghash.ddg import InstructionFamilyPolicy, LabelMode, build_ddg
-from ddghash.disasm import parse_listing
+from ddghash.disasm import parse_listing_with_report
 from ddghash.features import FeatureParams, ProgramFeatureSet, compare
 from ddghash.tfidf import load_default_dictionary, tf_vector
 from ddghash.wlhash import wl_hash
@@ -128,7 +128,7 @@ def criterion_4_sample_block_end_to_end(tmp_path):
     has 5 nodes and 5 edges; tf vector mov=4 cmov=1 and=1 or=2 cmp=1 jmp=1
     total=10; two separate process runs write byte-identical feature
     files."""
-    fns = parse_listing(CMOV_BLOCK_INTEL)
+    fns, _ = parse_listing_with_report(CMOV_BLOCK_INTEL)
     blocks = segment(fns[0])
     assert len(blocks) == 1 and len(blocks[0].instructions) == 10
 
@@ -280,7 +280,8 @@ def criterion_9_parser_equivalence():
             pairs.append(objdump_listings(binary))
     counts = []
     for att_text, intel_text in pairs:
-        att_fns, intel_fns = parse_listing(att_text), parse_listing(intel_text)
+        (att_fns, _), (intel_fns, _) = map(parse_listing_with_report,
+                                           (att_text, intel_text))
         assert [f.addresses for f in att_fns] == [f.addresses for f in intel_fns]
         att = [i for f in att_fns for i in f.instructions]
         intel = [i for f in intel_fns for i in f.instructions]

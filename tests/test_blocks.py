@@ -2,14 +2,14 @@ import random
 from itertools import accumulate
 
 from ddghash.blocks import DANGLING, EXTERNAL, INDIRECT, segment
-from ddghash.disasm import parse_listing
+from ddghash.disasm import parse_listing_with_report
 from ddghash.isa import control_kind
 
 from fixtures import CMOV_BLOCK_INTEL, make_listing
 
 
 def _blocks_for(text):
-    fns = parse_listing(text)
+    fns, _ = parse_listing_with_report(text)
     assert len(fns) == 1
     return segment(fns[0])
 
@@ -47,7 +47,7 @@ def test_leader_rules():
         "mov    edx, esi",
         "ret",
     ])])
-    fn = parse_listing(text)[0]
+    fn = parse_listing_with_report(text)[0][0]
     blocks = segment(fn)
     assert _start_addresses(fn, blocks) == [0x1000, 0x1008, 0x100c]
     assert [len(b.instructions) for b in blocks] == [2, 1, 2]
@@ -161,7 +161,7 @@ def test_partition_property_random_functions():
     rng = random.Random(99)
     for _ in range(30):
         text = _random_function_text(rng, rng.randint(2, 60))
-        fn = parse_listing(text)[0]
+        fn = parse_listing_with_report(text)[0][0]
         blocks = segment(fn)
         rebuilt = tuple(i for b in blocks for i in b.instructions)
         assert rebuilt == fn.instructions
@@ -175,7 +175,7 @@ def test_leader_soundness_random_functions():
     rng = random.Random(1234)
     for _ in range(30):
         text = _random_function_text(rng, rng.randint(2, 60))
-        fn = parse_listing(text)[0]
+        fn = parse_listing_with_report(text)[0][0]
         blocks = segment(fn, first_id=7)
         assert [b.id for b in blocks] == list(range(7, 7 + len(blocks)))
         block_at = {address: b.id

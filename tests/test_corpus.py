@@ -16,7 +16,7 @@ from ddghash.cli import main
 from ddghash.corpus import (Corpus, FeatureFile, build_feature_file,
                             decode_feature_file, encode_feature_file)
 from ddghash.ddg import InstructionFamilyPolicy, LabelMode
-from ddghash.disasm import parse_listing
+from ddghash.disasm import parse_listing_with_report
 from ddghash.errors import (DdghashError, MalformedListing,
                             NoInstructionsFound, UnknownProgram)
 from ddghash.features import (FeatureParams, ProgramFeatureSet, compare,
@@ -207,7 +207,7 @@ def test_term_counts_are_one_tuple_in_block_order(listing):
     decoded = decode_feature_file(encode_feature_file(built))
     dictionary = load_default_dictionary()
     blocks = []
-    for fn in parse_listing(text):
+    for fn in parse_listing_with_report(text)[0]:
         blocks.extend(segment(fn, first_id=len(blocks)))
     assert [b.id for b in blocks] == list(range(len(blocks)))
     for ff in (built, decoded):
@@ -250,7 +250,8 @@ def test_nearest_subset_outranks_on_tie(tmp_path):
         "half": range(31, 91),     # J = 30/90 = 1/3
     })
     ranked = corpus.nearest("query", k=10)
-    assert [pid for pid, _ in ranked] == ["sub", "half", "other"]
+    assert [rep.b_id for rep in ranked] == ["sub", "half", "other"]
+    assert {rep.a_id for rep in ranked} == {"query"}
 
     tie = _build_corpus(tmp_path / "tie", {
         "query": range(1, 41),
@@ -259,9 +260,8 @@ def test_nearest_subset_outranks_on_tie(tmp_path):
         "even": range(1, 41),       # J = 1
     })
     ranked = tie.nearest("query", k=2)
-    assert ranked[0][0] == "even"
-    assert ranked[0][1].jaccard == 1
-    assert ranked[1][0] == "inner"
+    assert [rep.b_id for rep in ranked] == ["even", "inner"]
+    assert ranked[0].jaccard == 1
 
 
 def test_nearest_k_larger_than_corpus(tmp_path):

@@ -7,7 +7,7 @@ from ddghash import isa
 from ddghash.blocks import segment
 from ddghash.ddg import (InstructionFamilyPolicy, LabelMode, build_ddg,
                          node_label)
-from ddghash.disasm import parse_listing, parse_operand
+from ddghash.disasm import parse_listing_with_report, parse_operand
 
 from fixtures import CMOV_BLOCK_INTEL, gen_instructions, make_listing, render_listing
 
@@ -16,7 +16,7 @@ ALL_DATA = InstructionFamilyPolicy.ALL_DATA_OPERANDS
 
 
 def _block(text):
-    return segment(parse_listing(text)[0])[0]
+    return segment(parse_listing_with_report(text)[0][0])[0]
 
 
 def _edge_texts(graph):
@@ -162,7 +162,8 @@ def test_node_ids_count_from_zero_in_node_order(seed, count, att):
     # make_feature_set keys its digest memo on the labels in node order,
     # which is sound only while node i is the node with id i
     specs = gen_instructions(random.Random(seed), count)
-    for fn in parse_listing(render_listing(specs, att=att, seed=seed)):
+    functions, _ = parse_listing_with_report(render_listing(specs, att=att, seed=seed))
+    for fn in functions:
         for block in segment(fn):
             for mode in LabelMode:
                 for policy in InstructionFamilyPolicy:

@@ -10,7 +10,7 @@ from ddghash import isa
 from ddghash.cli import main
 from ddghash.disasm import (_LINE_RE, IMMEDIATE, MEMORY, REGISTER, Operand,
                             _parse_instruction, _split_operands, detect_syntax,
-                            parse_listing, parse_listing_with_report,
+                            parse_listing_with_report,
                             parse_operand)
 from ddghash.errors import (MalformedListing, NoInstructionsFound,
                             UnparsableOperand)
@@ -71,7 +71,7 @@ def test_detect_syntax_bare_branch_targets_abstain():
 
 
 def test_parse_sample_block_mnemonics():
-    fns = parse_listing(CMOV_BLOCK_INTEL)
+    fns, _ = parse_listing_with_report(CMOV_BLOCK_INTEL)
     assert len(fns) == 1
     assert fns[0].name == "update_flags"
     assert [i.mnemonic for i in fns[0].instructions] == [
@@ -81,7 +81,7 @@ def test_parse_sample_block_mnemonics():
 
 def test_parse_empty_string():
     with pytest.raises(NoInstructionsFound):
-        parse_listing("")
+        parse_listing_with_report("")
     # the form `objdump -d --prefix-addresses` prints is not read, and the
     # message says what is
     prefix_addresses = (
@@ -91,12 +91,12 @@ def test_parse_empty_string():
     with pytest.raises(NoInstructionsFound,
                        match=r"an indented hex address and ':', as `objdump -d` "
                              r"prints it \(`objdump --prefix-addresses` output"):
-        parse_listing(prefix_addresses)
+        parse_listing_with_report(prefix_addresses)
 
 
 def test_att_and_intel_renderings_agree():
-    intel = parse_listing(CMOV_BLOCK_INTEL)[0]
-    att = parse_listing(CMOV_BLOCK_ATT)[0]
+    intel = parse_listing_with_report(CMOV_BLOCK_INTEL)[0][0]
+    att = parse_listing_with_report(CMOV_BLOCK_ATT)[0][0]
     assert len(intel.instructions) == len(att.instructions)
     assert intel.addresses == att.addresses
     for a, b in zip(intel.instructions, att.instructions):
@@ -262,7 +262,7 @@ def test_rejected_instructions_raise_and_fail_ingest(tmp_path, capsys, syntax, a
 def test_listing_of_data_and_undecodable_bytes_has_no_instructions(tmp_path, capsys):
     text = make_listing([("f", [".byte  0x90", "(bad)", ".byte  0xff"])])
     with pytest.raises(NoInstructionsFound):
-        parse_listing(text)
+        parse_listing_with_report(text)
     listing = tmp_path / "p.objdump"
     listing.write_text(text)
     assert main(["-C", str(tmp_path / "corpus"), "ingest", str(listing)]) == 1
@@ -277,7 +277,7 @@ def test_operand_canonical_text_reparses_equal():
     texts += [path.read_text() for path in sorted(DATA.glob("*.objdump"))]
     assert len(texts) == 5
     for text in texts:
-        for fn in parse_listing(text):
+        for fn in parse_listing_with_report(text)[0]:
             for ins in fn.instructions:
                 for op in ins.operands:
                     assert parse_operand(op.text, "intel") == op
@@ -340,13 +340,13 @@ def test_generated_operand_canonical_text_reparses_equal(case):
 
 
 def test_round_trip_determinism():
-    a = parse_listing(CMOV_BLOCK_INTEL)
-    b = parse_listing(CMOV_BLOCK_INTEL)
+    a, _ = parse_listing_with_report(CMOV_BLOCK_INTEL)
+    b, _ = parse_listing_with_report(CMOV_BLOCK_INTEL)
     assert a == b
 
 
 def test_addresses_strictly_increasing():
-    fns = parse_listing(CMOV_BLOCK_INTEL)
+    fns, _ = parse_listing_with_report(CMOV_BLOCK_INTEL)
     addrs = list(fns[0].addresses)
     assert len(addrs) == len(fns[0].instructions)
     assert addrs == sorted(set(addrs))
@@ -360,7 +360,8 @@ def test_instructions_before_any_header_form_one_unnamed_function():
     fns, report = parse_listing_with_report(headerless)
     assert [(fn.name, fn.addresses) for fn in fns] == [
         ("unnamed_4a0", (0x4a0, 0x4a4, 0x4a8))]
-    assert fns[0].instructions == parse_listing(text)[0].instructions
+    (fn,), _ = parse_listing_with_report(text)
+    assert fns[0].instructions == fn.instructions
     assert (report.functions, report.instructions) == (1, 3)
 
 
@@ -378,7 +379,7 @@ def test_malformed_threshold():
     bad = "\n".join(f"    {0x1000 + i:x}:\t90\tmov [}}junk{{], eax"
                     for i in range(10))
     with pytest.raises(MalformedListing):
-        parse_listing(f"0000000000001000 <f>:\n{bad}\n")
+        parse_listing_with_report(f"0000000000001000 <f>:\n{bad}\n")
 
 
 def test_few_malformed_lines_tolerated():
@@ -424,7 +425,7 @@ def test_byte_continuation_and_data_lines_skipped():
 def test_prefixes_stripped_to_flags():
     text = make_listing([("f", ["lock xchg DWORD PTR [rdi], eax",
                                 "rep movsb"])])
-    fns = parse_listing(text)
+    fns, _ = parse_listing_with_report(text)
     first, second = fns[0].instructions
     assert first.mnemonic == "xchg"
     assert first.prefixes == ("lock",)
@@ -442,7 +443,7 @@ def test_annotations_and_comments_stripped():
         "    1005:\t48 8b 05 00 00 00 00\tmov    rax, QWORD PTR [rip+0x2c]"
         "        # 1dfd8 <x@Base>\n"
     )
-    fns = parse_listing(text)
+    fns, _ = parse_listing_with_report(text)
     call, mov = fns[0].instructions
     assert call.operands[0].kind == IMMEDIATE
     assert call.operands[0].value == 0x4016
@@ -452,8 +453,8 @@ def test_annotations_and_comments_stripped():
 def test_generated_corpus_parses_identically_in_both_syntaxes():
     rng = random.Random(2024)
     specs = gen_instructions(rng, 600)
-    intel_fns = parse_listing(render_listing(specs, att=False, seed=5))
-    att_fns = parse_listing(render_listing(specs, att=True, seed=6))
+    intel_fns, _ = parse_listing_with_report(render_listing(specs, att=False, seed=5))
+    att_fns, _ = parse_listing_with_report(render_listing(specs, att=True, seed=6))
     assert [f.addresses for f in intel_fns] == [f.addresses for f in att_fns]
     intel = [i for f in intel_fns for i in f.instructions]
     att = [i for f in att_fns for i in f.instructions]
@@ -469,7 +470,8 @@ def test_generated_corpus_parses_identically_in_both_syntaxes():
 ])
 def test_att_sign_extension_aliases_give_intel_records(att_name, intel_name):
     def records(name, syntax):
-        fn = parse_listing(make_listing([("f", [name])]), syntax=syntax)[0]
+        (fn,), _ = parse_listing_with_report(make_listing([("f", [name])]),
+                                             syntax=syntax)
         return [(address, i.mnemonic, i.operands, i.prefixes)
                 for address, i in zip(fn.addresses, fn.instructions)]
 
@@ -562,7 +564,7 @@ def test_repeated_malformed_text_reported_at_each_line():
 def test_repeated_text_gets_its_own_address():
     text = make_listing([("f", ["mov    eax, DWORD PTR [rbp-0x2c]", "nop",
                                 "mov    eax, DWORD PTR [rbp-0x2c]"])])
-    fn = parse_listing(text)[0]
+    fn = parse_listing_with_report(text)[0][0]
     first, _, third = fn.instructions
     assert first is third  # one record per distinct text
     assert (fn.addresses[0], fn.addresses[2]) == (0x1000, 0x1008)
@@ -572,9 +574,9 @@ def test_repeated_text_gets_its_own_address():
 def test_same_text_parses_per_syntax():
     # a bare number is a memory reference in AT&T and an immediate in Intel
     text = make_listing([("f", ["push   10", "push   10"])])
-    att = parse_listing(text, syntax="att")[0].instructions
-    intel = parse_listing(text, syntax="intel")[0].instructions
-    again = parse_listing(text, syntax="att")[0].instructions
+    att = parse_listing_with_report(text, syntax="att")[0][0].instructions
+    intel = parse_listing_with_report(text, syntax="intel")[0][0].instructions
+    again = parse_listing_with_report(text, syntax="att")[0][0].instructions
     assert att == again
     for a, b in zip(att, intel):
         assert a.operands == (parse_operand("[10]"),)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ddghash import features
 from ddghash.blocks import segment
 from ddghash.ddg import InstructionFamilyPolicy, LabelMode, build_ddg
-from ddghash.disasm import parse_listing
+from ddghash.disasm import parse_listing_with_report
 from ddghash.errors import IncompatibleCorpora
 from ddghash.features import (FeatureParams, ProgramFeatureSet, compare,
                               five_number_summary, make_feature_set)
@@ -91,7 +91,7 @@ def test_identities_on_random_pairs():
 
 def _segment_all(text):
     blocks = []
-    for fn in parse_listing(text):
+    for fn in parse_listing_with_report(text)[0]:
         blocks.extend(segment(fn, first_id=len(blocks)))
     return blocks
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from ddghash import isa
 from ddghash.blocks import segment
-from ddghash.disasm import parse_listing, parse_listing_with_report
+from ddghash.disasm import parse_listing_with_report
 from ddghash.features import (FeatureParams, InstructionFamilyPolicy,
                               LabelMode, make_feature_set)
 from ddghash.tfidf import load_default_dictionary, tf_vector
@@ -63,7 +63,8 @@ def _features(syntax, lines, mode, policy):
     """The hash (None for an empty DDG) and count row of the one block of a
     listing of lines. It starts far above every jump target, so no jump
     splits it."""
-    fn, = parse_listing(make_listing([("f", lines)], start=1 << 40), syntax=syntax)
+    (fn,), _ = parse_listing_with_report(
+        make_listing([("f", lines)], start=1 << 40), syntax=syntax)
     block, = segment(fn)
     _, block_map, _ = make_feature_set("p", [block], FeatureParams(mode, policy), {})
     return block_map.get(block.id), tf_vector(block, DICTIONARY)

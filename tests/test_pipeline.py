@@ -5,7 +5,7 @@ import random
 import ddghash
 from ddghash.corpus import build_feature_file
 from ddghash import isa
-from ddghash.disasm import IMMEDIATE, MEMORY, REGISTER, parse_listing
+from ddghash.disasm import IMMEDIATE, MEMORY, REGISTER, parse_listing_with_report
 from ddghash.features import FeatureParams
 from ddghash.wlhash import wl_refine
 
@@ -80,7 +80,7 @@ def test_wl_refine_accepts_caller_labels():
 def test_operand_field_invariants_on_generated_corpus():
     rng = random.Random(97)
     text = render_listing(gen_instructions(rng, 400), att=False, seed=9)
-    for fn in parse_listing(text):
+    for fn in parse_listing_with_report(text)[0]:
         for ins in fn.instructions:
             assert 0 <= len(ins.operands) <= 3
             for op in ins.operands:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ddghash.blocks import segment
-from ddghash.disasm import parse_listing
+from ddghash.disasm import parse_listing_with_report
 from ddghash.errors import EmptyCorpus, ZeroVector
 from ddghash.tfidf import (TermDictionary, cosine_similarity,
                            distribution_from_vectors, idf,
@@ -20,7 +20,7 @@ def _vec(counts):
 
 
 def _block(text):
-    return segment(parse_listing(text)[0])[0]
+    return segment(parse_listing_with_report(text)[0][0])[0]
 
 
 def test_dictionary_has_exactly_32_stems():
