@@ -197,6 +197,30 @@ def _term_counts(counts, stems, blocks, maybe_bools):
     return rows
 
 
+def _block_map(entries, blocks):
+    """Block index -> hash, in block order. Each key must be a block id
+    below `blocks`, spelt as the encoder spells it, and each hash a string."""
+    block_map = {}
+    for key, digest in entries.items():
+        i = int(key)
+        if not 0 <= i < blocks or str(i) != key:
+            raise ValueError(f"key {key!r} is not a block id below {blocks}")
+        if type(digest) is not str:
+            raise TypeError(f"block {key}: expected a string, not {json.dumps(digest)}")
+        block_map[i] = digest
+    return dict(sorted(block_map.items()))
+
+
+def _order_edges(pairs, block_map):
+    """The pairs as a frozenset of tuples: each must be two integers, both
+    keys of block_map."""
+    for pair in pairs:
+        if not (type(pair) is list and len(pair) == 2 and all(
+                type(end) is int and end in block_map for end in pair)):
+            raise ValueError(f"{json.dumps(pair)} is not a pair of block_map keys")
+    return frozenset(map(tuple, pairs))
+
+
 def _diagnostics(diag):
     if type(diag.get("blocks")) is not int or diag["blocks"] < 0:
         raise ValueError("expected a non-negative integer 'blocks' count")
@@ -237,11 +261,11 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
         counts = _build(source, "term_counts", _term_counts, counts, stems,
                         fs.diagnostics["blocks"],
                         text.find("true", pos) >= 0 or text.find("false", pos) >= 0)
+        hashed = _build(source, "block_map", _block_map, block_map,
+                        fs.diagnostics["blocks"])
         return dict(
-            block_map=_build(source, "block_map", lambda m: dict(
-                sorted((int(i), h) for i, h in m.items())), block_map),
-            order_edges=_build(source, "order_edges", lambda edges: frozenset(
-                (a, b) for a, b in edges), order_edges),
+            block_map=hashed, order_edges=_build(
+                source, "order_edges", _order_edges, order_edges, hashed),
             term_counts=counts, term_stems=stems, source_digest=digest,
             toolkit_version=toolkit)
 
@@ -375,29 +399,44 @@ class Corpus:
         rows.sort(key=lambda r: (-r[2], r[0], r[1]))
         return rows
 
+    def _stamps(self):
+        """Each program's file's inode, size and mtime: a save replaces the
+        file, so a program saved again has a new stamp."""
+        stamps = {}
+        for pid in self.ids():
+            st = self._path(pid).stat()
+            stamps[pid] = (st.st_ino, st.st_size, st.st_mtime_ns)
+        return stamps
+
     def rebuild_index(self):
         """Derive index.json from the feature files (they stay the source
-        of truth; the index is never read back for answers)."""
-        programs = {}
-        inverted = {}  # hash -> the ids that hold it, in id order as ids() is
-        for pid in self.ids():
-            fs = self.load(pid).feature_set
-            programs[pid] = {
-                "file": f"{pid}.features.json",
-                "hashes": len(fs.hashes),
-                # the writer counts every block, as term_counts has a row per block
-                "blocks": fs.diagnostics["blocks"],
+        of truth; the index is never read back for answers). The files are
+        stamped before they are loaded and again once the index is written:
+        a program that came, went or was saved again in between may be
+        missing from the index, so it is derived again."""
+        while True:
+            stamps = self._stamps()
+            programs = {}
+            inverted = {}  # hash -> the ids that hold it, in id order as ids() is
+            for pid in stamps:
+                fs = self.load(pid).feature_set
+                programs[pid] = {
+                    "file": f"{pid}.features.json",
+                    "hashes": len(fs.hashes),
+                    # the writer counts every block, as term_counts has a
+                    # row per block
+                    "blocks": fs.diagnostics["blocks"],
+                }
+                for h in fs.hashes:
+                    inverted.setdefault(h, []).append(pid)
+            index = {
+                "format_version": FORMAT_VERSION,
+                "programs": programs,
+                "inverted": inverted,
             }
-            for h in fs.hashes:
-                inverted.setdefault(h, []).append(pid)
-        index = {
-            "format_version": FORMAT_VERSION,
-            "programs": programs,
-            "inverted": inverted,
-        }
-        _write_atomic(self.root / "index.json", _dumps(index))
-        return index
-
+            _write_atomic(self.root / "index.json", _dumps(index))
+            if self._stamps() == stamps:
+                return index
 
 def _write_atomic(path: Path, payload: str):
     """Replace path with payload, as UTF-8, through a temp file named for

@@ -6,6 +6,7 @@ criterion either way.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -14,6 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":  # run as a script from a checkout: find its package
+    sys.path.insert(1, str(Path(__file__).resolve().parents[1] / "src"))
 
 import iso_oracle
 from fixtures import (CMOV_BLOCK_INTEL, CROSS_SYNTAX_BINARIES, gen_instructions,
@@ -37,6 +41,7 @@ def _cli(corpus, *argv, cwd=None):
     proc = subprocess.run(
         [sys.executable, "-m", "ddghash", "-C", str(corpus), *argv],
         capture_output=True, text=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -891,8 +891,12 @@ _QUERIES = (["compare", "true_att", "true_intel"],
     (lambda text: text.replace('"hashes":[', '"hashes":[1,', 1), _QUERIES),
     (lambda text: re.sub(r'"term_stems":\[[^]]*\]', '"term_stems":[]', text, count=1),
      [["tfstats", "true_att"], ["tfstats", "true_att", "--vectors"]]),
+    # block_map is checked with the other file-only members
+    (lambda text: text.replace('"block_map":{"', '"block_map":{"0', 1),
+     [["tfstats", "true_att"], ["tfstats", "true_att", "--vectors"]]),
 ], ids=["truncated", "missing_member", "not_utf8", "count_not_int", "deep_nesting",
-        "blocks_not_int", "text_after_document", "hash_not_str", "no_stems"])
+        "blocks_not_int", "text_after_document", "hash_not_str", "no_stems",
+        "block_id_padded"])
 def test_corrupt_feature_file_fails_cleanly(tmp_path, capsys, mutate, queries):
     corpus, path = _corrupt_corpus(tmp_path, mutate)
     for argv in queries:

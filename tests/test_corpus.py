@@ -97,13 +97,21 @@ def _sub(pattern, replacement):
     *(lambda t, v=v: replace_first_count(t, v)
       for v in ('"x"', "-1", "true", "1.5", "null", "[1]")),
     nest_hashes,
+    # the encoder would write back what the fill builds of these
+    _sub(r'("block_map":\s*\{\s*")', r'\g<1>0'),
+    _sub(r'("block_map":\s*\{\s*")', r'\1-'),
+    _sub(r'("block_map":\s*\{\s*"\d+":\s*)"\w+"', r'\g<1>5'),
+    _sub(r'("order_edges":\s*\[\s*)\[[^]]*\]', r'\1[true, "x"]'),
+    _sub(r'("order_edges":\s*\[\s*)\[[^]]*\]', r'\1[0, 99999]'),
 ], ids=["renamed", "extra_inside", "extra_last", "no_comma", "bad_value",
         "digest_bits_64", "wl_iterations_0", "count_str", "count_negative",
-        "count_bool", "count_float", "count_null", "count_list", "deep_nesting"])
+        "count_bool", "count_float", "count_null", "count_list", "deep_nesting",
+        "block_id_padded", "block_id_negative", "block_hash_not_str",
+        "order_pair_not_ints", "order_end_not_hashed"])
 def test_non_canonical_text_names_source(mutate):
     for text in _layouts(encode_feature_file(_random_feature_file(random.Random(3)))):
         assert mutate(text) != text
-        with pytest.raises(DdghashError, match="^corp/p.features.json: "):
+        with pytest.raises(DdghashError, match="^corp/p.features.json: member '"):
             # repr reads every member; most are decoded on first read
             repr(decode_feature_file(mutate(text), "corp/p.features.json"))
 
@@ -336,6 +344,28 @@ def test_index_consistency(tmp_path):
     for h, pids in index["inverted"].items():
         for pid in pids:
             assert h in corpus.load(pid).feature_set.hashes
+
+
+def test_index_lists_an_ingest_saved_while_it_was_rebuilt(tmp_path):
+    # two writers on one directory: B saves a program and rebuilds the
+    # index while A's rebuild is loading the files it listed before
+    a = _build_corpus(tmp_path, {"a": range(1, 21)})
+    b = Corpus(a.root)
+    load = a.load
+
+    def load_while_b_ingests(pid):
+        if "b" not in b.ids():
+            b.ingest(star_program(range(10, 31)), "b", PARAMS)
+            b.rebuild_index()
+        return load(pid)
+
+    a.load = load_while_b_ingests
+    index = a.rebuild_index()
+    written = (a.root / "index.json").read_bytes()
+    assert list(index["programs"]) == ["a", "b"]
+    assert json.loads(written) == index
+    assert Corpus(a.root).rebuild_index() == index
+    assert (a.root / "index.json").read_bytes() == written
 
 
 def test_decoded_hashes_are_stored_once(tmp_path):
