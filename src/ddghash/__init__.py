@@ -10,6 +10,7 @@ query never imports the ingest pipeline (disasm, blocks, ddg, wlhash,
 tfidf).
 """
 
+import gc
 from importlib import import_module
 from operator import attrgetter
 
@@ -45,6 +46,21 @@ def lazy_names(namespace, homes):
                 bind(name)
 
     return __getattr__, bind_all
+
+
+class collector_paused:
+    """A context manager that pauses the cyclic garbage collector for its
+    block and restores it as it was found, also when the block raises.
+    The restore allocates nothing, so a process that ends through _exit
+    right after it runs no collection."""
+
+    def __enter__(self):
+        self._collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self._collecting:
+            gc.enable()
 
 
 class Record:

@@ -15,7 +15,6 @@ standard output early, 2 usage error.
 """
 
 import argparse
-import gc
 import io
 import json
 import math
@@ -25,7 +24,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, lazy_names
+from . import __version__, collector_paused, lazy_names
 from .corpus import Corpus, check_program_id
 from .errors import DdghashError, InvalidProgramId
 from .features import (FeatureParams, InstructionFamilyPolicy, LabelMode,
@@ -375,33 +374,32 @@ def build_parser():
 
 def main(argv=None):
     """Run one command; return its exit code. A usage error, --help and
-    --version raise SystemExit, as argparse does."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    corpus = Corpus(args.corpus or os.environ.get("DDGHASH_CORPUS") or "corpus")
-    try:
-        return args.func(args, corpus)
-    except BrokenPipeError:
-        raise  # the reader of our output has gone: see run()
-    except (DdghashError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    --version raise SystemExit, as argparse does. The cyclic collector is
+    paused for the whole command and restored as it was found."""
+    with collector_paused():
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        corpus = Corpus(args.corpus or os.environ.get("DDGHASH_CORPUS") or "corpus")
+        try:
+            return args.func(args, corpus)
+        except BrokenPipeError:
+            raise  # the reader of our output has gone: see run()
+        except (DdghashError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def run():
     """The ddghash command, for `python -m ddghash` and the console script:
     main() on the process's arguments, then the process ends once stdout
-    and stderr are flushed.
+    and stderr are flushed, with main's code or a SystemExit's.
 
-    The cyclic collector stays paused for the whole command, and the
-    process ends at once through _exit, which skips the interpreter's
+    The process ends at once through _exit, which skips the interpreter's
     teardown and so any atexit handler: every file a command writes is
-    closed before main returns. A SystemExit's code is kept as sys.exit
-    would keep it. When the reader of stdout has gone, the command says
-    nothing more and exits 1. Any other exception ends the process as
-    usual, with a traceback.
+    closed before main returns. When the reader of stdout has gone, the
+    command says nothing more and exits 1. Any other exception ends the
+    process as usual, with a traceback.
     """
-    gc.disable()
     try:
         try:
             code = main()
@@ -414,11 +412,6 @@ def run():
         # (the SIGPIPE note of the signal module's docs)
         if sys.stdout is not None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    if code is None:
-        code = 0
-    elif not isinstance(code, int):
-        print(code, file=sys.stderr)
         code = 1
     if sys.stderr is not None:
         sys.stderr.flush()

@@ -16,7 +16,7 @@ import re
 from itertools import chain
 from pathlib import Path
 
-from . import Record, __version__, lazy_names
+from . import Record, __version__, collector_paused, lazy_names
 from .errors import DdghashError, InvalidProgramId, UnknownProgram
 from .features import (FeatureParams, ProgramFeatureSet, compare,
                        make_feature_set)
@@ -284,19 +284,15 @@ def build_feature_file(text: str, program_id: str,
     rows share one tuple. The text's digest is taken before the parse, so
     its UTF-8 copy is gone before the parse's records are made.
 
-    The cyclic garbage collector is paused for the build and restored as
-    it was found, also when the build raises. The build makes no
-    reference cycles, so reference counting frees all it drops, while
+    The cyclic garbage collector is paused for the build: the build makes
+    no reference cycles, so reference counting frees all it drops, while
     each full collection would rescan every record, block and count row
     still alive.
     """
-    import gc
     from hashlib import sha256
 
     _bind_pipeline()
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         source_digest = "sha256:" + sha256(text.encode("utf-8")).hexdigest()
         functions, report = parse_listing_with_report(text)
         dictionary = load_default_dictionary()
@@ -315,9 +311,6 @@ def build_feature_file(text: str, program_id: str,
         return FeatureFile(fs, block_map, order_edges, tuple(term_counts),
                            dictionary.stems, source_digest,
                            distinct_asm_texts=report.distinct_asm_texts)
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def check_program_id(program_id):

@@ -1,8 +1,10 @@
 """`python -m ddghash` and the console script end through cli.run: the
 exit code, the output a command flushes before its process ends, and a
-quiet end when the reader of standard output has gone. Each command runs
-in a fresh interpreter, as a user runs it."""
+quiet end when the reader of standard output has gone. Each such command
+runs in a fresh interpreter, as a user runs it. cli.main, which they
+run, pauses the collector for the command wherever it is called."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from ddghash.cli import main
+from ddghash.corpus import Corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -50,10 +53,9 @@ def test_exit_codes(corpus, argv, code, out, err):
 
 @pytest.mark.parametrize("body, code, err", [
     ("return 3", 3, ""),
-    ("sys.exit()", 0, ""),
-    ("sys.exit('stopped')", 1, "stopped\n"),
+    ("sys.exit(2)", 2, ""),
     ("raise ZeroDivisionError('bug')", 1, "ZeroDivisionError: bug\n"),
-], ids=["returned", "exit_none", "exit_text", "bug"])
+], ids=["returned", "exit_code", "bug"])
 def test_run_keeps_the_code_sys_exit_gives(body, code, err):
     # a bug still ends with its traceback, through the usual exit
     proc = _python("-c", "import sys\nfrom ddghash import cli\n"
@@ -61,6 +63,38 @@ def test_run_keeps_the_code_sys_exit_gives(body, code, err):
                    capture_output=True, text=True)
     assert proc.returncode == code
     assert proc.stderr.endswith(err) and (err or not proc.stderr)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, code, loads", [
+    (["compare", "true_att", "true_intel"], 0, 2),
+    (["compare", "true_att", "nosuch"], 1, 2),
+    (["compare", "true_att"], 2, 0),
+    (["--version"], 0, 0),
+], ids=["returns", "reports_an_error", "usage_error", "version"])
+def test_main_pauses_the_collector_and_restores_it(corpus, monkeypatch, capsys,
+                                                   enabled, argv, code, loads):
+    # a command run in-process is the program `python -m ddghash` runs
+    during = []
+    load = Corpus.load
+
+    def spy(self, program_id):
+        during.append(gc.isenabled())
+        return load(self, program_id)
+
+    monkeypatch.setattr(Corpus, "load", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            returned = main(["-C", str(corpus), *argv])
+        except SystemExit as exc:  # argparse's exits
+            returned = exc.code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert returned == code
+    assert during == [False] * loads
 
 
 @pytest.mark.parametrize("argv, size", [
