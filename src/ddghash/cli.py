@@ -327,9 +327,8 @@ def build_parser():
 
     p = sub.add_parser("ingest", help="extract features from listings")
     p.add_argument("paths", nargs="+", metavar="listing")
-    p.add_argument("--id", help="program id (single input only; "
-                   "defaults to the file stem); a letter or digit, then "
-                   "letters, digits, '.', '_' or '-'")
+    p.add_argument("--id", help="program id (single input only; defaults to "
+                   f"the file stem): {InvalidProgramId.rule}")
     defaults = FeatureParams()
     p.add_argument("--mode", choices=[m.value for m in LabelMode],
                    default=defaults.label_mode.value)

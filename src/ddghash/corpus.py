@@ -30,7 +30,9 @@ __getattr__, _bind_pipeline = lazy_names(globals(), {
 
 FORMAT_VERSION = 1
 
-_PROGRAM_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+# InvalidProgramId.rule; at 200 characters, the longest temp name
+# _write_atomic makes (with a 7-digit pid) is 236 bytes, under NAME_MAX
+_PROGRAM_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,199}")
 
 # top-level keys of a feature file, in the order sort_keys writes them
 _MEMBERS = ("block_map", "diagnostics", "format_version", "hashes",
@@ -161,10 +163,30 @@ def _build(source, key, build, *values):
         raise _error(source, key, exc) from None
 
 
+def _string(value):
+    if type(value) is not str:
+        raise TypeError("expected a string")
+    return value
+
+
 def _strings(value):
     if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
         raise TypeError("expected a list of strings")
     return value
+
+
+def _hashes(hashes):
+    """The hashes as a frozenset. They must be non-empty strings in strictly
+    increasing order, as the writer sorts the distinct hashes; one pass
+    checks both."""
+    if type(hashes) is not list:
+        raise TypeError("expected a list of strings")
+    previous = ""
+    for h in hashes:
+        if type(h) is not str or h <= previous:
+            raise ValueError("expected strictly increasing non-empty strings")
+        previous = h
+    return frozenset(hashes)
 
 
 def _term_stems(stems):
@@ -206,7 +228,7 @@ def _block_map(entries, blocks):
         if not 0 <= i < blocks or str(i) != key:
             raise ValueError(f"key {key!r} is not a block id below {blocks}")
         if type(digest) is not str:
-            raise TypeError(f"block {key}: expected a string, not {json.dumps(digest)}")
+            raise TypeError(f"block {key}: expected a string")
         block_map[i] = digest
     return dict(sorted(block_map.items()))
 
@@ -214,10 +236,10 @@ def _block_map(entries, blocks):
 def _order_edges(pairs, block_map):
     """The pairs as a frozenset of tuples: each must be two integers, both
     keys of block_map."""
-    for pair in pairs:
+    for i, pair in enumerate(pairs):
         if not (type(pair) is list and len(pair) == 2 and all(
                 type(end) is int and end in block_map for end in pair)):
-            raise ValueError(f"{json.dumps(pair)} is not a pair of block_map keys")
+            raise ValueError(f"entry {i} is not a pair of block_map keys")
     return frozenset(map(tuple, pairs))
 
 
@@ -245,10 +267,10 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
     (hashes, order_edges, params, program_id), pos = _walk(
         text, source, _MEMBERS[3:7], pos)
     fs = ProgramFeatureSet(
-        program_id,
+        _build(source, "program_id", _string, program_id),
         _build(source, "params", FeatureParams.from_dict, params),
         _build(source, "diagnostics", _diagnostics, diagnostics),
-        _build(source, "hashes", lambda h: frozenset(_strings(h)), hashes),
+        _build(source, "hashes", _hashes, hashes),
     )
 
     def fill():
@@ -266,8 +288,9 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
         return dict(
             block_map=hashed, order_edges=_build(
                 source, "order_edges", _order_edges, order_edges, hashed),
-            term_counts=counts, term_stems=stems, source_digest=digest,
-            toolkit_version=toolkit)
+            term_counts=counts, term_stems=stems,
+            source_digest=_build(source, "source_digest", _string, digest),
+            toolkit_version=_build(source, "toolkit_version", _string, toolkit))
 
     ff = FeatureFile.__new__(FeatureFile)  # the other fields wait for fill()
     ff.feature_set, ff.distinct_asm_texts, ff._fill = fs, None, fill

@@ -16,13 +16,16 @@ class NoInstructionsFound(DdghashError):
 
 
 class MalformedListing(DdghashError):
-    """Too many instruction-shaped lines failed to parse (> threshold)."""
+    """Too many instruction-shaped lines failed to parse (> threshold).
+    The message names the first of them."""
 
     def __init__(self, report):
         self.report = report
+        line_no, reason, _ = report.malformed[0]
         super().__init__(
             f"{len(report.malformed)} of {report.instruction_shaped} "
-            "instruction-shaped lines are malformed"
+            f"instruction-shaped lines are malformed, the first at line "
+            f"{line_no}: {reason}"
         )
 
 
@@ -54,10 +57,11 @@ class UnknownProgram(DdghashError):
 
 class InvalidProgramId(DdghashError):
     """A program id outside the safe charset, which could name a path
-    outside the corpus."""
+    outside the corpus, or too long to fit in a file name."""
+
+    # the rule's one wording, for this message and ingest's --id help
+    rule = ("a letter or digit, then letters, digits, '.', '_' or '-', "
+            "200 characters at most")
 
     def __init__(self, program_id):
-        super().__init__(
-            f"invalid program id {program_id!r}: use a letter or digit, "
-            "then letters, digits, '.', '_' or '-'"
-        )
+        super().__init__(f"invalid program id {program_id!r}: use {self.rule}")

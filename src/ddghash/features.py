@@ -69,7 +69,12 @@ class FeatureParams(FrozenRecord):
 
     @classmethod
     def from_dict(cls, p):
-        """The inverse of as_dict, for a feature file's params member."""
+        """The inverse of as_dict, for a feature file's params member, which
+        must hold the keys as_dict writes and no other: programs compare
+        only when their params members are equal."""
+        keys = cls().as_dict().keys()
+        if p.keys() != keys:
+            raise ValueError(f"expected the keys {sorted(keys)}, not {sorted(p)}")
         if type(p["digest_bits"]) is not int or p["digest_bits"] != DIGEST_BITS:
             raise ValueError(f"unsupported digest_bits {p['digest_bits']!r}")
         return cls(

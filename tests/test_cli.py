@@ -838,6 +838,29 @@ def test_query_rejects_unsafe_id(tmp_path, capsys):
         assert err.startswith("error: invalid program id '../outside'")
 
 
+def test_every_id_fits_in_a_file_name(tmp_path, capsys):
+    # the temp name of a 200-character id's file is 236 bytes at most
+    src = tmp_path / "p.objdump"
+    src.write_text(star_program(range(1, 5)))
+    corpus = str(tmp_path / "corpus")
+    longest, too_long = "a" * 200, "b" * 201
+    assert run(capsys, "-C", corpus, "ingest", str(src), "--id", longest)[0] == 0
+    long_stem = tmp_path / f"{too_long}.objdump"
+    long_stem.write_text(src.read_text())
+    # refused before any listing is read: the first does not exist
+    for argv in ([str(tmp_path / "none.objdump"), "--id", too_long],
+                 [str(long_stem)]):
+        code, _, err = run(capsys, "-C", corpus, "ingest", *argv)
+        assert code == 2 and f"invalid program id '{too_long}'" in err, argv
+    for argv in (["compare", too_long, longest], ["nearest", too_long],
+                 ["tfstats", too_long], ["matrix", longest, too_long],
+                 ["compare", "c" * 250, longest]):
+        code, out, err = run(capsys, "-C", corpus, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: invalid program id '"), argv
+    assert run(capsys, "-C", corpus, "compare", longest, longest)[0] == 0
+
+
 def test_queries_refuse_a_file_named_for_another_program(tmp_path, capsys):
     corpus = _seed_corpus(tmp_path, {"a": range(1, 5), "b": range(3, 9)})
     copy = tmp_path / "corpus" / "copy.features.json"

@@ -103,17 +103,40 @@ def _sub(pattern, replacement):
     _sub(r'("block_map":\s*\{\s*"\d+":\s*)"\w+"', r'\g<1>5'),
     _sub(r'("order_edges":\s*\[\s*)\[[^]]*\]', r'\1[true, "x"]'),
     _sub(r'("order_edges":\s*\[\s*)\[[^]]*\]', r'\1[0, 99999]'),
+    # params that differ compare as different settings; hashes are written
+    # sorted and distinct; the other three members are strings
+    _sub(r'("digest_bits":\s*128)', r'\1, "extra": 1'),
+    _sub(r'("hashes":\s*\[\s*)("\w+")(\s*,\s*)("\w+")', r'\1\4\3\2'),
+    _sub(r'("hashes":\s*\[\s*)("\w+")', r'\1\2, \2'),
+    _sub(r'("program_id":\s*)"\w+"', r'\g<1>5'),
+    _sub(r'("source_digest":\s*)"[^"]+"', r'\1[1, 2]'),
+    _sub(r'("toolkit_version":\s*)"[^"]+"', r'\1{"x": 1}'),
 ], ids=["renamed", "extra_inside", "extra_last", "no_comma", "bad_value",
         "digest_bits_64", "wl_iterations_0", "count_str", "count_negative",
         "count_bool", "count_float", "count_null", "count_list", "deep_nesting",
         "block_id_padded", "block_id_negative", "block_hash_not_str",
-        "order_pair_not_ints", "order_end_not_hashed"])
+        "order_pair_not_ints", "order_end_not_hashed", "params_extra_key",
+        "hashes_unsorted", "hashes_repeated", "program_id_not_str",
+        "source_digest_not_str", "toolkit_version_not_str"])
 def test_non_canonical_text_names_source(mutate):
     for text in _layouts(encode_feature_file(_random_feature_file(random.Random(3)))):
         assert mutate(text) != text
         with pytest.raises(DdghashError, match="^corp/p.features.json: member '"):
             # repr reads every member; most are decoded on first read
             repr(decode_feature_file(mutate(text), "corp/p.features.json"))
+
+
+@pytest.mark.parametrize("mutate", [
+    _sub(r'("block_map":\s*\{\s*"\d+":\s*)"\w+"', r'\g<1>' + "[" * 500 + "]" * 500),
+    _sub(r'("order_edges":\s*\[\s*)\[[^]]*\]', r'\1' + "[" * 500 + "]" * 500),
+], ids=["block_hash", "order_pair"])
+def test_an_error_does_not_render_the_value_it_refuses(mutate):
+    # a value nested just short of the recursion limit decodes, and
+    # rendering it again for the message would raise RecursionError
+    text = mutate(encode_feature_file(_random_feature_file(random.Random(3))))
+    with pytest.raises(DdghashError) as info:
+        repr(decode_feature_file(text, "corp/p.features.json"))
+    assert "[[" not in str(info.value)
 
 
 def test_ingest_dedup_counts(tmp_path):

@@ -245,9 +245,10 @@ def test_every_malformed_reason_is_an_operand_or_an_address(att):
 
 @pytest.mark.parametrize("syntax, asm", _REJECTED, ids=[asm for _, asm in _REJECTED])
 def test_rejected_instructions_raise_and_fail_ingest(tmp_path, capsys, syntax, asm):
-    with pytest.raises(UnparsableOperand):
+    with pytest.raises(UnparsableOperand) as info:
         _parse_instruction(asm, syntax)
-    # a listing of that one line is all malformed, so ingest refuses it
+    # a listing of that one line, its line 6, is all malformed, so ingest
+    # refuses it and says where
     listing = tmp_path / "p.objdump"
     listing.write_text(make_listing([("f", [asm])]))
     assert detect_syntax(listing.read_text()) == syntax
@@ -255,7 +256,8 @@ def test_rejected_instructions_raise_and_fail_ingest(tmp_path, capsys, syntax, a
     assert main(["-C", str(corpus), "ingest", str(listing)]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"{listing}: 1 of 1 instruction-shaped lines "
-                              "are malformed\n")
+                              f"are malformed, the first at line 6: "
+                              f"{info.value}\n")
     assert not corpus.exists() or not any(corpus.iterdir())
 
 

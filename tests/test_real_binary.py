@@ -6,12 +6,15 @@ the long tail of real listings: plt stubs, bnd/cs prefixes, multi-byte
 nops, indirect calls, rip-relative negative displacements, and the
 implicit shift-by-one form. Where objdump and base64 are installed, the
 parser checks also run on base64's listings, made when the tests run, and
-the cross-syntax check also on those of the other CROSS_SYNTAX_BINARIES.
+the cross-syntax check also on those of the other CROSS_SYNTAX_BINARIES,
+and, where gcc is installed too, on those of tests/data/forms.c.
 Where apt-cache is installed, its demangled listing must read like its
 plain one.
 """
 
 import re
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -46,21 +49,42 @@ def test_full_listing_parses_cleanly():
         assert report.instructions == 2534
 
 
+def _assert_same_records(att, intel):
+    att_fns, _ = parse_listing_with_report(att)
+    intel_fns, _ = parse_listing_with_report(intel)
+    assert [f.name for f in att_fns] == [f.name for f in intel_fns]
+    for fa, fb in zip(att_fns, intel_fns):
+        assert fa.addresses == fb.addresses
+        assert len(fa.instructions) == len(fb.instructions)
+        for a, b in zip(fa.instructions, fb.instructions):
+            assert (a.mnemonic, a.operands, a.prefixes) == \
+                (b.mnemonic, b.operands, b.prefixes)
+
+
 def test_syntaxes_normalize_to_identical_records():
     pairs = [(ATT, INTEL)]
     for binary in CROSS_SYNTAX_BINARIES:
         if objdump_listings(binary) is not None:
             pairs.append(objdump_listings(binary))
     for att, intel in pairs:
-        att_fns, _ = parse_listing_with_report(att)
-        intel_fns, _ = parse_listing_with_report(intel)
-        assert [f.name for f in att_fns] == [f.name for f in intel_fns]
-        for fa, fb in zip(att_fns, intel_fns):
-            assert fa.addresses == fb.addresses
-            assert len(fa.instructions) == len(fb.instructions)
-            for a, b in zip(fa.instructions, fb.instructions):
-                assert (a.mnemonic, a.operands, a.prefixes) == \
-                    (b.mnemonic, b.operands, b.prefixes)
+        _assert_same_records(att, intel)
+
+
+def test_forms_built_locally_normalize_to_identical_records(tmp_path):
+    # tests/data/forms.c holds forms no installed binary was found to hold
+    if shutil.which("gcc") is None or shutil.which("objdump") is None:
+        pytest.skip("needs gcc and objdump")
+    obj = tmp_path / "forms.o"
+    subprocess.run(["gcc", "-O1", "-mavx", "-minline-all-stringops",
+                    "-mstringop-strategy=rep_byte", "-c", str(DATA / "forms.c"),
+                    "-o", str(obj)], check=True)
+    att, intel = objdump_text(obj), objdump_text(obj, "-M", "intel")
+    for form in ("repz cmpsb %es:(%rdi),%ds:(%rsi)",
+                 "vcvtsi2sdq (%rdi),%xmm0,%xmm0", "vcvtsi2ssl (%rdi),%xmm0,%xmm0"):
+        assert form in att
+    for text in (att, intel):
+        assert parse_listing_with_report(text)[1].malformed == []
+    _assert_same_records(att, intel)
 
 
 def test_demangled_listing_reads_like_the_plain_one():
