@@ -7,10 +7,14 @@ transfer can only ever sit in the final slot of its block.
 """
 
 from bisect import bisect_left
+from itertools import compress
+from operator import attrgetter
 
 from . import FrozenRecord, isa
 from .features import DANGLING, EXTERNAL, INDIRECT
 from .isa import IMMEDIATE
+
+_MNEMONIC = attrgetter("mnemonic")
 
 
 class BasicBlock(FrozenRecord):
@@ -50,15 +54,14 @@ def segment(listing, first_id=0):
 
     leaders = {0}
     transfers = {}  # index -> (falls through, target index or None, exit)
-    for i, ins in enumerate(instrs):
-        kind = isa.control_kind(ins.mnemonic)
-        if kind is None:
-            continue
+    kinds = list(map(isa.control_kind, map(_MNEMONIC, instrs)))
+    for i in compress(range(len(kinds)), kinds):  # the control transfers
+        kind = kinds[i]
         if i + 1 < len(instrs):
             leaders.add(i + 1)
         target = exit = None
         if kind in ("jump", "cond"):
-            address = _direct_target(ins)
+            address = _direct_target(instrs[i])
             if address is None:
                 exit = INDIRECT
             else:
@@ -75,15 +78,9 @@ def segment(listing, first_id=0):
     blocks = []
     for start, end in zip(starts, starts[1:] + [len(instrs)]):
         falls, target, exit = transfers.get(end - 1, (True, None, None))
-        successors = {ids[target]} if target is not None else set()
+        successors = [] if target is None else [ids[target]]
         if falls and end in ids:
-            successors.add(ids[end])
-        blocks.append(
-            BasicBlock(
-                id=ids[start],
-                instructions=tuple(instrs[start:end]),
-                successors=frozenset(successors),
-                exit=exit,
-            )
-        )
+            successors.append(ids[end])
+        blocks.append(BasicBlock(ids[start], tuple(instrs[start:end]),
+                                 frozenset(successors), exit))
     return blocks

@@ -15,6 +15,7 @@ standard output early, 2 usage error.
 """
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -398,7 +399,13 @@ def run():
     closed before main returns. When the reader of stdout has gone, the
     command says nothing more and exits 1. Any other exception ends the
     process as usual, with a traceback.
+
+    The collector is off from the start and stays off: main would find it
+    on and restore it, and a SystemExit from argparse then gains a
+    traceback entry here, an allocation that starts a collection the
+    ending process has no use for.
     """
+    gc.disable()
     try:
         try:
             code = main()

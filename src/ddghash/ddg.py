@@ -9,17 +9,23 @@ with two or more operands contribute edges from each source-position
 operand to its first (destination) operand.
 """
 
-from . import FrozenRecord, isa
+from functools import lru_cache
+from operator import attrgetter
+
+from . import FrozenRecord
 from .features import InstructionFamilyPolicy, LabelMode
+from .isa import MOV_FAMILY as _MOV_FAMILY
+
+
+# each mode's label of an operand
+_LABEL_OF = {LabelMode.UNLABELED: lambda operand: "*",
+             LabelMode.OPERAND_CLASS: attrgetter("kind"),
+             LabelMode.LITERAL: attrgetter("text")}
 
 
 def node_label(operand, mode: LabelMode):
     """The node's label: "*", the operand's kind (its class label) or text."""
-    if mode is LabelMode.UNLABELED:
-        return "*"
-    if mode is LabelMode.OPERAND_CLASS:
-        return operand.kind
-    return operand.text
+    return _LABEL_OF[mode](operand)
 
 
 class DdgNode(FrozenRecord):
@@ -42,18 +48,24 @@ class DataDependencyGraph(FrozenRecord):
         return len(self.nodes)
 
 
+# one graph for every block without a contributing instruction
+_EMPTY = DataDependencyGraph((), frozenset())
+# a node is a pure value, and its ids and labels repeat across blocks
+_node = lru_cache(maxsize=4096)(DdgNode)
+
+
 def build_ddg(block, policy: InstructionFamilyPolicy, mode: LabelMode):
     """Build the block's DDG; blocks without contributing instructions
-    yield an empty graph that downstream hashing skips. Nodes, in id order,
+    share one empty graph, which downstream hashing skips. Nodes, in id order,
     number the distinct operand texts 0..n-1 in order of first use, the
     source of an edge before its destination."""
     all_data = policy is InstructionFamilyPolicy.ALL_DATA_OPERANDS
     ids = {}  # operand text -> node id
-    nodes = []
+    members = []  # the operand first seen of each node, in id order
     edges = set()
     for ins in block.instructions:
         operands = ins.operands
-        if ins.mnemonic in isa.MOV_FAMILY:
+        if ins.mnemonic in _MOV_FAMILY:
             if len(operands) != 2:
                 continue
             dst, src = operands
@@ -66,12 +78,17 @@ def build_ddg(block, policy: InstructionFamilyPolicy, mode: LabelMode):
             flows = [(src, dst) for src in operands[1:]] or ((dst, dst),)
         else:
             continue
-        for flow in flows:
-            for operand in flow:
-                if operand.text not in ids:
-                    ids[operand.text] = len(nodes)
-                    nodes.append(DdgNode(len(nodes), node_label(operand, mode)))
-            s, d = ids[flow[0].text], ids[flow[1].text]
+        for src, dst in flows:
+            s = ids.setdefault(src.text, len(members))
+            if s == len(members):
+                members.append(src)
+            d = ids.setdefault(dst.text, len(members))
+            if d == len(members):
+                members.append(dst)
             if s != d:  # a self-move keeps its node but carries no dependency
                 edges.add((s, d))
-    return DataDependencyGraph(tuple(nodes), frozenset(edges))
+    if not members:
+        return _EMPTY
+    return DataDependencyGraph(
+        tuple(map(_node, range(len(members)), map(_LABEL_OF[mode], members))),
+        frozenset(edges))

@@ -113,7 +113,6 @@ _SIZE_QUALIFIER_RE = re.compile(
     re.IGNORECASE,
 )
 _SEGMENT_RE = re.compile(r"^%?(cs|ds|es|fs|gs|ss):")
-_OPERAND_PUNCT_RE = re.compile(r"[,()\[\]]")
 
 
 # a token that spells no integer fails as the operand text it came from
@@ -125,19 +124,32 @@ def _parse_int(token, operand):
 
 
 def _split_operands(text):
-    """Split on commas at depth zero (AT&T parens, Intel brackets)."""
+    """Split on commas at depth zero (AT&T parens, Intel brackets). A
+    text with no comma is one operand, and one with no bracket splits at
+    every comma, as _split_nested would split them."""
+    if "," not in text:
+        text = text.strip()
+        return [text] if text else []
+    if "(" in text or "[" in text or ")" in text or "]" in text:
+        return _split_nested(text)
+    return [part for part in map(str.strip, text.split(",")) if part]
+
+
+def _split_nested(text):
+    """Split on the commas where the count of open brackets is zero: one
+    opened before a comma and not yet closed holds the comma in its part."""
     parts = []
-    depth = start = 0
-    for m in _OPERAND_PUNCT_RE.finditer(text):
-        ch = m.group()
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif depth == 0:
-            parts.append(text[start:m.start()].strip())
-            start = m.end()
-    parts.append(text[start:].strip())
+    part = None  # the text since the last split, while brackets hold it
+    depth = 0
+    for piece in text.split(","):
+        part = piece if part is None else f"{part},{piece}"
+        depth += (piece.count("(") + piece.count("[")
+                  - piece.count(")") - piece.count("]"))
+        if depth == 0:
+            parts.append(part.strip())
+            part = None
+    if part is not None:
+        parts.append(part.strip())
     return [p for p in parts if p]
 
 
@@ -167,15 +179,15 @@ def _memory_operand(base, index, scale, disp):
             text = str(disp)
         else:
             text += str(disp) if disp < 0 else f"+{disp}"
-    return Operand(kind=MEMORY, text=f"[{text}]")
+    return Operand(MEMORY, None, f"[{text}]")
 
 
 def _register_operand(name):
-    return Operand(kind=REGISTER, text=name)
+    return Operand(REGISTER, None, name)
 
 
 def _immediate_operand(value):
-    return Operand(kind=IMMEDIATE, value=value, text=f"imm:{value}")
+    return Operand(IMMEDIATE, value, f"imm:{value}")
 
 
 def _parse_intel_memory_expr(inner):
@@ -241,7 +253,8 @@ def _parse_att_operand(token, branch):
         token = token[1:].strip()
     if token.startswith("$"):
         return _immediate_operand(_parse_int(token[1:], token))
-    token = _SEGMENT_RE.sub("", token).strip()
+    if ":" in token:
+        token = _SEGMENT_RE.sub("", token).strip()
     if token.startswith("%"):
         name = token[1:].lower()
         if name not in isa.REGISTERS:
@@ -255,7 +268,7 @@ def _parse_att_operand(token, branch):
             raise UnparsableOperand(token)
         base = fields[0].lstrip("%").lower() or None
         index = fields[1].lstrip("%").lower() or None if len(fields) >= 2 else None
-        if any(reg not in isa.REGISTERS for reg in (base, index) if reg):
+        if base and base not in isa.REGISTERS or index and index not in isa.REGISTERS:
             raise UnparsableOperand(token)
         scale = None
         if len(fields) == 3 and fields[2]:
@@ -351,42 +364,53 @@ _NOT_INSTRUCTIONS = (".byte", ".word", ".long", ".quad", ".value", ".zero",
                      ".short", "(bad)")
 
 
+@lru_cache(maxsize=4096)
+def _mnemonic(token, fold):
+    """The mnemonic a token names, suffixes folded when fold is true, and
+    whether it is a jump, conditional jump or call, whose bare-number
+    operand is a target address."""
+    mnemonic = isa.normalize_mnemonic(token, fold)
+    if not _MNEMONIC_OK_RE.match(mnemonic):
+        raise UnparsableOperand(mnemonic)
+    return mnemonic, isa.control_kind(mnemonic) in ("jump", "cond", "call")
+
+
+# mnemonics whose normal form, or operand count, depends on the operands
+_OPERAND_FOLDED = (isa.X87_REVERSED.keys() | isa.ATT_CVTSI2S | isa.ATT_STRING_OPS
+                   | isa.SHIFT_ROTATE)
+
+
 def _parse_instruction(asm, syntax):
     att = syntax == "att"
     tokens = asm.split(None, 1)
     prefixes = []
-    while tokens and tokens[0].lower() in isa.PREFIXES and len(tokens) > 1:
+    while len(tokens) > 1 and tokens[0].lower() in isa.PREFIXES:
         prefixes.append(tokens[0].lower())
         tokens = tokens[1].split(None, 1)
     operand_text = tokens[1].strip() if len(tokens) > 1 else ""
     # size suffixes are not stripped for AT&T SIMD forms (movq %rax,%xmm0)
-    simd = "%xmm" in operand_text or "%ymm" in operand_text or "%mm" in operand_text
-    mnemonic = isa.normalize_mnemonic(tokens[0], att and not simd)
-    if not _MNEMONIC_OK_RE.match(mnemonic):
-        raise UnparsableOperand(mnemonic)
-
-    branch = isa.control_kind(mnemonic) in ("jump", "cond", "call")
-    operands = [
-        _parse_operand_cached(tok, syntax, branch)
-        for tok in _split_operands(operand_text)
-    ]
+    mnemonic, branch = _mnemonic(tokens[0], att and not (
+        "%xmm" in operand_text or "%ymm" in operand_text or "%mm" in operand_text))
+    texts = _split_operands(operand_text)
+    if branch and len(texts) == 1 and _HEX_TARGET_RE.match(texts[0]):
+        # a direct target, most of them met once: kept out of the memo
+        operands = [_immediate_operand(int(texts[0], 16))]
+    else:
+        operands = [_parse_operand_cached(tok, syntax, branch) for tok in texts]
     if len(operands) > 3:
         raise UnparsableOperand(operand_text)
     if att:
         operands.reverse()
-        if mnemonic in isa.X87_REVERSED and operands and operands[0].text in isa.ST_I:
+    if mnemonic in _OPERAND_FOLDED:
+        if att and mnemonic in isa.X87_REVERSED and operands and \
+                operands[0].text in isa.ST_I:
             mnemonic = isa.X87_REVERSED[mnemonic]
-        elif mnemonic in isa.ATT_CVTSI2S or mnemonic in isa.ATT_STRING_OPS and \
-                [op.kind for op in operands] == [MEMORY, MEMORY]:
+        elif att and (mnemonic in isa.ATT_CVTSI2S or mnemonic in isa.ATT_STRING_OPS
+                      and [op.kind for op in operands] == [MEMORY, MEMORY]):
             mnemonic = mnemonic[:-1]  # the size suffix
-    if len(operands) == 1 and mnemonic in isa.SHIFT_ROTATE:
-        operands.append(_immediate_operand(1))  # implicit shift-by-one
-    return Instruction(
-        mnemonic=mnemonic,
-        operands=tuple(operands),
-        raw_text=asm,
-        prefixes=tuple(prefixes),
-    )
+        elif len(operands) == 1 and mnemonic in isa.SHIFT_ROTATE:
+            operands.append(_immediate_operand(1))  # implicit shift-by-one
+    return Instruction(mnemonic, tuple(operands), asm, tuple(prefixes))
 
 
 def parse_listing_with_report(text, syntax=None):
@@ -404,40 +428,48 @@ def parse_listing_with_report(text, syntax=None):
     if syntax is None:
         syntax = _vote(lines)
     report = ParseReport(syntax=syntax)
+    malformed = report.malformed
+    skipped = 0
     parsed = {}  # asm text -> Instruction
+    match, known = _LINE_RE.match, parsed.get
     pending = []  # (name, instructions, addresses) of each function, in order
+    instructions = addresses = None  # those of pending[-1]
+    last = -1  # the address of the function's last instruction
 
     for line_no, raw in enumerate(lines, 1):
-        m = _LINE_RE.match(raw)
+        m = match(raw)
         if m is None:
             if raw.strip():
-                report.skipped_lines += 1
+                skipped += 1
             continue
         name, address, asm = m.groups()
         if name is not None:
-            pending.append((name, [], []))
+            instructions, addresses, last = [], [], -1
+            pending.append((name, instructions, addresses))
             continue
         asm = asm.rstrip()
-        if asm == "..." or asm.startswith(_NOT_INSTRUCTIONS):
-            report.skipped_lines += 1
-            continue
-        address = int(address, 16)
-        instr = parsed.get(asm)
-        if instr is None:
+        instr = known(asm)
+        if instr is None:  # only parsed texts are known, no directive
+            if asm == "..." or asm.startswith(_NOT_INSTRUCTIONS):
+                skipped += 1
+                continue
             try:
                 instr = parsed[asm] = _parse_instruction(asm, syntax)
             except UnparsableOperand as exc:
-                report.malformed.append((line_no, str(exc), raw.rstrip()))
+                malformed.append((line_no, str(exc), raw.rstrip()))
                 continue
-        if not pending:
-            pending.append((f"unnamed_{address:x}", [], []))
-        _, instructions, addresses = pending[-1]
-        if addresses and address <= addresses[-1]:
-            report.malformed.append((line_no, "non-increasing address", raw.rstrip()))
+        address = int(address, 16)
+        if addresses is None:
+            instructions, addresses = [], []
+            pending.append((f"unnamed_{address:x}", instructions, addresses))
+        elif address <= last:
+            malformed.append((line_no, "non-increasing address", raw.rstrip()))
             continue
         instructions.append(instr)
         addresses.append(address)
+        last = address
     del lines  # the split text goes before the records are made into tuples
+    report.skipped_lines = skipped
     functions = [FunctionListing(name, tuple(instructions), tuple(addresses))
                  for name, instructions, addresses in pending if instructions]
     report.functions = len(functions)

@@ -10,6 +10,7 @@ and coefficients Fractions, so inclusion-exclusion holds to the bit.
 import enum
 from fractions import Fraction
 from itertools import repeat
+from operator import attrgetter
 
 from . import FrozenRecord, Record, lazy_names
 from .errors import IncompatibleCorpora
@@ -20,6 +21,7 @@ __getattr__, _bind_pipeline = lazy_names(globals(), {
     "build_ddg": "ddg", "wl_hash": "wlhash"})
 
 DIGEST_BITS = 128  # the only WL digest width: 32 hex characters
+_LABEL = attrgetter("label")  # a DDG node's label
 
 # BasicBlock.exit, a block's unresolved exit: a jump that reaches no block
 # of its function, named by the diagnostics count it feeds
@@ -192,14 +194,15 @@ def make_feature_set(program_id, blocks, params, diagnostics):
     # dropped, so it is only counted
     edges = []
     blocks_seen = links = 0
+    policy, mode = params.policy, params.label_mode
     for blocks_seen, block in enumerate(blocks, 1):
         links += len(block.successors)
         if block.exit is not None:
             diag[block.exit] += 1
-        graph = build_ddg(block, params.policy, params.label_mode)
-        if len(graph) == 0:
+        graph = build_ddg(block, policy, mode)
+        if not graph.nodes:
             continue
-        key = (tuple([node.label for node in graph.nodes]), graph.edges)
+        key = (tuple(map(_LABEL, graph.nodes)), graph.edges)
         digest = digests.get(key)
         if digest is None:
             digest = digests[key] = wl_hash(graph, params.wl_iterations)

@@ -24,6 +24,9 @@ from .errors import EmptyGraph
 from .features import DIGEST_BITS
 
 
+_DIGEST_PREFIX = f"{DIGEST_BITS // 4}:"  # _label_list's prefix of a digest
+
+
 def _digest(data: bytes) -> str:
     return blake2b(data, digest_size=DIGEST_BITS // 8).hexdigest()
 
@@ -60,11 +63,18 @@ def _adjacency(graph):
     return list(zip(preds, succs))
 
 
+def _labels_at(labels, positions):
+    """The labels at positions, as a sorted tuple; most nodes of a DDG
+    have no more than one neighbor each way, which take no sort."""
+    if len(positions) > 1:
+        return tuple(sorted([labels[u] for u in positions]))
+    return (labels[positions[0]],) if positions else ()
+
+
 def _refine(adjacency, labels):
     """One round over labels listed in node order."""
-    return [_refined(labels[v], tuple(sorted([labels[u] for u in preds])),
-                     tuple(sorted([labels[w] for w in succs])))
-            for v, (preds, succs) in enumerate(adjacency)]
+    return [_refined(own, _labels_at(labels, preds), _labels_at(labels, succs))
+            for own, (preds, succs) in zip(labels, adjacency)]
 
 
 def wl_refine(graph, labels):
@@ -88,10 +98,13 @@ def wl_hash(graph, iterations=3) -> str:
         f"nodes={len(graph.nodes)}\n",
         f"edges={len(graph.edges)}\n",
         f"iterations={iterations}\n",
+        "round=0\n",
+        _label_list(labels) + "\n",
     ]
-    for rnd in range(iterations + 1):
-        if rnd > 0:
-            labels = _refine(adjacency, labels)
+    # a refined label is a digest, of one length, so each entry of the
+    # rounds' label lists has the same prefix
+    for rnd in range(1, iterations + 1):
+        labels = _refine(adjacency, labels)
         parts.append(f"round={rnd}\n")
-        parts.append(_label_list(labels) + "\n")
+        parts.append(_DIGEST_PREFIX + _DIGEST_PREFIX.join(sorted(labels)) + "\n")
     return _digest("".join(parts).encode("utf-8"))

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from ddghash import isa
 from ddghash.cli import main
-from ddghash.disasm import (_LINE_RE, IMMEDIATE, MEMORY, REGISTER, Operand,
-                            _parse_instruction, _split_operands, detect_syntax,
-                            parse_listing_with_report,
-                            parse_operand)
+from ddghash.disasm import (_HEX_TARGET_RE, _LINE_RE, _MNEMONIC_OK_RE,
+                            IMMEDIATE, MEMORY, REGISTER, Operand, _mnemonic,
+                            _parse_instruction, _parse_operand_cached,
+                            _split_nested, _split_operands, detect_syntax,
+                            parse_listing_with_report, parse_operand)
 from ddghash.errors import (MalformedListing, NoInstructionsFound,
                             UnparsableOperand)
 from ddghash.tfidf import load_default_dictionary
@@ -718,3 +719,85 @@ def test_bytes_field_matches_as_the_backtracking_form(address, pairs, text):
     line = address + "".join(p + sep for p, sep in pairs) + "".join(text)
     new_match, old_match = _LINE_RE.match(line), old.match(line)
     assert (new_match and new_match.groups()) == (old_match and old_match.groups())
+
+
+# the operand splitter as a scan of each punctuation mark, the count of open
+# brackets kept as it goes; the parser's shortcuts must split as it does
+def _reference_split(text):
+    parts = []
+    depth = start = 0
+    for m in re.finditer(r"[,()\[\]]", text):
+        ch = m.group()
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif depth == 0:
+            parts.append(text[start:m.start()].strip())
+            start = m.end()
+    parts.append(text[start:].strip())
+    return [p for p in parts if p]
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.sampled_from([",", " ", "(", ")", "[", "]", "%rax", "0x8",
+                                 "4", "a", "\t"]), max_size=12))
+def test_operand_split_shortcuts_agree_with_the_bracket_count(pieces):
+    text = "".join(pieces)
+    assert _split_operands(text) == _reference_split(text)
+    assert _split_nested(text) == _reference_split(text)
+
+
+def _mnemonic_by_the_tables(token, fold):
+    mnemonic = isa.normalize_mnemonic(token, fold)
+    if not _MNEMONIC_OK_RE.match(mnemonic):
+        raise UnparsableOperand(mnemonic)
+    return mnemonic, isa.control_kind(mnemonic) in ("jump", "cond", "call")
+
+
+_MNEMONIC_TOKENS = sorted(isa.CONTROL_KINDS.keys() | isa.SUFFIX_STRIP_BASES
+                          | isa.X87_SUFFIX_BASES | isa.ATT_ALIASES.keys()
+                          | {"movzbl", "movslq", "movsxd", "fildll", "fstpt"})
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(_MNEMONIC_TOKENS) | st.text("aAjJlLqQsStTz0.%_-", max_size=7),
+       st.sampled_from(["", "b", "w", "l", "q", "s", "t", "ll", "L"]),
+       st.booleans())
+def test_mnemonic_memo_agrees_with_the_tables(stem, suffix, fold):
+    token = stem + suffix
+    try:
+        expected = _mnemonic_by_the_tables(token, fold)
+    except UnparsableOperand as exc:
+        for _ in range(2):  # a failure is never remembered
+            with pytest.raises(UnparsableOperand) as info:
+                _mnemonic(token, fold)
+            assert str(info.value) == str(exc)
+    else:
+        assert _mnemonic(token, fold) == expected
+        assert _mnemonic(token, fold) == expected  # now from the memo
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(["att", "intel"]),
+       st.sampled_from(["jmp", "call", "jne", "jrcxz", "ljmp", "lcall"]),
+       st.sampled_from(["", "0x", "0X"]),
+       st.text("0123456789abcdefABCDEFx", min_size=1, max_size=17))
+def test_direct_branch_targets_bypass_the_memo_alike(syntax, mnemonic, prefix, digits):
+    token = prefix + digits
+    asm = f"{mnemonic} {token}"
+    try:
+        expected = _parse_operand_cached(token, syntax, True)
+    except UnparsableOperand as exc:
+        with pytest.raises(UnparsableOperand) as info:
+            _parse_instruction(asm, syntax)
+        assert str(info.value) == str(exc)
+        return
+    ins = _parse_instruction(asm, syntax)
+    assert ins.operands == (expected,)
+    if _HEX_TARGET_RE.match(token):
+        assert ins.operands[0].kind == IMMEDIATE
+        # the target takes no memo entry
+        before = _parse_operand_cached.cache_info()
+        _parse_instruction(asm, syntax)
+        assert _parse_operand_cached.cache_info() == before

@@ -148,6 +148,32 @@ def test_tracer_still_sees_every_ingest_layer(tmp_path):
     assert "tfidf.idf" in names and "tfidf.distribution_from_vectors" not in names
 
 
+def test_tracer_counts_each_layers_calls(tmp_path):
+    # a layer's work counts as the benchmark reads them: one segment span
+    # per function, one build_ddg span per block, one wl_hash span per
+    # distinct graph, and the parse report's instructions
+    out = tmp_path / "spans.json"
+    listings = [str(DATA / f"{pid}.objdump")
+                for pid in ("true_att", "true_intel", "false_intel")]
+    proc = _python(str(ROOT / "perfbench" / "traced.py"), str(out),
+                   "-C", str(tmp_path / "corpus"), "--format", "json",
+                   "ingest", *listings)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    doc = json.loads(out.read_text())
+    spans = [span[0] for span in doc["spans"]]
+
+    def total(field):
+        return sum(r[field] for r in results)
+
+    assert spans.count("disasm.parse_listing_with_report") == len(listings)
+    assert spans.count("blocks.segment") == total("functions")
+    assert spans.count("ddg.build_ddg") == total("blocks")
+    assert spans.count("wlhash.wl_hash") == total("distinct_graphs")
+    assert doc["counts"]["disasm.instructions"] == total("instructions")
+    assert doc["counts"]["blocks.blocks"] == total("blocks")
+
+
 def test_the_tracers_names_resolve_but_three_stale_ones():
     # perfbench/traced.py skips a name it cannot find, so a rename would
     # silently zero a per-layer figure; these three are already gone

@@ -51,6 +51,31 @@ def test_exit_codes(corpus, argv, code, out, err):
     assert proc.stderr.startswith(err) and (err or not proc.stderr)
 
 
+# runs ddghash/__main__.py as `python -m ddghash` does, with the package
+# imported first and a hook that writes a line to fd 2 as each collection
+# starts
+_REPORT_COLLECTIONS = """
+import gc, os, runpy
+import ddghash.cli
+gc.callbacks.append(
+    lambda phase, info: phase == "start" and os.write(2, b"collection\\n"))
+runpy.run_module("ddghash", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["compare", "true_att"], 2),
+], ids=["version", "usage_error"])
+def test_version_and_usage_errors_run_no_collection(corpus, argv, code):
+    # argparse's SystemExit leaves main with the collector restored, and
+    # the traceback entry it gains in run's frame must not start one
+    proc = _python("-c", _REPORT_COLLECTIONS, "-C", corpus, *argv,
+                   capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "collection" not in proc.stderr
+
+
 @pytest.mark.parametrize("body, code, err", [
     ("return 3", 3, ""),
     ("sys.exit(2)", 2, ""),
