@@ -117,20 +117,18 @@ class FrozenRecord(Record):
 _HOMES = {
     "BasicBlock": "blocks", "segment": "blocks",
     "DataDependencyGraph": "ddg", "InstructionFamilyPolicy": "features",
-    "LabelMode": "features", "build_ddg": "ddg", "node_label": "ddg",
+    "LabelMode": "features", "build_ddg": "ddg",
     "FunctionListing": "disasm", "Instruction": "disasm", "Operand": "disasm",
-    "detect_syntax": "disasm", "parse_listing_with_report": "disasm",
-    "parse_operand": "disasm",
+    "parse_listing_with_report": "disasm",
     "DdghashError": "errors", "EmptyCorpus": "errors", "EmptyGraph": "errors",
     "IncompatibleCorpora": "errors", "MalformedListing": "errors",
     "NoInstructionsFound": "errors", "UnknownProgram": "errors",
-    "UnparsableOperand": "errors", "ZeroVector": "errors",
+    "UnparsableOperand": "errors",
     "FeatureParams": "features", "ProgramFeatureSet": "features",
     "SimilarityReport": "features", "compare": "features",
     "five_number_summary": "features", "make_feature_set": "features",
-    "TermDictionary": "tfidf", "cosine_similarity": "tfidf", "idf": "tfidf",
-    "load_default_dictionary": "tfidf", "tf_vector": "tfidf",
-    "wl_hash": "wlhash", "wl_refine": "wlhash",
+    "TermDictionary": "tfidf", "idf": "tfidf",
+    "load_default_dictionary": "tfidf", "tf_vector": "tfidf", "wl_hash": "wlhash",
     "Corpus": "corpus", "FeatureFile": "corpus", "build_feature_file": "corpus",
 }
 

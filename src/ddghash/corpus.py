@@ -18,8 +18,8 @@ from pathlib import Path
 
 from . import Record, __version__, collector_paused, lazy_names
 from .errors import DdghashError, InvalidProgramId, UnknownProgram
-from .features import (FeatureParams, ProgramFeatureSet, compare,
-                       make_feature_set)
+from .features import (DIGEST_BITS, FeatureParams, ProgramFeatureSet,
+                       compare, make_feature_set)
 
 # the ingest pipeline loads when build_feature_file first runs, or when the
 # names are first read from outside (where a tracer may wrap them); queries
@@ -33,6 +33,10 @@ FORMAT_VERSION = 1
 # InvalidProgramId.rule; at 200 characters, the longest temp name
 # _write_atomic makes (with a 7-digit pid) is 236 bytes, under NAME_MAX
 _PROGRAM_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,199}")
+
+# a hash and a source digest, each as the writer spells it
+_HASH = re.compile(f"[0-9a-f]{{{DIGEST_BITS // 4}}}")
+_SOURCE_DIGEST = re.compile(r"sha256:[0-9a-f]{64}")
 
 # top-level keys of a feature file, in the order sort_keys writes them
 _MEMBERS = ("block_map", "diagnostics", "format_version", "hashes",
@@ -176,17 +180,24 @@ def _strings(value):
 
 
 def _hashes(hashes):
-    """The hashes as a frozenset. They must be non-empty strings in strictly
-    increasing order, as the writer sorts the distinct hashes; one pass
-    checks both."""
+    """The hashes as a frozenset. Each must be a hash as the writer spells
+    it, and they must be in strictly increasing order, as the writer sorts
+    the distinct hashes; one pass checks both."""
     if type(hashes) is not list:
         raise TypeError("expected a list of strings")
     previous = ""
     for h in hashes:
-        if type(h) is not str or h <= previous:
-            raise ValueError("expected strictly increasing non-empty strings")
+        if type(h) is not str or _HASH.fullmatch(h) is None or h <= previous:
+            raise ValueError(f"expected strictly increasing hashes of "
+                             f"{DIGEST_BITS // 4} lowercase hex digits")
         previous = h
     return frozenset(hashes)
+
+
+def _source_digest(value):
+    if type(value) is not str or _SOURCE_DIGEST.fullmatch(value) is None:
+        raise ValueError("expected 'sha256:' and 64 lowercase hex digits")
+    return value
 
 
 def _term_stems(stems):
@@ -219,17 +230,20 @@ def _term_counts(counts, stems, blocks, maybe_bools):
     return rows
 
 
-def _block_map(entries, blocks):
+def _block_map(entries, blocks, hashes):
     """Block index -> hash, in block order. Each key must be a block id
-    below `blocks`, spelt as the encoder spells it, and each hash a string."""
+    below `blocks`, spelt as the encoder spells it, and the values must
+    be the hashes: each value one of them, and each of them a value."""
     block_map = {}
     for key, digest in entries.items():
         i = int(key)
         if not 0 <= i < blocks or str(i) != key:
             raise ValueError(f"key {key!r} is not a block id below {blocks}")
-        if type(digest) is not str:
-            raise TypeError(f"block {key}: expected a string")
+        if type(digest) is not str or digest not in hashes:
+            raise ValueError(f"block {key}: expected one of the hashes")
         block_map[i] = digest
+    if len(set(block_map.values())) != len(hashes):
+        raise ValueError("a hash is no block's")
     return dict(sorted(block_map.items()))
 
 
@@ -284,12 +298,12 @@ def decode_feature_file(text: str, source="feature file") -> FeatureFile:
                         fs.diagnostics["blocks"],
                         text.find("true", pos) >= 0 or text.find("false", pos) >= 0)
         hashed = _build(source, "block_map", _block_map, block_map,
-                        fs.diagnostics["blocks"])
+                        fs.diagnostics["blocks"], fs.hashes)
         return dict(
             block_map=hashed, order_edges=_build(
                 source, "order_edges", _order_edges, order_edges, hashed),
             term_counts=counts, term_stems=stems,
-            source_digest=_build(source, "source_digest", _string, digest),
+            source_digest=_build(source, "source_digest", _source_digest, digest),
             toolkit_version=_build(source, "toolkit_version", _string, toolkit))
 
     ff = FeatureFile.__new__(FeatureFile)  # the other fields wait for fill()

@@ -23,11 +23,6 @@ _LABEL_OF = {LabelMode.UNLABELED: lambda operand: "*",
              LabelMode.LITERAL: attrgetter("text")}
 
 
-def node_label(operand, mode: LabelMode):
-    """The node's label: "*", the operand's kind (its class label) or text."""
-    return _LABEL_OF[mode](operand)
-
-
 class DdgNode(FrozenRecord):
     __slots__ = ("id", "label")
 

@@ -316,21 +316,6 @@ def _parse_operand_cached(token, syntax, branch):
     return _parse_intel_operand(token, branch)
 
 
-def parse_operand(token, syntax="intel"):
-    """Parse a single operand token into its normalized form.
-
-    Canonical renderings: registers as the bare name, immediates as
-    "imm:<decimal>", memory as "[base+index*scale+disp]" with a decimal
-    displacement. The canonical text reparses to an equal Operand.
-    """
-    return _parse_operand_cached(token.strip(), syntax, False)
-
-
-def detect_syntax(text):
-    """Vote att/intel over the first 100 instruction lines of text."""
-    return _vote(text.splitlines())
-
-
 def _vote(lines):
     """Vote att/intel over the first 100 instruction lines.
 

@@ -46,10 +46,6 @@ class EmptyCorpus(DdghashError):
     pass
 
 
-class ZeroVector(DdghashError):
-    pass
-
-
 class UnknownProgram(DdghashError):
     def __init__(self, program_id):
         super().__init__(f"no program {program_id!r} in corpus")

@@ -59,7 +59,9 @@ CONTROL_KINDS = {
     mnemonic: kind
     for kind, mnemonics in (
         ("jump", ("jmp", "ljmp")),
-        ("cond", [f"j{cc}" for cc in CONDITION_CODES]),
+        # loop* and xbegin, like a jcc, go to their target or fall through
+        ("cond", [f"j{cc}" for cc in CONDITION_CODES]
+         + ["loop", "loope", "loopne", "xbegin"]),
         ("call", ("call", "lcall")),
         ("ret", ("ret", "retf", "iret", "lret")),
         ("int", ("int", "int1", "int3", "into")),
@@ -89,7 +91,7 @@ SUFFIX_STRIP_BASES = (
         "lea", "push", "pop", "call", "ret", "jmp", "inc", "dec", "neg",
         "not", "mul", "imul", "div", "idiv", "shl", "shr", "sar", "sal",
         "rol", "ror", "rcl", "rcr", "adc", "sbb", "xchg", "leave", "iret",
-        "bswap", "bt", "bts", "btr", "xadd", "nop",
+        "bswap", "bt", "bts", "btr", "btc", "xadd", "nop",
     }
     | CMOV_MNEMONICS
 )

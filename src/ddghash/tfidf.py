@@ -3,8 +3,9 @@
 Mnemonics collapse into a fixed 32-stem dictionary via longest-prefix
 rules shipped as a plain-text data file (data/stem_rules.txt); anything
 the table misses lands on the reserved stem "other". Each basic block
-yields one 32-dimensional count vector, and a corpus of blocks yields a
-smoothed idf so no stem weight is ever zero.
+yields one 32-dimensional count vector. A corpus of blocks yields
+per-stem totals and a smoothed idf, so no stem weight is ever zero.
+Comparing two programs by these numbers is left to the caller.
 """
 
 import math
@@ -13,7 +14,7 @@ from itertools import repeat
 from operator import gt
 
 from . import FrozenRecord
-from .errors import EmptyCorpus, ZeroVector
+from .errors import EmptyCorpus
 
 OTHER = "other"
 
@@ -97,16 +98,3 @@ def distribution_from_vectors(rows) -> tuple:
         raise EmptyCorpus("no blocks to aggregate")
     return totals
 
-
-def cosine_similarity(u, v, weights=None) -> float:
-    """Cosine of two count rows over the 32 dimensions, optionally
-    idf-weighted."""
-    if weights is None:
-        weights = [1.0] * len(u)
-    wu = [c * w for c, w in zip(u, weights)]
-    wv = [c * w for c, w in zip(v, weights)]
-    nu = math.sqrt(sum(x * x for x in wu))
-    nv = math.sqrt(sum(x * x for x in wv))
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("cosine undefined for a zero vector")
-    return sum(x * y for x, y in zip(wu, wv)) / (nu * nv)

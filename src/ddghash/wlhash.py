@@ -77,12 +77,6 @@ def _refine(adjacency, labels):
             for own, (preds, succs) in zip(labels, adjacency)]
 
 
-def wl_refine(graph, labels):
-    """One refinement round: labels is a node-id -> label mapping."""
-    refined = _refine(_adjacency(graph), [labels[node.id] for node in graph.nodes])
-    return {node.id: label for node, label in zip(graph.nodes, refined)}
-
-
 def wl_hash(graph, iterations=3) -> str:
     """Isomorphism-invariant 32-hex digest of a labeled directed graph.
 

@@ -8,6 +8,7 @@ import subprocess
 from pathlib import Path
 
 from ddghash.ddg import DataDependencyGraph, DdgNode
+from ddghash.disasm import _parse_operand_cached
 
 # Ten-instruction single-block listing used across the suite, in both
 # syntaxes. The Intel form writes memory operands bracket-less ("rbp - 44")
@@ -95,6 +96,12 @@ def star_program(class_ids, start=0x1000):
         for pos, cid in enumerate(class_ids)
     ]
     return make_listing(functions, start=start)
+
+
+def operand_of(token, syntax="intel"):
+    """One operand token parsed as the listing parser parses an operand
+    that is no branch target: a bare AT&T number is a memory reference."""
+    return _parse_operand_cached(token.strip(), syntax, False)
 
 
 # --- direct graph construction -------------------------------------------

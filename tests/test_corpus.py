@@ -101,6 +101,7 @@ def _sub(pattern, replacement):
     _sub(r'("block_map":\s*\{\s*")', r'\g<1>0'),
     _sub(r'("block_map":\s*\{\s*")', r'\1-'),
     _sub(r'("block_map":\s*\{\s*"\d+":\s*)"\w+"', r'\g<1>5'),
+    _sub(r'("block_map":\s*\{\s*"\d+":\s*)"\w+"', r'\1"not a digest"'),
     _sub(r'("order_edges":\s*\[\s*)\[[^]]*\]', r'\1[true, "x"]'),
     _sub(r'("order_edges":\s*\[\s*)\[[^]]*\]', r'\1[0, 99999]'),
     # params that differ compare as different settings; hashes are written
@@ -108,16 +109,22 @@ def _sub(pattern, replacement):
     _sub(r'("digest_bits":\s*128)', r'\1, "extra": 1'),
     _sub(r'("hashes":\s*\[\s*)("\w+")(\s*,\s*)("\w+")', r'\1\4\3\2'),
     _sub(r'("hashes":\s*\[\s*)("\w+")', r'\1\2, \2'),
+    # a hash is 32 lowercase hex digits, and each is some block's
+    _sub(r'("hashes":\s*\[\s*)"\w+"', r'\1"0"'),
+    _sub(r'("hashes":\s*\[\s*)"\w+"\s*,\s*', r'\1'),
     _sub(r'("program_id":\s*)"\w+"', r'\g<1>5'),
     _sub(r'("source_digest":\s*)"[^"]+"', r'\1[1, 2]'),
+    _sub(r'("source_digest":\s*)"[^"]+"', r'\1"?"'),
     _sub(r'("toolkit_version":\s*)"[^"]+"', r'\1{"x": 1}'),
 ], ids=["renamed", "extra_inside", "extra_last", "no_comma", "bad_value",
         "digest_bits_64", "wl_iterations_0", "count_str", "count_negative",
         "count_bool", "count_float", "count_null", "count_list", "deep_nesting",
         "block_id_padded", "block_id_negative", "block_hash_not_str",
-        "order_pair_not_ints", "order_end_not_hashed", "params_extra_key",
-        "hashes_unsorted", "hashes_repeated", "program_id_not_str",
-        "source_digest_not_str", "toolkit_version_not_str"])
+        "block_hash_not_a_digest", "order_pair_not_ints", "order_end_not_hashed",
+        "params_extra_key", "hashes_unsorted", "hashes_repeated", "hash_0",
+        "hash_missing_a_block_hash", "program_id_not_str",
+        "source_digest_not_str", "source_digest_not_sha256",
+        "toolkit_version_not_str"])
 def test_non_canonical_text_names_source(mutate):
     for text in _layouts(encode_feature_file(_random_feature_file(random.Random(3)))):
         assert mutate(text) != text
@@ -501,7 +508,7 @@ def _writer_case(block_map=(), edges=(), term_counts=(), program_id="p",
                            hashes=frozenset(dict(block_map).values()))
     return FeatureFile(feature_set=fs, block_map=dict(block_map),
                        order_edges=frozenset(edges), term_counts=tuple(term_counts),
-                       term_stems=("mov", "other"), source_digest="sha256:00")
+                       term_stems=("mov", "other"), source_digest="sha256:" + "0" * 64)
 
 
 # each case: a file and fragments that its text holds in this order

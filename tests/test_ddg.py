@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from ddghash import isa
 from ddghash.blocks import segment
-from ddghash.ddg import (InstructionFamilyPolicy, LabelMode, build_ddg,
-                         node_label)
-from ddghash.disasm import parse_listing_with_report, parse_operand
+from ddghash.ddg import InstructionFamilyPolicy, LabelMode, build_ddg
+from ddghash.disasm import parse_listing_with_report
 
 from fixtures import CMOV_BLOCK_INTEL, gen_instructions, make_listing, render_listing
 
@@ -69,16 +68,17 @@ def test_xchg_adds_both_directions():
 
 
 def test_node_label_modes():
-    mem = parse_operand("rbp - 44", "intel")
-    reg = parse_operand("ecx", "intel")
-    imm = parse_operand("0", "intel")
-    assert node_label(mem, LabelMode.OPERAND_CLASS) == "mem"
-    assert node_label(reg, LabelMode.LITERAL) == "ecx"
-    assert node_label(imm, LabelMode.OPERAND_CLASS) == "imm"
-    assert node_label(reg, LabelMode.UNLABELED) == "*"
-    # an operand's kind is its class label
-    for op in (mem, reg, imm):
-        assert node_label(op, LabelMode.OPERAND_CLASS) == op.kind
+    # a one-mov block's nodes, source first, labelled "*", by the operand's
+    # kind (its class label) or by its canonical text
+    for asm, kinds, texts in [
+            ("mov    ecx, rbp - 44", ["mem", "reg"], ["[rbp-44]", "ecx"]),
+            ("mov    rbp - 44, 0", ["imm", "mem"], ["imm:0", "[rbp-44]"])]:
+        block = _block(make_listing([("f", [asm])]))
+        labels = {mode: [n.label for n in build_ddg(block, MOV_ONLY, mode).nodes]
+                  for mode in LabelMode}
+        assert labels == {LabelMode.UNLABELED: ["*", "*"],
+                          LabelMode.OPERAND_CLASS: kinds, LabelMode.LITERAL: texts}
+        assert kinds == [op.kind for op in reversed(block.instructions[0].operands)]
     assert {isa.REGISTER, isa.MEMORY, isa.IMMEDIATE} == {"reg", "mem", "imm"}
 
 

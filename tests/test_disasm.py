@@ -11,37 +11,46 @@ from ddghash.cli import main
 from ddghash.disasm import (_HEX_TARGET_RE, _LINE_RE, _MNEMONIC_OK_RE,
                             IMMEDIATE, MEMORY, REGISTER, Operand, _mnemonic,
                             _parse_instruction, _parse_operand_cached,
-                            _split_nested, _split_operands, detect_syntax,
-                            parse_listing_with_report, parse_operand)
+                            _split_nested, _split_operands,
+                            parse_listing_with_report)
 from ddghash.errors import (MalformedListing, NoInstructionsFound,
                             UnparsableOperand)
 from ddghash.tfidf import load_default_dictionary
 
 from fixtures import (BASE64, CMOV_BLOCK_ATT, CMOV_BLOCK_INTEL, LS,
                       gen_instructions, make_listing, objdump_listings,
-                      render_listing)
+                      operand_of, render_listing)
 
 DATA = Path(__file__).parent / "data"
 
 
+def _voted(text):
+    """The syntax the parse votes for text, also where it then refuses
+    the listing for its malformed lines."""
+    try:
+        return parse_listing_with_report(text)[1].syntax
+    except MalformedListing as exc:
+        return exc.report.syntax
+
+
 def test_detect_syntax_intel_forms():
     text = "    1000:\t90\tmov    ecx, DWORD PTR [rbp-0x2c]\n"
-    assert detect_syntax(text) == "intel"
+    assert _voted(text) == "intel"
 
 
 def test_detect_syntax_att_forms():
     text = "    1000:\t90\tmov    %ecx, -0x2c(%rbp)\n"
-    assert detect_syntax(text) == "att"
+    assert _voted(text) == "att"
 
 
 def test_detect_syntax_sample_block():
-    assert detect_syntax(CMOV_BLOCK_INTEL) == "intel"
-    assert detect_syntax(CMOV_BLOCK_ATT) == "att"
+    assert _voted(CMOV_BLOCK_INTEL) == "intel"
+    assert _voted(CMOV_BLOCK_ATT) == "att"
 
 
 def test_detect_syntax_empty_input():
     with pytest.raises(NoInstructionsFound):
-        detect_syntax("")
+        _voted("")
 
 
 def test_detect_syntax_majority_on_mixed_evidence():
@@ -50,12 +59,12 @@ def test_detect_syntax_majority_on_mixed_evidence():
         "    1004:\t90\tmov    ecx, edx\n"
         "    1008:\t90\tpush   $0x1\n"          # $ sigil votes att
     )
-    assert detect_syntax(mixed) == "att"
+    assert _voted(mixed) == "att"
     tie = (
         "    1000:\t90\tmov    %eax, %ebx\n"
         "    1004:\t90\tmov    ecx, edx\n"
     )
-    assert detect_syntax(tie) == "intel"
+    assert _voted(tie) == "intel"
 
 
 def test_detect_syntax_bare_branch_targets_abstain():
@@ -65,10 +74,10 @@ def test_detect_syntax_bare_branch_targets_abstain():
         f"    {0x1004 + 8 * i:x}:\t90\tpush   $0x{i:x}\n"
         for i in range(30)
     )
-    assert detect_syntax(plt) == "att"
+    assert _voted(plt) == "att"
     # so do starred ones, the AT&T spelling of an absolute indirect jump
     starred = "    1000:\t90\tjmp    *0x2020\n    1004:\t90\tpush   $0x1\n"
-    assert detect_syntax(starred) == "att"
+    assert _voted(starred) == "att"
 
 
 def test_parse_sample_block_mnemonics():
@@ -106,30 +115,30 @@ def test_att_and_intel_renderings_agree():
 
 
 def test_parse_operand_bracketless_memory():
-    op = parse_operand("rbp - 44", "intel")
+    op = operand_of("rbp - 44", "intel")
     assert op == Operand(kind=MEMORY, text="[rbp-44]")
 
 
 def test_parse_operand_zero_immediate():
-    op = parse_operand("0", "intel")
+    op = operand_of("0", "intel")
     assert op.kind == IMMEDIATE
     assert op.value == 0
     assert op.text == "imm:0"
 
 
 def test_parse_operand_att_hex_displacement():
-    op = parse_operand("-0x2c(%rbp)", "att")
+    op = operand_of("-0x2c(%rbp)", "att")
     assert (op.kind, op.value, op.text) == (MEMORY, None, "[rbp-44]")
 
 
 def test_parse_operand_registers_and_sib():
-    assert parse_operand("ecx", "intel") == Operand(kind=REGISTER, text="ecx")
-    op = parse_operand("[rax+rbx*4+8]", "intel")
+    assert operand_of("ecx", "intel") == Operand(kind=REGISTER, text="ecx")
+    op = operand_of("[rax+rbx*4+8]", "intel")
     assert op == Operand(kind=MEMORY, text="[rax+rbx*4+8]")
-    att = parse_operand("0x8(%rax,%rbx,4)", "att")
+    att = operand_of("0x8(%rax,%rbx,4)", "att")
     assert att == op
     # an AT&T index without a scale has scale 1
-    assert parse_operand("(%rax,%rbx)", "att") == Operand(kind=MEMORY, text="[rax+rbx]")
+    assert operand_of("(%rax,%rbx)", "att") == Operand(kind=MEMORY, text="[rax+rbx]")
     # commas inside parens or brackets, nested or not, split nothing
     for text, parts in [
         ("0x8(%rax,%rbx,4),%rcx", ["0x8(%rax,%rbx,4)", "%rcx"]),
@@ -141,17 +150,17 @@ def test_parse_operand_registers_and_sib():
     ]:
         assert _split_operands(text) == parts, text
     ins = _parse_instruction("lea    0x8(%rax,%rbx,4),%rcx", "att")
-    assert ins.operands == (parse_operand("rcx"), op)
+    assert ins.operands == (operand_of("rcx"), op)
 
 
 def test_parse_operand_size_qualifier_dropped():
-    assert parse_operand("DWORD PTR [rbp-0x2c]", "intel") == \
-        parse_operand("rbp - 44", "intel")
+    assert operand_of("DWORD PTR [rbp-0x2c]", "intel") == \
+        operand_of("rbp - 44", "intel")
 
 
 def test_parse_operand_unparsable():
     with pytest.raises(UnparsableOperand):
-        parse_operand("{bogus}", "intel")
+        operand_of("{bogus}", "intel")
     # unbalanced brackets: a comma splits only while the count of open
     # brackets is zero, and an early close makes it negative
     for text, parts in [
@@ -214,7 +223,7 @@ _NOT_NUMBERS = [
                          ids=[op for _, op, _ in _NOT_NUMBERS])
 def test_a_missing_number_names_the_whole_operand(syntax, operand, named):
     with pytest.raises(UnparsableOperand) as info:
-        parse_operand(operand, syntax)
+        operand_of(operand, syntax)
     assert str(info.value) == f"cannot parse operand {named!r}"
 
 
@@ -252,7 +261,7 @@ def test_rejected_instructions_raise_and_fail_ingest(tmp_path, capsys, syntax, a
     # refuses it and says where
     listing = tmp_path / "p.objdump"
     listing.write_text(make_listing([("f", [asm])]))
-    assert detect_syntax(listing.read_text()) == syntax
+    assert _voted(listing.read_text()) == syntax
     corpus = tmp_path / "corpus"
     assert main(["-C", str(corpus), "ingest", str(listing)]) == 1
     out, err = capsys.readouterr()
@@ -283,7 +292,7 @@ def test_operand_canonical_text_reparses_equal():
         for fn in parse_listing_with_report(text)[0]:
             for ins in fn.instructions:
                 for op in ins.operands:
-                    assert parse_operand(op.text, "intel") == op
+                    assert operand_of(op.text, "intel") == op
 
 
 _BASES = ["rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp", "r8", "r13",
@@ -336,10 +345,10 @@ def _operands(draw):
 @given(_operands())
 def test_generated_operand_canonical_text_reparses_equal(case):
     kind, intel, att = case
-    op = parse_operand(intel, "intel")
+    op = operand_of(intel, "intel")
     assert op.kind == kind
-    assert parse_operand(att, "att") == op
-    assert parse_operand(op.text, "intel") == op
+    assert operand_of(att, "att") == op
+    assert operand_of(op.text, "intel") == op
 
 
 def test_round_trip_determinism():
@@ -582,8 +591,8 @@ def test_same_text_parses_per_syntax():
     again = parse_listing_with_report(text, syntax="att")[0][0].instructions
     assert att == again
     for a, b in zip(att, intel):
-        assert a.operands == (parse_operand("[10]"),)
-        assert b.operands == (parse_operand("imm:10"),)
+        assert a.operands == (operand_of("[10]"),)
+        assert b.operands == (operand_of("imm:10"),)
         assert a == _parse_instruction(a.raw_text, "att")
         assert b == _parse_instruction(b.raw_text, "intel")
 

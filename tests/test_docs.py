@@ -1,5 +1,6 @@
 """What the README and the package metadata state holds for the code."""
 
+import ast
 import json
 import re
 import shutil
@@ -23,6 +24,21 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(example, "README.md", "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out.endswith(" distinct dependency patterns\n")
+
+
+def test_sources_parse_under_the_oldest_promised_python():
+    """The package's sources parse under the grammar of the oldest Python
+    that pyproject.toml and the README promise (>= 3.10), read with
+    ast.parse(feature_version=...). Best-effort: it refuses most newer
+    grammar, such as except* and type parameter lists, but not a call to
+    a library function or module that the oldest version lacks, nor every
+    newer form; only a run under that version checks those."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject
+    assert "(Python >= 3.10)" in (ROOT / "README.md").read_text(encoding="utf-8")
+    for path in sorted((ROOT / "src" / "ddghash").glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))
 
 
 def test_one_version():

@@ -1,13 +1,15 @@
 """Cross-module pipeline behavior not owned by any single unit module."""
 
+import ast
 import random
+import re
+from pathlib import Path
 
 import ddghash
 from ddghash.corpus import build_feature_file
-from ddghash import isa
+from ddghash import isa, wlhash
 from ddghash.disasm import IMMEDIATE, MEMORY, REGISTER, parse_listing_with_report
 from ddghash.features import FeatureParams
-from ddghash.wlhash import wl_refine
 
 from fixtures import gen_instructions, make_graph, make_listing, render_listing
 
@@ -67,14 +69,71 @@ def test_every_exported_name_resolves():
             "LabelMode", "build_ddg"} <= set(ddghash.__all__)
 
 
+def _surface_sources():
+    """The code the public names exist for: the package, the two benchmark
+    modules that read it, and README's Library example."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [*sorted((root / "src" / "ddghash").glob("*.py")),
+             root / "perfbench" / "checks.py", root / "perfbench" / "traced.py"]
+    for path in paths:
+        yield path.read_text(encoding="utf-8")
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n## Library\n"):]
+    yield re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _exported_name_readers(sources):
+    """Each name of ddghash.__all__ -> the top-level definitions whose
+    bodies read it, None for module-level code. A read is a name or an
+    attribute loaded, under the name itself or an alias that an import or
+    a lazy_names table gives it; an import, a string and a definition
+    read nothing, so neither do _HOMES and __all__."""
+    readers = {name: set() for name in ddghash.__all__}
+    for text in sources:
+        tree = ast.parse(text)
+        aliases = {}  # a name bound in this file -> the exported name it is
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.asname:
+                aliases[node.asname] = node.name.rpartition(".")[2]
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                  == "lazy_names" and isinstance(node.args[1], ast.Dict)):
+                for key, home in zip(node.args[1].keys, node.args[1].values):
+                    aliases[key.value] = home.value.partition(".")[2] or key.value
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(getattr(node, "ctx", None), ast.Load):
+                    name = getattr(node, "id", None) or getattr(node, "attr", None)
+                    name = aliases.get(name, name)
+                    if name in readers and name != owner:
+                        readers[name].add(owner)
+    return readers
+
+
+def test_every_exported_name_is_read_by_the_pipeline():
+    # a public name must be read outside its own definition by the
+    # package, perfbench's checks or tracer, or README's Library example;
+    # a read inside an unread name's definition does not count, so an
+    # exception raised only by an unread function is unread too
+    readers = _exported_name_readers(_surface_sources())
+    unread = set()
+    while True:
+        more = {name for name, owners in readers.items()
+                if name not in unread and not owners - unread}
+        if not more:
+            break
+        unread |= more
+    assert sorted(unread) == []
+
+
 def test_wl_refine_accepts_caller_labels():
     g = make_graph(3, {(0, 1), (1, 2)})
-    custom = {0: "alpha", 1: "alpha", 2: "beta"}
-    once = wl_refine(g, custom)
-    assert set(once) == {0, 1, 2}
-    assert all(len(v) == 32 for v in once.values())
+    custom = ["alpha", "alpha", "beta"]  # nodes 0, 1 and 2
+    once = wlhash._refine(wlhash._adjacency(g), custom)
+    assert len(once) == 3
+    assert all(len(v) == 32 for v in once)
     # seeding nodes differently must not collapse them
-    assert len(set(once.values())) >= len(set(custom.values()))
+    assert len(set(once)) >= len(set(custom))
 
 
 def test_operand_field_invariants_on_generated_corpus():

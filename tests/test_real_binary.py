@@ -19,8 +19,9 @@ from pathlib import Path
 
 import pytest
 
+from ddghash.blocks import segment
 from ddghash.corpus import build_feature_file
-from ddghash.disasm import (_parse_instruction, detect_syntax,
+from ddghash.disasm import (IMMEDIATE, Operand, _parse_instruction,
                             parse_listing_with_report)
 from ddghash.features import FeatureParams, compare
 from ddghash.tfidf import load_default_dictionary
@@ -34,8 +35,8 @@ INTEL = (DATA / "true_intel.objdump").read_text()
 
 
 def test_syntax_detection():
-    assert detect_syntax(ATT) == "att"
-    assert detect_syntax(INTEL) == "intel"
+    assert parse_listing_with_report(ATT)[1].syntax == "att"
+    assert parse_listing_with_report(INTEL)[1].syntax == "intel"
 
 
 def test_full_listing_parses_cleanly():
@@ -80,10 +81,30 @@ def test_forms_built_locally_normalize_to_identical_records(tmp_path):
                     "-o", str(obj)], check=True)
     att, intel = objdump_text(obj), objdump_text(obj, "-M", "intel")
     for form in ("repz cmpsb %es:(%rdi),%ds:(%rsi)",
-                 "vcvtsi2sdq (%rdi),%xmm0,%xmm0", "vcvtsi2ssl (%rdi),%xmm0,%xmm0"):
+                 "vcvtsi2sdq (%rdi),%xmm0,%xmm0", "vcvtsi2ssl (%rdi),%xmm0,%xmm0",
+                 "btcq   $0x3,(%rsp)", "btc    %rax,%rcx"):
         assert form in att
+    # (address, mnemonic, target) of each loop form and xbegin
+    transfers = re.findall(r"^ +([0-9a-f]+):\t[^\t]+\t(loop|loope|loopne|xbegin)"
+                           r" +([0-9a-f]+) <", att, re.MULTILINE)
+    assert [mnemonic for _, mnemonic, _ in transfers] == \
+        ["loop", "loope", "loopne", "xbegin"]
     for text in (att, intel):
-        assert parse_listing_with_report(text)[1].malformed == []
+        functions, report = parse_listing_with_report(text)
+        assert report.malformed == []
+        fn, = [fn for fn in functions if fn.name == "loops_and_bit_complements"]
+        assert [ins.mnemonic for ins in fn.instructions][-3:] == ["btc", "btc", "ret"]
+        leads, at = set(), 0  # the address of each block's first instruction
+        for block in segment(fn):
+            leads.add(fn.addresses[at])
+            at += len(block.instructions)
+        for address, mnemonic, target in transfers:
+            i, target = fn.addresses.index(int(address, 16)), int(target, 16)
+            # a conditional transfer: its target, read as hex, leads a
+            # block, and it ends its own
+            assert (fn.instructions[i].mnemonic, fn.instructions[i].operands) == \
+                (mnemonic, (Operand(IMMEDIATE, target, f"imm:{target}"),))
+            assert {target, fn.addresses[i + 1]} <= leads
     _assert_same_records(att, intel)
 
 

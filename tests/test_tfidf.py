@@ -5,9 +5,8 @@ import pytest
 
 from ddghash.blocks import segment
 from ddghash.disasm import parse_listing_with_report
-from ddghash.errors import EmptyCorpus, ZeroVector
-from ddghash.tfidf import (TermDictionary, cosine_similarity,
-                           distribution_from_vectors, idf,
+from ddghash.errors import EmptyCorpus
+from ddghash.tfidf import (TermDictionary, distribution_from_vectors, idf,
                            load_default_dictionary, tf_vector)
 
 from fixtures import CMOV_BLOCK_INTEL, make_listing
@@ -188,29 +187,3 @@ def test_term_totals_are_the_column_sums_of_count_rows():
         distribution_from_vectors(iter(()))
 
 
-def test_cosine_similarity():
-    u = _vec([1, 1])
-    v = _vec([1, 0])
-    assert cosine_similarity(u, u) == pytest.approx(1.0)
-    assert cosine_similarity(u, v) == pytest.approx(1 / math.sqrt(2))
-    disjoint = _vec([0, 0, 3, 1])
-    assert cosine_similarity(v, disjoint) == pytest.approx(0.0)
-
-
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(ZeroVector):
-        cosine_similarity(_vec([1]), _vec([]))
-
-
-def test_cosine_scale_invariance():
-    u = _vec([2, 3, 0, 1])
-    v = _vec([1, 1, 4, 0])
-    ku = _vec([6, 9, 0, 3])
-    assert cosine_similarity(ku, v) == pytest.approx(cosine_similarity(u, v))
-
-
-def test_cosine_with_idf_weights():
-    vectors = [_vec([1, 1]), _vec([1, 0]), _vec([1, 0])]
-    weights = idf(vectors)
-    w = cosine_similarity(vectors[0], vectors[1], weights)
-    assert 0 < w < 1

@@ -7,30 +7,34 @@ import pytest
 from ddghash.errors import EmptyGraph
 from ddghash.features import FeatureParams
 from ddghash import wlhash
-from ddghash.wlhash import wl_hash, wl_refine
+from ddghash.wlhash import wl_hash
 
 import iso_oracle
 from fixtures import make_graph, permute_graph, random_graph
 
 
+# a round refines labels listed in node order; make_graph numbers its
+# nodes 0..n-1 in that order
+
 def test_refine_separates_by_direction():
     g = make_graph(2, {(0, 1)})
-    labels = wl_refine(g, {0: "x", 1: "x"})
+    labels = wlhash._refine(wlhash._adjacency(g), ["x", "x"])
     assert labels[0] != labels[1]
 
 
 def test_refine_keeps_edgeless_uniform():
     g = make_graph(3, set())
-    labels = wl_refine(g, {0: "x", 1: "x", 2: "x"})
-    assert len(set(labels.values())) == 1
+    labels = wlhash._refine(wlhash._adjacency(g), ["x", "x", "x"])
+    assert len(set(labels)) == 1
 
 
 def test_refine_keeps_directed_cycle_uniform():
     g = make_graph(3, {(0, 1), (1, 2), (2, 0)})
-    labels = {0: "x", 1: "x", 2: "x"}
+    adjacency = wlhash._adjacency(g)
+    labels = ["x", "x", "x"]
     for _ in range(4):
-        labels = wl_refine(g, labels)
-        assert len(set(labels.values())) == 1
+        labels = wlhash._refine(adjacency, labels)
+        assert len(set(labels)) == 1
 
 
 def test_hash_format():
@@ -204,8 +208,9 @@ def test_refine_with_caller_labels_after_the_memo_is_warm():
         wl_hash(g)
     for g in graphs:
         # labels of the caller's choosing, then refined ones fed back
-        labels = {node.id: rng.choice(rng.choice(LABEL_POOLS)) for node in g.nodes}
+        labels = [rng.choice(rng.choice(LABEL_POOLS)) for _ in g.nodes]
         for _ in range(2):
-            refined = wl_refine(g, labels)
-            assert refined == _round_from_formats_doc(labels, g.edges)
+            refined = wlhash._refine(wlhash._adjacency(g), labels)
+            expected = _round_from_formats_doc(dict(enumerate(labels)), g.edges)
+            assert refined == list(expected.values())
             labels = refined
